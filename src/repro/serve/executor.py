@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..core.config import SystemConfig
 from ..parallel.runner import _init_worker, _run_task, _terminate_pool, resolve_workers
@@ -126,19 +126,25 @@ class PairExecutor:
         payload: object,
         config: SystemConfig,
         timeout: Optional[float] = None,
+        on_start: Optional[Callable[[], None]] = None,
     ) -> Tuple[object, float, Optional[dict]]:
         """Simulate one pair; ``(result, sim_seconds, telemetry summary)``.
 
         ``payload`` follows the worker protocol: a ``WorkloadSpec`` (the
         normal case — rebuilt worker-side) or a picklable ``Workload``.
-        ``timeout`` overrides the executor default for this job.  Raises
-        :class:`PairTimeout`, :class:`PairCrash`, or :class:`PairError`
-        (the simulation raised; deterministic, never retried).
+        ``timeout`` overrides the executor default for this job.
+        ``on_start`` is called once the job holds a pool slot, so the time
+        spent waiting for a free worker counts as queueing, not running.
+        Raises :class:`PairTimeout`, :class:`PairCrash`, or
+        :class:`PairError` (the simulation raised; deterministic, never
+        retried).
         """
         if self._closed:
             raise RuntimeError("executor is closed")
         limit = self.timeout if timeout is None else timeout
         async with self._slots:
+            if on_start is not None:
+                on_start()
             attempts = 0
             while True:
                 pool, generation = self._pool_handle()

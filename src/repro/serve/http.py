@@ -30,7 +30,7 @@ import asyncio
 import json
 import urllib.parse
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .scheduler import DrainingError, Scheduler
 from .wire import WireError, pair_from_wire, pairs_from_wire
@@ -48,6 +48,9 @@ _REASONS = {
 #: Seconds between SSE keepalive comments when no events arrive.
 SSE_KEEPALIVE_SECONDS = 15.0
 
+#: Seconds a drain waits for its open event streams to close.
+STREAM_CLOSE_SECONDS = 5.0
+
 
 class ServeApp:
     """Routes HTTP requests onto a :class:`~repro.serve.scheduler.Scheduler`.
@@ -64,6 +67,8 @@ class ServeApp:
         self.store_path = Path(store_path) if store_path is not None else None
         self.done = asyncio.Event()
         self._drain_task: Optional[asyncio.Task] = None
+        #: Connection tasks serving ``/events``; a drain ends them.
+        self._streams: Set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -79,6 +84,9 @@ class ServeApp:
                 return
             method, path, params, body = request
             if method == "GET" and path == "/events":
+                stream = asyncio.current_task()
+                self._streams.add(stream)
+                stream.add_done_callback(self._streams.discard)
                 await self._stream_events(writer, params)
                 return
             status, payload = await self._dispatch(method, path, params, body)
@@ -265,6 +273,8 @@ class ServeApp:
                 except asyncio.TimeoutError:
                     writer.write(b": keepalive\n\n")
                 else:
+                    if event is None:  # the server is draining
+                        break
                     self._write_event(writer, event)
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -301,6 +311,12 @@ class ServeApp:
                 encoding="utf-8",
             )
             summary["store_path"] = str(self.store_path)
+        # End the open event streams before the hosting script stops the
+        # loop: a stream still parked on its queue then would be cancelled
+        # there, and asyncio prints the cancelled connection's traceback.
+        self.scheduler.store.end_streams()
+        if self._streams:
+            await asyncio.wait(list(self._streams), timeout=STREAM_CLOSE_SECONDS)
         self.done.set()
         return summary
 

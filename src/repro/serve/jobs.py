@@ -235,6 +235,11 @@ class JobStore:
         """Drop a queue registered with :meth:`subscribe`."""
         self._subscribers.discard(queue)
 
+    def end_streams(self) -> None:
+        """Queue ``None`` to every subscriber: its stream is over."""
+        for queue in list(self._subscribers):
+            queue.put_nowait(None)
+
     def events_since(self, seq: int) -> List[Dict[str, object]]:
         """Buffered events with sequence numbers greater than ``seq``."""
         return [event for event in self._events if int(event["seq"]) > seq]

@@ -157,9 +157,12 @@ class Scheduler:
             payload = (
                 workload.spec if isinstance(workload, SyntheticWorkload) else workload
             )
-            self.store.transition(job, "running")
             try:
-                result, sim_seconds, summary = await self.executor.run(payload, config)
+                result, sim_seconds, summary = await self.executor.run(
+                    payload,
+                    config,
+                    on_start=lambda: self.store.transition(job, "running"),
+                )
             except PairError as exc:
                 self.store.transition(
                     job, "failed", error={"kind": exc.kind, "error": str(exc)}

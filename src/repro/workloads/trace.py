@@ -11,6 +11,9 @@ for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +70,75 @@ class WalkGeometry(NamedTuple):
     n_l15_sets: int = 0
 
 
+class _RecordLayout:
+    """The record structure every group of a columnar trace shares.
+
+    ``spans`` is the tuple of per-record ``(start, reads_end, end)`` column
+    spans; ``is_write`` (the read-only store mask) and ``order`` (the
+    read-only column permutation that puts each record's loads ahead of its
+    stores) are set for layouts built by :meth:`ColumnarCTATrace.from_flat`,
+    which shares one layout between every trace of the same shape.  The
+    read and write slice tables the packers cut each group's row with are
+    built on first use and kept here, so they too are built once per shape.
+    """
+
+    __slots__ = ("spans", "is_write", "order", "_slices")
+
+    def __init__(self, spans: Tuple[Tuple[int, int, int], ...], is_write=None, order=None) -> None:
+        self.spans = spans
+        self.is_write = is_write
+        self.order = order
+        self._slices = None
+
+    def slices(self) -> Tuple[Tuple[slice, ...], Tuple[slice, ...]]:
+        """Per-record ``(read slices, write slices)`` into one group's row."""
+        slices = self._slices
+        if slices is None:
+            spans = self.spans
+            slices = self._slices = (
+                tuple([slice(start, mid) for start, mid, _ in spans]),
+                tuple([slice(mid, end) for _, mid, end in spans]),
+            )
+        return slices
+
+
+@lru_cache(maxsize=256)
+def _flat_layout(per_group: int, write_period: int, accesses_per_record: int) -> _RecordLayout:
+    """The memoised :meth:`ColumnarCTATrace.from_flat` layout of one shape."""
+    positions = np.arange(1, per_group + 1, dtype=np.int64)
+    if write_period:
+        mask = positions % write_period == 0
+    else:
+        mask = np.zeros(per_group, dtype=bool)
+    # Stable reorder: group accesses by record, reads ahead of writes,
+    # original order preserved within each class.  The permutation is the
+    # same for every group, so it is applied to the whole 2-D address
+    # block in one fancy-index.
+    record_ids = (positions - 1) // accesses_per_record
+    order = np.lexsort((positions, mask, record_ids))
+    is_write = mask[order]
+    order.flags.writeable = False
+    is_write.flags.writeable = False
+    starts = range(0, per_group, accesses_per_record)
+    if starts:
+        read_counts = np.add.reduceat(
+            (~mask).astype(np.int64), np.array(starts, dtype=np.int64)
+        ).tolist()
+    else:
+        read_counts = []
+    spans = tuple(
+        [
+            (start, start + reads, min(start + accesses_per_record, per_group))
+            for start, reads in zip(starts, read_counts)
+        ]
+    )
+    return _RecordLayout(spans, is_write, order)
+
+
+_READS = itemgetter(1)
+_WRITES = itemgetter(2)
+
+
 class ColumnarCTATrace:
     """One CTA's trace as numpy columns plus record/group geometry.
 
@@ -88,6 +160,15 @@ class ColumnarCTATrace:
       array ops.  Cached per geometry (benchmark harnesses interleave
       several configurations over the same memoized traces, so a one-slot
       cache would thrash and repack on every config switch).
+
+    Both views are built with a few C-level passes per group: one ``zip``
+    over the flattened columns makes every quintuple, and ``map``/``zip``
+    over the layout's slice tables cut them into records.  Fast groups,
+    records and quintuples are plain tuples of numbers, built one tree
+    level at a time, so the cyclic collector stops tracking a packed trace
+    within the first passes that see it (about one level per pass) and
+    never rescans it in later full collections; with list groups every
+    packed trace stayed tracked for its whole life.
     """
 
     __slots__ = (
@@ -95,7 +176,7 @@ class ColumnarCTATrace:
         "is_write",
         "compute_cycles",
         "n_groups",
-        "_spans",
+        "_layout",
         "_base",
         "_fast",
         "_unique_key",
@@ -105,16 +186,19 @@ class ColumnarCTATrace:
         self,
         addrs: "np.ndarray",
         is_write: "np.ndarray",
-        spans: List[Tuple[int, int, int]],
+        spans: Sequence[Tuple[int, int, int]],
         compute_cycles: float,
     ) -> None:
+        self._init(
+            addrs, is_write, _RecordLayout(tuple(map(tuple, spans))), compute_cycles
+        )
+
+    def _init(self, addrs, is_write, layout: _RecordLayout, compute_cycles: float) -> None:
         self.addrs = addrs
         self.is_write = is_write
         self.compute_cycles = compute_cycles
         self.n_groups = addrs.shape[0]
-        #: Per-record ``(start, reads_end, end)`` column spans (identical
-        #: for every group of this CTA).
-        self._spans = spans
+        self._layout = layout
         self._base: list = None
         self._fast: dict = None
         #: Memo for the engine's kernel-wide address-uniqueness probe:
@@ -136,7 +220,9 @@ class ColumnarCTATrace:
         slice of ``lines``: every ``write_period``-th access (1-indexed
         within its group) is a store, records batch ``accesses_per_record``
         accesses with the partial tail kept, and loads keep their relative
-        order ahead of stores within a record.
+        order ahead of stores within a record.  The layout depends only on
+        the group length, ``write_period`` and ``accesses_per_record``, so
+        traces of one shape share it (and its read-only ``is_write``).
         """
         if accesses_per_record <= 0:
             raise ValueError(
@@ -150,34 +236,18 @@ class ColumnarCTATrace:
             raise ValueError(
                 f"{flat.size} accesses do not divide into {n_groups} equal groups"
             )
-        positions = np.arange(1, per_group + 1, dtype=np.int64)
-        if write_period:
-            mask = positions % write_period == 0
-        else:
-            mask = np.zeros(per_group, dtype=bool)
-        # Stable reorder: group accesses by record, reads ahead of writes,
-        # original order preserved within each class.  The permutation is
-        # the same for every group, so it is computed once and applied to
-        # the whole 2-D address block in one fancy-index.
-        record_ids = (positions - 1) // accesses_per_record
-        order = np.lexsort((positions, mask, record_ids))
-        addrs = flat.reshape(n_groups, per_group)[:, order]
-        is_write = mask[order]
-        starts = list(range(0, per_group, accesses_per_record))
-        if starts:
-            read_counts = np.add.reduceat(
-                (~mask).astype(np.int64), np.array(starts, dtype=np.int64)
-            )
-        else:
-            read_counts = []
-        spans = [
-            (start, start + int(reads), min(start + accesses_per_record, per_group))
-            for start, reads in zip(starts, read_counts)
-        ]
-        return cls(addrs, is_write, spans, compute_cycles)
+        layout = _flat_layout(per_group, write_period, accesses_per_record)
+        trace = cls.__new__(cls)
+        trace._init(
+            flat.reshape(n_groups, per_group)[:, layout.order],
+            layout.is_write,
+            layout,
+            compute_cycles,
+        )
+        return trace
 
     @property
-    def spans(self) -> List[Tuple[int, int, int]]:
+    def spans(self) -> Tuple[Tuple[int, int, int], ...]:
         """Per-record ``(start, reads_end, end)`` column spans.
 
         Together with ``addrs`` and ``compute_cycles`` this is the trace's
@@ -185,7 +255,7 @@ class ColumnarCTATrace:
         (including the read/write split — ``is_write`` is a convenience
         view) from these three.  Exporters serialize exactly this triple.
         """
-        return self._spans
+        return self._layout.spans
 
     def __len__(self) -> int:
         return self.n_groups
@@ -196,26 +266,46 @@ class ColumnarCTATrace:
     def __getitem__(self, index):
         return self.base_groups()[index]
 
+    def _fields(self, flat: tuple) -> Tuple[list, list]:
+        """Every record's read tuple and write tuple, group-major.
+
+        ``flat`` holds one entry per address, row-major; each group's row
+        is one tuple slice of it, cut into records by the layout's slice
+        tables (a tuple's slice is again a tuple).
+        """
+        read_slices, write_slices = self._layout.slices()
+        per_group = self.addrs.shape[1]
+        reads: list = []
+        writes: list = []
+        for group in range(self.n_groups):
+            row = flat[group * per_group : (group + 1) * per_group]
+            reads += map(row.__getitem__, read_slices)
+            writes += map(row.__getitem__, write_slices)
+        return reads, writes
+
+    def _split(self, records: Sequence) -> list:
+        """Cut a group-major record sequence into per-group slices."""
+        n_records = len(self._layout.spans)
+        return [
+            records[group * n_records : (group + 1) * n_records]
+            for group in range(self.n_groups)
+        ]
+
     def base_groups(self) -> CTATrace:
         """The classic ``TraceRecord`` view (cached after first use)."""
         base = self._base
         if base is None:
-            compute_cycles = self.compute_cycles
-            spans = self._spans
-            base = []
-            for row in self.addrs:
-                row_list = row.tolist()
-                base.append(
-                    [
-                        TraceRecord(
-                            compute_cycles,
-                            tuple(row_list[start:mid]),
-                            tuple(row_list[mid:end]),
-                        )
-                        for start, mid, end in spans
-                    ]
+            reads, writes = self._fields(tuple(self.addrs.ravel().tolist()))
+            # ``tuple.__new__(TraceRecord, fields)`` is what the named
+            # tuple's own constructor calls, minus a Python frame.
+            records = list(
+                map(
+                    tuple.__new__,
+                    repeat(TraceRecord),
+                    zip(repeat(self.compute_cycles), reads, writes),
                 )
-            self._base = base
+            )
+            base = self._base = self._split(records)
         return base
 
     def fast_groups(self, geometry: WalkGeometry):
@@ -223,9 +313,10 @@ class ColumnarCTATrace:
 
         Packed records are ``(compute_cycles, issue_busy, reads, writes)``
         with ``(line, l1_set, home_key, l2_set, l15_set)`` quintuples; the
-        unpacked flavor keeps plain address tuples.  ``issue_busy`` is
-        accumulated with the same left-to-right float arithmetic as
-        ``SM.charge_issue`` so the engine's timing is bit-identical.
+        unpacked flavor keeps plain address tuples (shared with
+        :meth:`base_groups`).  ``issue_busy`` is accumulated with the same
+        left-to-right float arithmetic as ``SM.charge_issue`` so the
+        engine's timing is bit-identical.  Groups and records are tuples.
         """
         cache = self._fast
         if cache is None:
@@ -235,79 +326,57 @@ class ColumnarCTATrace:
             if cached is not None:
                 return cached
         compute_cycles = self.compute_cycles
-        spans = self._spans
         throughput = geometry.issue_throughput
         busys = [
             (compute_cycles + (mid - start) + (end - mid)) / throughput
-            for start, mid, end in spans
+            for start, mid, end in self._layout.spans
         ]
-        groups = []
+        # Each level of the tree is finished before the next one starts
+        # (quintuples, then read/write tuples, then records, then groups),
+        # so a young collection mostly finds children in an older
+        # generation, already untracked, and untracks the parents it scans.
         if geometry.packed:
-            addrs = self.addrs
-            n_l1_sets = geometry.n_l1_sets
-            if n_l1_sets:
-                l1_sets = addrs % n_l1_sets
-            else:
-                l1_sets = np.zeros_like(addrs)
-            if geometry.line_interleaved:
-                home_keys = addrs % geometry.n_partitions
-            else:
-                home_keys = addrs // geometry.lines_per_page
-            n_l2_sets = geometry.n_l2_sets
-            if n_l2_sets:
-                l2_sets = addrs % n_l2_sets
-            else:
-                l2_sets = np.zeros_like(addrs)
-            n_l15_sets = geometry.n_l15_sets
-            if n_l15_sets:
-                l15_sets = addrs % n_l15_sets
-            else:
-                l15_sets = np.zeros_like(addrs)
-            for row, s1_row, home_row, s2_row, s15_row in zip(
-                addrs, l1_sets, home_keys, l2_sets, l15_sets
-            ):
-                row_list = row.tolist()
-                s1_list = s1_row.tolist()
-                home_list = home_row.tolist()
-                s2_list = s2_row.tolist()
-                s15_list = s15_row.tolist()
-                groups.append(
-                    [
-                        (
-                            compute_cycles,
-                            busy,
-                            tuple(
-                                zip(
-                                    row_list[start:mid],
-                                    s1_list[start:mid],
-                                    home_list[start:mid],
-                                    s2_list[start:mid],
-                                    s15_list[start:mid],
-                                )
-                            ),
-                            tuple(
-                                zip(
-                                    row_list[mid:end],
-                                    s1_list[mid:end],
-                                    home_list[mid:end],
-                                    s2_list[mid:end],
-                                    s15_list[mid:end],
-                                )
-                            ),
-                        )
-                        for (start, mid, end), busy in zip(spans, busys)
-                    ]
-                )
+            reads, writes = self._fields(
+                tuple(zip(*_geometry_columns(self.addrs, geometry)))
+            )
         else:
-            for records in self.base_groups():
-                groups.append(
-                    [
-                        (record.compute_cycles, busy, record.reads, record.writes)
-                        for record, busy in zip(records, busys)
-                    ]
-                )
-        cache[geometry] = groups
+            base = list(chain.from_iterable(self.base_groups()))
+            reads = list(map(_READS, base))
+            writes = list(map(_WRITES, base))
+        # A tuple copied from a finished list is allocated after its items;
+        # ``tuple(zip(...))`` would allocate it first and grow it.
+        records = tuple(
+            list(zip(repeat(compute_cycles), busys * self.n_groups, reads, writes))
+        )
+        groups = tuple(self._split(records))
+        # Keyed by a plain tuple equal to ``geometry`` (lookups by the named
+        # tuple still hit): with no tracked key or value left, a full
+        # collection stops tracking the cache dict as well.
+        cache[tuple(geometry)] = groups
         return groups
+
+
+def _geometry_columns(addrs: "np.ndarray", geometry: WalkGeometry) -> list:
+    """The five quintuple columns of ``addrs`` under ``geometry``, flattened.
+
+    Each is a list of Python ints in row-major address order; an index a
+    walker derives itself (its level absent or non-uniform) is a constant 0.
+    """
+    lines = addrs.ravel()
+    n_l1_sets = geometry.n_l1_sets
+    n_l2_sets = geometry.n_l2_sets
+    n_l15_sets = geometry.n_l15_sets
+    if geometry.line_interleaved:
+        home_keys = lines % geometry.n_partitions
+    else:
+        home_keys = lines // geometry.lines_per_page
+    return [
+        lines.tolist(),
+        (lines % n_l1_sets).tolist() if n_l1_sets else repeat(0),
+        home_keys.tolist(),
+        (lines % n_l2_sets).tolist() if n_l2_sets else repeat(0),
+        (lines % n_l15_sets).tolist() if n_l15_sets else repeat(0),
+    ]
 
 
 @dataclass(frozen=True)

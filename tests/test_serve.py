@@ -4,8 +4,12 @@ import asyncio
 import json
 import os
 import queue
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -242,9 +246,11 @@ class GateExecutor:
         self.calls = 0
         self.gate = asyncio.Event()
 
-    async def run(self, payload, config, timeout=None):
+    async def run(self, payload, config, timeout=None, on_start=None):
         self.calls += 1
         await self.gate.wait()
+        if on_start is not None:
+            on_start()
         workload = SyntheticWorkload(payload) if isinstance(payload, WorkloadSpec) else payload
         start = time.time()
         result = Simulator(config).run(workload)
@@ -263,7 +269,7 @@ class ExplodingExecutor:
         self.exc_type = exc_type
         self.message = message
 
-    async def run(self, payload, config, timeout=None):
+    async def run(self, payload, config, timeout=None, on_start=None):
         raise self.exc_type(self.message)
 
     async def close(self, wait=True):
@@ -342,6 +348,28 @@ class TestScheduler:
             assert job.error == {"kind": "timeout", "error": "too slow"}
 
         asyncio.run(go())
+
+    def test_queue_wait_covers_the_wait_for_a_pool_slot(self):
+        config = tiny_config()
+
+        async def go():
+            scheduler = Scheduler(cache=None, max_workers=1)
+            first, _ = scheduler.submit_classified(tiny_workload("slot-w1"), config)
+            second, _ = scheduler.submit_classified(tiny_workload("slot-w2"), config)
+            await asyncio.sleep(0)
+            # The one slot is taken: the second job is still queued.
+            assert first.state == "running"
+            assert second.state == "queued"
+            assert second.started_at is None
+            await scheduler.drain()
+            return first, second
+
+        first, second = asyncio.run(go())
+        assert first.state == second.state == "done"
+        first_run = first.finished_at - first.started_at
+        assert first_run > 0.0
+        assert second.started_at - second.submitted_at >= first_run
+        assert second.started_at >= first.finished_at
 
     def test_draining_rejects_submissions(self):
         workload = tiny_workload("sched-w5")
@@ -554,6 +582,41 @@ class TestDrain:
             handle.client.submit(workload, config)
         handle.thread.join(timeout=30)
         assert not handle.thread.is_alive()
+
+    def test_drain_with_an_open_event_stream_prints_no_traceback(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.Popen(
+            [
+                sys.executable, str(root / "scripts" / "serve.py"),
+                "--port", "0", "--workers", "1",
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline()
+            port = int(banner.strip().rsplit(":", 1)[1])
+            client = ServeClient(f"http://127.0.0.1:{port}")
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as stream:
+                stream.sendall(b"GET /events HTTP/1.1\r\nHost: test\r\n\r\n")
+                assert stream.recv(64).startswith(b"HTTP/1.1 200")
+                # The stream is now parked waiting for its next event.
+                assert client.drain(grace=5.0)["drained"] is True
+                # The drain ends the stream: the server closes it.
+                while stream.recv(4096):
+                    pass
+                _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "Traceback" not in err
+        assert "CancelledError" not in err
 
 
 # ----------------------------------------------------------------------
