@@ -64,11 +64,8 @@ class MemorySystem:
             else None
         )
         self.migration_bytes = 0
-        # Lazily built per-(src, dst) route table for non-ring topologies
-        # (see _link_routes); rings expose their own table directly.
-        self._route_table = None
         # Deferred-counter flush hooks installed by make_walkers(); empty
-        # whenever the walker fast path is not in use.
+        # whenever the walkers are not in use.
         self._walker_flushes: list = []
 
     # ------------------------------------------------------------------
@@ -119,8 +116,7 @@ class MemorySystem:
         # Write-through, no-allocate: update the line if present, then
         # forward downstream unconditionally.  The fused touch counts a
         # write hit when the line is resident and a bypass when it is not,
-        # so every store lands in exactly one counter (the probe-miss case
-        # used to vanish from the stats entirely).
+        # so every store lands in exactly one counter.
         sm.l1.touch_store(line_addr)
 
         gpm_id = sm.gpm_id
@@ -145,266 +141,16 @@ class MemorySystem:
         self._partition_write(time, home, line_addr)
         return now + STORE_ACK_LATENCY
 
-    def _link_routes(self):
-        """Per-(src, dst) link sequences for the inlined transfer walks.
-
-        Rings expose their precomputed ``_routes`` table directly; other
-        topologies (e.g. all-to-all) get a table built once from the
-        public ``route()`` API.  Link objects are reset in place, so the
-        table stays valid across runs.
-        """
-        routes = getattr(self._ring, "_routes", None)
-        if routes is not None:
-            return routes
-        if self._route_table is None:
-            n = len(self._gpms)
-            ring = self._ring
-            self._route_table = [
-                [tuple(ring.route(src, dst)) for dst in range(n)]
-                for src in range(n)
-            ]
-        return self._route_table
-
     # ------------------------------------------------------------------
-    # bulk request paths (engine hot loop)
+    # generated walkers (the fast path)
     # ------------------------------------------------------------------
     #
-    # One TraceRecord issues its whole read list and write list together.
-    # These bulk paths walk the lines in the same order and perform the
-    # same state mutations as per-line load()/store() calls — results are
-    # bit-identical (tests/test_perf_identity.py pins this) — but resolve
-    # the overwhelmingly common L1 hit with inline dict operations and
-    # hoist every per-request attribute lookup out of the line loop.
-
-    def load_batch(self, now: float, sm: "SM", lines) -> float:
-        """Issue a record's read list; returns the latest arrival cycle.
-
-        Equivalent to ``max(load(now, sm, line) for line in lines)`` with
-        ``now`` as the floor for an empty list.
-        """
-        self.loads += len(lines)
-        l1 = sm.l1
-        stats = l1.stats
-        sets = l1._sets
-        n_sets = l1.n_sets
-        ways = l1.ways
-        hit_time = now + sm.l1_hit_latency
-        mem_done = now
-        misses = None
-        for line in lines:
-            if n_sets:
-                cache_set = sets[line % n_sets]
-                if line in cache_set:
-                    # Inline L1 read hit: refresh LRU, preserve dirty state.
-                    stats.hits += 1
-                    cache_set[line] = cache_set.pop(line)
-                    if hit_time > mem_done:
-                        mem_done = hit_time
-                    continue
-                stats.misses += 1
-                if len(cache_set) >= ways:
-                    if cache_set.pop(next(iter(cache_set))):
-                        stats.writebacks += 1
-                cache_set[line] = False
-            else:
-                stats.misses += 1
-            if misses is None:
-                misses = [line]
-            else:
-                misses.append(line)
-        if misses is None:
-            return mem_done
-
-        gpm_id = sm.gpm_id
-        gpm = self._gpms[gpm_id]
-        base_time = hit_time + gpm.xbar_latency
-        page_table = self._page_table
-        # Inlined PageTable.home_partition / Crossbar.classify: the homing
-        # arithmetic is done in-loop and the pure-count counters are
-        # accumulated locally and flushed once per batch (their totals are
-        # order-insensitive and nothing reads them mid-record).
-        policy = page_table.policy
-        line_interleaved = page_table._line_interleaved
-        n_partitions = policy.n_partitions
-        lines_per_page = page_table.address_map.lines_per_page
-        partition_of_page = policy.partition_of_page
-        migrating = self._migrating_policy
-        # Mapped-page fast path: a plain dict hit skips the policy call.
-        # Migrating policies do per-access work inside partition_of_page,
-        # so the shortcut is disabled for them.
-        page_map = None if migrating is not None else getattr(policy, "_page_map", None)
-        local_homes = 0
-        remote_homes = 0
-        l15 = gpm.l15
-        l15_caches_local = gpm.l15_caches_local
-        has_l15 = gpm.has_l15
-        l15_hit_latency = gpm.l15_hit_latency
-        l15_miss_penalty = gpm.l15_miss_penalty
-        partition_read = self._partition_read
-        # Inlined RingNetwork.transfer: precomputed shortest-path link
-        # tuples, walked directly (same hop order, same pipe charges).
-        routes = self._link_routes()
-        request_routes = routes[gpm_id] if routes else None
-        remote_loads = 0
-        for line in misses:
-            if line_interleaved:
-                home = line % n_partitions
-            else:
-                page = line // lines_per_page
-                if page_map is None:
-                    home = partition_of_page(page, gpm_id)
-                else:
-                    home = page_map.get(page)
-                    if home is None:
-                        home = partition_of_page(page, gpm_id)
-            if migrating is not None and migrating.pending_migration:
-                self._charge_migration(base_time)
-            if home == gpm_id:
-                local_homes += 1
-                if l15_caches_local:
-                    l15_hit, _ = l15.access(line)
-                    if l15_hit:
-                        done = base_time + l15_hit_latency
-                        if done > mem_done:
-                            mem_done = done
-                        continue
-                    done = partition_read(base_time + l15_miss_penalty, home, line)
-                else:
-                    done = partition_read(base_time, home, line)
-            else:
-                remote_homes += 1
-                remote_loads += 1
-                time = base_time
-                if has_l15:
-                    l15_hit, _ = l15.access(line)
-                    if l15_hit:
-                        done = base_time + l15_hit_latency
-                        if done > mem_done:
-                            mem_done = done
-                        continue
-                    time = base_time + l15_miss_penalty
-                for link in request_routes[home]:
-                    time = (
-                        link.request_pipe.transfer(time, REQUEST_HEADER_BYTES)
-                        + link.latency_cycles
-                    )
-                time = partition_read(time, home, line)
-                for link in routes[home][gpm_id]:
-                    time = (
-                        link.response_pipe.transfer(time, LINE_BYTES + REQUEST_HEADER_BYTES)
-                        + link.latency_cycles
-                    )
-                done = time
-            if done > mem_done:
-                mem_done = done
-        self.remote_loads += remote_loads
-        page_table.local_resolutions += local_homes
-        page_table.remote_resolutions += remote_homes
-        xbar = gpm.xbar
-        xbar.local_requests += local_homes
-        xbar.remote_requests += remote_homes
-        return mem_done
-
-    def store_batch(self, now: float, sm: "SM", lines) -> None:
-        """Issue a record's write list (buffered; the caller never waits).
-
-        Equivalent to calling :meth:`store` once per line, in order.
-        """
-        self.stores += len(lines)
-        l1 = sm.l1
-        stats = l1.stats
-        sets = l1._sets
-        n_sets = l1.n_sets
-        track_dirty = l1._track_dirty
-        gpm_id = sm.gpm_id
-        gpm = self._gpms[gpm_id]
-        time = now + gpm.xbar_latency
-        page_table = self._page_table
-        # Same inlining discipline as load_batch: homing arithmetic in-loop,
-        # pure-count page-table/crossbar counters flushed once per batch.
-        policy = page_table.policy
-        line_interleaved = page_table._line_interleaved
-        n_partitions = policy.n_partitions
-        lines_per_page = page_table.address_map.lines_per_page
-        partition_of_page = policy.partition_of_page
-        migrating = self._migrating_policy
-        page_map = None if migrating is not None else getattr(policy, "_page_map", None)
-        local_homes = 0
-        remote_homes = 0
-        l15 = gpm.l15
-        l15_caches_local = gpm.l15_caches_local
-        has_l15 = gpm.has_l15
-        partition_write = self._partition_write
-        routes = self._link_routes()
-        request_routes = routes[gpm_id] if routes else None
-        store_bytes = LINE_BYTES + REQUEST_HEADER_BYTES
-        remote_stores = 0
-        for line in lines:
-            # Inline write-through no-allocate touch (see touch_store).
-            if n_sets:
-                cache_set = sets[line % n_sets]
-                if line in cache_set:
-                    stats.hits += 1
-                    stats.write_hits += 1
-                    cache_set[line] = cache_set.pop(line) or track_dirty
-                else:
-                    stats.bypasses += 1
-            else:
-                stats.bypasses += 1
-            if line_interleaved:
-                home = line % n_partitions
-            else:
-                page = line // lines_per_page
-                if page_map is None:
-                    home = partition_of_page(page, gpm_id)
-                else:
-                    home = page_map.get(page)
-                    if home is None:
-                        home = partition_of_page(page, gpm_id)
-            if migrating is not None and migrating.pending_migration:
-                self._charge_migration(time)
-            if home == gpm_id:
-                local_homes += 1
-                if l15_caches_local:
-                    l15.touch_store(line)
-                partition_write(time, home, line)
-            else:
-                remote_homes += 1
-                remote_stores += 1
-                if has_l15:
-                    l15.touch_store(line)
-                arrival = time
-                for link in request_routes[home]:
-                    arrival = (
-                        link.request_pipe.transfer(arrival, store_bytes)
-                        + link.latency_cycles
-                    )
-                partition_write(arrival, home, line)
-        self.remote_stores += remote_stores
-        page_table.local_resolutions += local_homes
-        page_table.remote_resolutions += remote_homes
-        xbar = gpm.xbar
-        xbar.local_requests += local_homes
-        xbar.remote_requests += remote_homes
-
-    # ------------------------------------------------------------------
-    # array-backed fast path (per-SM fused walkers)
-    # ------------------------------------------------------------------
-    #
-    # The walker consumes geometry-specialized records — read/write lists
-    # of (line, l1_set, home_key) triples precomputed by whole-column
-    # numpy ops in ColumnarCTATrace.fast_groups — and walks one record's
-    # memory batch with every residual Python step fused into a single
-    # closure: L1/L1.5/L2 dict mutations, homing resolution from the
-    # precomputed key, and pipe charges.  Same line order, same state
-    # mutations, same charge times as per-line load()/store(); the only
-    # reorderings are (a) pure-count counters accumulated in closure cells
-    # and flushed at kernel boundaries (nothing reads them mid-kernel) and
-    # (b) a record's *local* DRAM line charges collapsed into one
-    # BandwidthPipe.transfer_run — all local lines in a record charge the
-    # same pipe at the same cycle with the same byte count, so the greedy
-    # bucket fill is associative and only the last finish is observable.
-    # tests/test_perf_identity.py pins bit-identity across the matrix.
+    # load()/store() above are the reference.  The one other implementation
+    # of an access is the per-GPM walker generated by repro.core.walkgen:
+    # it walks a whole record's geometry-specialized reads and writes with
+    # the same line order, state mutations and charge times, deferring
+    # pure-count counters to the kernel boundary.  Systems the generator
+    # rejects run on the reference.
 
     def walk_geometry(self, packed: bool = True) -> "WalkGeometry":
         """The :class:`WalkGeometry` traces are specialized against."""
@@ -434,38 +180,24 @@ class MemorySystem:
         )
 
     def make_walkers(self):
-        """Build per-SM ``(walk, walk_unique)`` pairs, or ``None``.
+        """Per-SM ``(walk, walk_unique)`` pairs, or ``None`` for the reference.
 
-        The pairs come from the per-GPM code generator in
-        :mod:`repro.core.walkgen`; ``walk_unique`` is the flavor the engine
-        selects for kernels with globally unique address columns.  System
-        shapes the generator cannot specialize fall back to the generic
-        fused walker (used for both flavors).  Migrating placement policies
-        interleave page-copy charges with line charges and do per-access
-        work inside homing, so they keep the ``load_batch``/``store_batch``
-        path entirely.  Must be called after ``system.reset()`` — walkers
-        bind the current stats objects.
+        The pairs come from :func:`repro.core.walkgen.build_walkers`, which
+        decides which systems it supports; ``None`` (it raised
+        :class:`~repro.core.walkgen.UnsupportedWalk`) means every access
+        takes :meth:`load`/:meth:`store`.  ``walk_unique`` is the flavor
+        the engine selects for kernels with globally unique address
+        columns.  Must be called after ``system.reset()`` — walkers bind
+        the current stats objects.
         """
-        self._walker_flushes = []
-        if self._migrating_policy is not None:
-            return None
-        if not hasattr(self._ring, "_routes"):
-            # Both walker flavors prebind a ring's precomputed link routes;
-            # other topologies (e.g. all-to-all) charge transfers through
-            # the network object and keep the batch path.
-            return None
         from .walkgen import UnsupportedWalk, build_walkers
 
+        self._walker_flushes = []
         try:
             return build_walkers(self)
         except UnsupportedWalk:
             self._walker_flushes = []
-            return [
-                (walk, walk)
-                for walk in (
-                    self._make_walker(sm) for gpm in self._gpms for sm in gpm.sms
-                )
-            ]
+            return None
 
     def flush_walk_counters(self) -> None:
         """Fold the walkers' deferred counters into the real stats objects.
@@ -476,423 +208,6 @@ class MemorySystem:
         """
         for flush in self._walker_flushes:
             flush()
-
-    def _make_walker(self, sm: "SM"):
-        """Fused per-record memory walk for ``sm`` (see block comment)."""
-        gpm_id = sm.gpm_id
-        gpms = self._gpms
-        gpm = gpms[gpm_id]
-        l1 = sm.l1
-        l1_sets = l1._sets
-        l1_n_sets = l1.n_sets
-        l1_ways = l1.ways
-        l1_track_dirty = l1._track_dirty
-        l1_stats = l1.stats
-        l1_hit_latency = sm.l1_hit_latency
-        xbar_latency = gpm.xbar_latency
-        xbar = gpm.xbar
-
-        page_table = self._page_table
-        policy = page_table.policy
-        line_interleaved = page_table._line_interleaved
-        partition_of_page = policy.partition_of_page
-        page_map = getattr(policy, "_page_map", None)
-        page_map_get = page_map.get if page_map is not None else None
-
-        l15 = gpm.l15
-        l15_caches_local = gpm.l15_caches_local
-        has_l15 = gpm.has_l15
-        l15_hit_latency = gpm.l15_hit_latency
-        l15_miss_penalty = gpm.l15_miss_penalty
-        if l15 is not None:
-            l15_sets = l15._sets
-            l15_n_sets = l15.n_sets
-            l15_ways = l15.ways
-            l15_track_dirty = l15._track_dirty
-            l15_stats = l15.stats
-        else:
-            l15_sets = None
-            l15_n_sets = 0
-            l15_ways = 0
-            l15_track_dirty = False
-            l15_stats = None
-
-        n_homes = len(gpms)
-        l2_sets_by = [g.l2._sets for g in gpms]
-        l2_n_sets_by = [g.l2.n_sets for g in gpms]
-        l2_ways_by = [g.l2.ways for g in gpms]
-        l2_track_by = [g.l2._track_dirty for g in gpms]
-        l2_stats_by = [g.l2.stats for g in gpms]
-        l2_hit_by = [g.l2_hit_latency for g in gpms]
-        drams = [g.dram for g in gpms]
-        dram_run_by = [g.dram.pipe.transfer_run for g in gpms]
-
-        own_l2_sets = l2_sets_by[gpm_id]
-        own_l2_n_sets = l2_n_sets_by[gpm_id]
-        own_l2_ways = l2_ways_by[gpm_id]
-        own_l2_track = l2_track_by[gpm_id]
-        own_l2_stats = l2_stats_by[gpm_id]
-        own_l2_hit = l2_hit_by[gpm_id]
-        own_dram = drams[gpm_id]
-        own_dram_run = dram_run_by[gpm_id]
-        own_line_bytes = own_dram.line_bytes
-        own_dram_latency = own_dram.latency_cycles
-        # Constant local-path charge time offset past base_time: the
-        # optional L1.5 miss penalty (ALL allocation policy) plus the L2
-        # hit latency, identical for every local line of a record.
-        local_extra = (
-            l15_miss_penalty + own_l2_hit if l15_caches_local else own_l2_hit
-        )
-
-        # Ring hops as prebound (pipe.transfer, latency) pairs per home;
-        # same link walk and charge order as RingNetwork.transfer.
-        routes = self._link_routes()
-        if routes:
-            req_hops = [
-                tuple(
-                    (link.request_pipe.transfer, link.latency_cycles)
-                    for link in routes[gpm_id][home]
-                )
-                for home in range(n_homes)
-            ]
-            resp_hops = [
-                tuple(
-                    (link.response_pipe.transfer, link.latency_cycles)
-                    for link in routes[home][gpm_id]
-                )
-                for home in range(n_homes)
-            ]
-        else:
-            req_hops = resp_hops = None
-        request_bytes = REQUEST_HEADER_BYTES
-        response_bytes = LINE_BYTES + REQUEST_HEADER_BYTES
-        store_bytes = LINE_BYTES + REQUEST_HEADER_BYTES
-
-        # Deferred pure-count counters (flushed per kernel; order-free).
-        c_loads = 0
-        c_stores = 0
-        c_remote_loads = 0
-        c_remote_stores = 0
-        c_local_homes = 0
-        c_remote_homes = 0
-        c_l1_hits = 0
-        c_l1_misses = 0
-        c_l1_writebacks = 0
-        c_l1_bypasses = 0
-        c_l1_write_hits = 0
-
-        def walk(now, reads, writes):
-            nonlocal c_loads, c_stores, c_remote_loads, c_remote_stores
-            nonlocal c_local_homes, c_remote_homes
-            nonlocal c_l1_hits, c_l1_misses, c_l1_writebacks
-            nonlocal c_l1_bypasses, c_l1_write_hits
-            mem_done = now
-            if reads:
-                c_loads += len(reads)
-                hit_time = now + l1_hit_latency
-                misses = None
-                if l1_n_sets:
-                    for trip in reads:
-                        line = trip[0]
-                        cache_set = l1_sets[trip[1]]
-                        dirty = cache_set.pop(line, None)
-                        if dirty is not None:
-                            c_l1_hits += 1
-                            cache_set[line] = dirty
-                            continue
-                        c_l1_misses += 1
-                        if len(cache_set) >= l1_ways:
-                            if cache_set.pop(next(iter(cache_set))):
-                                c_l1_writebacks += 1
-                        cache_set[line] = False
-                        if misses is None:
-                            misses = [trip]
-                        else:
-                            misses.append(trip)
-                else:
-                    c_l1_misses += len(reads)
-                    misses = reads
-                if misses is None:
-                    # Every line hit: the batch completes at L1 latency.
-                    mem_done = hit_time
-                else:
-                    base_time = hit_time + xbar_latency
-                    local_time = base_time + local_extra
-                    local_fills = 0
-                    for trip in misses:
-                        line = trip[0]
-                        home_key = trip[2]
-                        if line_interleaved:
-                            home = home_key
-                        elif page_map_get is not None:
-                            home = page_map_get(home_key)
-                            if home is None:
-                                home = partition_of_page(home_key, gpm_id)
-                        else:
-                            home = partition_of_page(home_key, gpm_id)
-                        if home == gpm_id:
-                            c_local_homes += 1
-                            if l15_caches_local:
-                                if l15_n_sets:
-                                    cache_set = l15_sets[line % l15_n_sets]
-                                    dirty = cache_set.pop(line, None)
-                                    if dirty is not None:
-                                        l15_stats.hits += 1
-                                        cache_set[line] = dirty
-                                        done = base_time + l15_hit_latency
-                                        if done > mem_done:
-                                            mem_done = done
-                                        continue
-                                    l15_stats.misses += 1
-                                    if len(cache_set) >= l15_ways:
-                                        if cache_set.pop(next(iter(cache_set))):
-                                            l15_stats.writebacks += 1
-                                    cache_set[line] = False
-                                else:
-                                    l15_stats.misses += 1
-                            # Local memory-side L2; DRAM line charges are
-                            # batched into one run after the loop.
-                            if own_l2_n_sets:
-                                cache_set = own_l2_sets[line % own_l2_n_sets]
-                                dirty = cache_set.pop(line, None)
-                                if dirty is not None:
-                                    own_l2_stats.hits += 1
-                                    cache_set[line] = dirty
-                                    if local_time > mem_done:
-                                        mem_done = local_time
-                                    continue
-                                own_l2_stats.misses += 1
-                                if len(cache_set) >= own_l2_ways:
-                                    if cache_set.pop(next(iter(cache_set))):
-                                        own_l2_stats.writebacks += 1
-                                        own_dram.writes += 1
-                                        local_fills += 1
-                                cache_set[line] = False
-                            else:
-                                own_l2_stats.misses += 1
-                            own_dram.reads += 1
-                            local_fills += 1
-                        else:
-                            c_remote_homes += 1
-                            c_remote_loads += 1
-                            time = base_time
-                            if has_l15:
-                                if l15_n_sets:
-                                    cache_set = l15_sets[line % l15_n_sets]
-                                    dirty = cache_set.pop(line, None)
-                                    if dirty is not None:
-                                        l15_stats.hits += 1
-                                        cache_set[line] = dirty
-                                        done = base_time + l15_hit_latency
-                                        if done > mem_done:
-                                            mem_done = done
-                                        continue
-                                    l15_stats.misses += 1
-                                    if len(cache_set) >= l15_ways:
-                                        if cache_set.pop(next(iter(cache_set))):
-                                            l15_stats.writebacks += 1
-                                    cache_set[line] = False
-                                else:
-                                    l15_stats.misses += 1
-                                time = base_time + l15_miss_penalty
-                            for hop_transfer, hop_latency in req_hops[home]:
-                                time = hop_transfer(time, request_bytes) + hop_latency
-                            time = time + l2_hit_by[home]
-                            n_sets = l2_n_sets_by[home]
-                            stats = l2_stats_by[home]
-                            if n_sets:
-                                cache_set = l2_sets_by[home][line % n_sets]
-                                dirty = cache_set.pop(line, None)
-                                if dirty is not None:
-                                    stats.hits += 1
-                                    cache_set[line] = dirty
-                                    done = time
-                                    for hop_transfer, hop_latency in resp_hops[home]:
-                                        done = (
-                                            hop_transfer(done, response_bytes)
-                                            + hop_latency
-                                        )
-                                    if done > mem_done:
-                                        mem_done = done
-                                    continue
-                                stats.misses += 1
-                                dram = drams[home]
-                                fills = 1
-                                if len(cache_set) >= l2_ways_by[home]:
-                                    if cache_set.pop(next(iter(cache_set))):
-                                        stats.writebacks += 1
-                                        dram.writes += 1
-                                        fills = 2
-                                cache_set[line] = False
-                            else:
-                                stats.misses += 1
-                                dram = drams[home]
-                                fills = 1
-                            dram.reads += 1
-                            done = (
-                                dram_run_by[home](time, dram.line_bytes, fills)
-                                + dram.latency_cycles
-                            )
-                            for hop_transfer, hop_latency in resp_hops[home]:
-                                done = hop_transfer(done, response_bytes) + hop_latency
-                            if done > mem_done:
-                                mem_done = done
-                    if local_fills:
-                        done = (
-                            own_dram_run(local_time, own_line_bytes, local_fills)
-                            + own_dram_latency
-                        )
-                        if done > mem_done:
-                            mem_done = done
-            if writes:
-                c_stores += len(writes)
-                store_time = now + xbar_latency
-                local_write_time = store_time + own_l2_hit
-                local_fills = 0
-                for trip in writes:
-                    line = trip[0]
-                    # Inline write-through no-allocate L1 touch.
-                    if l1_n_sets:
-                        cache_set = l1_sets[trip[1]]
-                        dirty = cache_set.pop(line, None)
-                        if dirty is not None:
-                            c_l1_hits += 1
-                            c_l1_write_hits += 1
-                            cache_set[line] = dirty or l1_track_dirty
-                        else:
-                            c_l1_bypasses += 1
-                    else:
-                        c_l1_bypasses += 1
-                    home_key = trip[2]
-                    if line_interleaved:
-                        home = home_key
-                    elif page_map_get is not None:
-                        home = page_map_get(home_key)
-                        if home is None:
-                            home = partition_of_page(home_key, gpm_id)
-                    else:
-                        home = partition_of_page(home_key, gpm_id)
-                    if home == gpm_id:
-                        c_local_homes += 1
-                        if l15_caches_local:
-                            if l15_n_sets:
-                                cache_set = l15_sets[line % l15_n_sets]
-                                dirty = cache_set.pop(line, None)
-                                if dirty is not None:
-                                    l15_stats.hits += 1
-                                    l15_stats.write_hits += 1
-                                    cache_set[line] = dirty or l15_track_dirty
-                                else:
-                                    l15_stats.bypasses += 1
-                            else:
-                                l15_stats.bypasses += 1
-                        if own_l2_n_sets:
-                            cache_set = own_l2_sets[line % own_l2_n_sets]
-                            dirty = cache_set.pop(line, None)
-                            if dirty is not None:
-                                own_l2_stats.hits += 1
-                                own_l2_stats.write_hits += 1
-                                cache_set[line] = dirty or own_l2_track
-                                continue
-                            own_l2_stats.misses += 1
-                            own_l2_stats.write_misses += 1
-                            if len(cache_set) >= own_l2_ways:
-                                if cache_set.pop(next(iter(cache_set))):
-                                    own_l2_stats.writebacks += 1
-                                    own_dram.writes += 1
-                                    local_fills += 1
-                            cache_set[line] = own_l2_track
-                        else:
-                            own_l2_stats.misses += 1
-                            own_l2_stats.write_misses += 1
-                        # Write-allocate fill, batched like the read path.
-                        own_dram.reads += 1
-                        local_fills += 1
-                    else:
-                        c_remote_homes += 1
-                        c_remote_stores += 1
-                        if has_l15:
-                            if l15_n_sets:
-                                cache_set = l15_sets[line % l15_n_sets]
-                                dirty = cache_set.pop(line, None)
-                                if dirty is not None:
-                                    l15_stats.hits += 1
-                                    l15_stats.write_hits += 1
-                                    cache_set[line] = dirty or l15_track_dirty
-                                else:
-                                    l15_stats.bypasses += 1
-                            else:
-                                l15_stats.bypasses += 1
-                        time = store_time
-                        for hop_transfer, hop_latency in req_hops[home]:
-                            time = hop_transfer(time, store_bytes) + hop_latency
-                        time = time + l2_hit_by[home]
-                        n_sets = l2_n_sets_by[home]
-                        stats = l2_stats_by[home]
-                        track_dirty = l2_track_by[home]
-                        if n_sets:
-                            cache_set = l2_sets_by[home][line % n_sets]
-                            dirty = cache_set.pop(line, None)
-                            if dirty is not None:
-                                stats.hits += 1
-                                stats.write_hits += 1
-                                cache_set[line] = dirty or track_dirty
-                                continue
-                            stats.misses += 1
-                            stats.write_misses += 1
-                            dram = drams[home]
-                            fills = 1
-                            if len(cache_set) >= l2_ways_by[home]:
-                                if cache_set.pop(next(iter(cache_set))):
-                                    stats.writebacks += 1
-                                    dram.writes += 1
-                                    fills = 2
-                            cache_set[line] = track_dirty
-                        else:
-                            stats.misses += 1
-                            stats.write_misses += 1
-                            dram = drams[home]
-                            fills = 1
-                        dram.reads += 1
-                        dram_run_by[home](time, dram.line_bytes, fills)
-                if local_fills:
-                    own_dram_run(local_write_time, own_line_bytes, local_fills)
-            return mem_done
-
-        def flush():
-            nonlocal c_loads, c_stores, c_remote_loads, c_remote_stores
-            nonlocal c_local_homes, c_remote_homes
-            nonlocal c_l1_hits, c_l1_misses, c_l1_writebacks
-            nonlocal c_l1_bypasses, c_l1_write_hits
-            if not (c_loads or c_stores):
-                return
-            self.loads += c_loads
-            self.stores += c_stores
-            self.remote_loads += c_remote_loads
-            self.remote_stores += c_remote_stores
-            page_table.local_resolutions += c_local_homes
-            page_table.remote_resolutions += c_remote_homes
-            xbar.local_requests += c_local_homes
-            xbar.remote_requests += c_remote_homes
-            l1_stats.hits += c_l1_hits
-            l1_stats.misses += c_l1_misses
-            l1_stats.writebacks += c_l1_writebacks
-            l1_stats.bypasses += c_l1_bypasses
-            l1_stats.write_hits += c_l1_write_hits
-            c_loads = 0
-            c_stores = 0
-            c_remote_loads = 0
-            c_remote_stores = 0
-            c_local_homes = 0
-            c_remote_homes = 0
-            c_l1_hits = 0
-            c_l1_misses = 0
-            c_l1_writebacks = 0
-            c_l1_bypasses = 0
-            c_l1_write_hits = 0
-
-        self._walker_flushes.append(flush)
-        return walk
 
     # ------------------------------------------------------------------
     # page migration (MigratingFirstTouch extension)
@@ -929,9 +244,7 @@ class MemorySystem:
     # they mirror ``SetAssocCache.access`` / ``DRAMPartition`` line for
     # line (same counters, same LRU dict operations, same pipe-charge
     # order: write-back before fill), trading the two hottest remaining
-    # call chains for direct dict work.  (``reset_stats`` now zeroes the
-    # stats object in place, so binding it per call is a convenience, not
-    # a correctness requirement.)
+    # call chains for direct dict work.
 
     def _partition_read(self, now: float, home: int, line_addr: int) -> float:
         gpm = self._gpms[home]

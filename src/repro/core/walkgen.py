@@ -1,12 +1,14 @@
 """Generated per-GPM memory walkers (partial evaluation of the hot path).
 
-The fused walkers in :mod:`repro.core.memsys` collapse a record's memory
-batch into one closure call, but they still pay, per line, for work that
-is invariant for a given system: homing dispatch over a tuple of candidate
-homes, bound-method calls into every :class:`BandwidthPipe` on the path,
-latency attribute loads, and per-SM deferred-counter cells folded SM by SM.
+A walker is the engine's one fast implementation of a memory access; the
+per-line ``MemorySystem.load``/``store`` pair is the other, and the
+reference.  One walker call walks a whole record's reads and writes, and
+would otherwise pay, per line, for work that is invariant for a given
+system: homing dispatch over candidate homes, bound-method calls into
+every :class:`BandwidthPipe` on the path, latency attribute loads, and
+per-SM counter updates.
 
-This module instead *generates* walker source for each GPM with every
+This module *generates* walker source for each GPM with every
 system-invariant decision resolved at build time:
 
 * home dispatch unrolled into literal ``if home == g`` chains (and removed
@@ -18,6 +20,10 @@ system-invariant decision resolved at build time:
 * pipe byte/transfer counters derived once per kernel from per-home
   tallies (ring message sizes are fixed per direction), and ``busy_until``
   tracked in shared max-cells folded once per kernel;
+* a record's local DRAM line charges collapsed into one ``transfer_run``:
+  they charge the same pipe at the same cycle with the same byte count, so
+  the greedy bucket fill is associative and only the last finish is
+  observable;
 * all pure-count statistics accumulated in one shared per-GPM counter list
   and folded into the real stats objects at kernel boundaries.
 
@@ -41,8 +47,13 @@ from typing import Dict, List
 
 
 class UnsupportedWalk(Exception):
-    """Raised when a system's shape cannot be specialized (caller falls
-    back to the generic fused walker)."""
+    """Raised when a system's shape cannot be specialized; the engine then
+    runs every access on the per-line reference path."""
+
+
+def _l1_shape(sm) -> tuple:
+    l1 = sm.l1
+    return (l1.n_sets, l1.ways, l1._track_dirty, sm.l1_hit_latency)
 
 
 def _ind(level: int, text: str) -> str:
@@ -88,14 +99,7 @@ class _GpmCodegen:
         self.page_map_get = page_map.get if page_map is not None else None
 
         gpm = self.gpm
-        sms = gpm.sms
-        l1_shapes = {
-            (sm.l1.n_sets, sm.l1.ways, sm.l1._track_dirty, sm.l1_hit_latency)
-            for sm in sms
-        }
-        if len(l1_shapes) != 1:
-            raise UnsupportedWalk(f"gpm {gpm_id}: non-uniform L1 shapes")
-        self.l1_n_sets, self.l1_ways, self.l1_track, self.l1_hit = l1_shapes.pop()
+        self.l1_n_sets, self.l1_ways, self.l1_track, self.l1_hit = _l1_shape(gpm.sms[0])
 
         self.has_l15 = gpm.has_l15
         self.caches_local = gpm.l15_caches_local
@@ -709,19 +713,27 @@ def build_walkers(memsys):
     """Generate ``(walk, walk_u)`` pairs for every SM of ``memsys``.
 
     Registers the deferred-counter folds on ``memsys._walker_flushes`` (the
-    engine runs them at the end of every kernel drain).  Raises
-    :class:`UnsupportedWalk` for system shapes the generator cannot
-    specialize; the caller falls back to the generic fused walker.
+    engine runs them at the end of every kernel drain).  This is the one
+    place that decides walker support: it raises :class:`UnsupportedWalk`,
+    with the reason, for
+
+    * migrating placement, whose page copies interleave with line charges
+      and whose homing does per-access work;
+    * an interconnect without a precomputed ``_routes`` table (the
+      all-to-all network charges transfers through the network object);
+    * a GPM whose SMs have non-uniform L1 shapes.
     """
     from .memsys import LINE_BYTES, REQUEST_HEADER_BYTES
 
+    if memsys._migrating_policy is not None:
+        raise UnsupportedWalk("migrating placement")
     gpms = memsys._gpms
-    n = len(gpms)
-    # Only ring interconnects precompute per-(src, dst) link routes; other
-    # topologies (e.g. all-to-all) take the generic fused walker.
     routes = getattr(memsys._ring, "_routes", None)
-    if routes is None or (n > 1 and not routes):
-        raise UnsupportedWalk("interconnect without precomputed ring routes")
+    if routes is None or (len(gpms) > 1 and not routes):
+        raise UnsupportedWalk("interconnect without a route table")
+    for gpm in gpms:
+        if len({_l1_shape(sm) for sm in gpm.sms}) != 1:
+            raise UnsupportedWalk(f"gpm {gpm.gpm_id}: non-uniform L1 shapes")
 
     l2_counts = {gpm.l2.n_sets for gpm in gpms}
     uniform_l2 = l2_counts.pop() if len(l2_counts) == 1 else 0

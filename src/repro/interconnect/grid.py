@@ -8,8 +8,8 @@ routes (BFS distances, greedy next-hop with lowest-index tie-break).  It
 exposes the same protocol as :class:`~repro.interconnect.ring.RingNetwork`
 — ``route()`` / ``hops_between()`` / ``transfer()`` / ``total_link_bytes``
 / ``links`` / ``reset()`` — plus the precomputed ``_routes`` table the
-array-backed batch paths and generated walkers key on, so every topology
-built on this class gets the fast engine paths for free.
+generated walkers key on, so every topology built on this class gets the
+fast engine path for free.
 
 The module also hosts the pure-graph math (:func:`bfs_distances`,
 :func:`remote_hop_counts`, :func:`graph_diameter`) the topology registry

@@ -10,7 +10,7 @@ Every registered topology supplies two things:
 * a **network factory** — ``(n_nodes, link_bandwidth, hop_latency) ->``
   a network object implementing the ring protocol (``route`` /
   ``hops_between`` / ``transfer`` / ``total_link_bytes`` / ``links`` /
-  ``reset`` plus the precomputed ``_routes`` the fast engine paths key
+  ``reset`` plus the precomputed ``_routes`` the generated walkers key
   on).  ``ring`` and ``fully_connected`` keep their dedicated classes
   (bit-identical timing with pre-registry code); mesh/torus/hierarchical
   build on :class:`~repro.interconnect.grid.GraphNetwork`.

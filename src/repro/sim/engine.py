@@ -32,9 +32,10 @@ from .result import SimResult
 def _perline_requested() -> bool:
     """True when ``REPRO_SIM_PERLINE`` forces the reference per-line path.
 
-    Debug/verification knob: the batched memory path is the production
-    default; the per-line path is kept as the executable specification the
-    bit-identity suite diffs against (tests/test_perf_identity.py).
+    Verification knob: the generated walkers are the production default
+    wherever the system supports them; the per-line path is the
+    executable specification the bit-identity suite diffs them against
+    (tests/test_perf_identity.py).
     """
     return os.environ.get("REPRO_SIM_PERLINE", "") not in ("", "0")
 
@@ -53,9 +54,10 @@ class _CTA:
 class _WarpGroup:
     """One schedulable warp group walking its record list.
 
-    ``walk`` is the SM's fused memory walker when the array-backed fast
-    path is active (records are then geometry-specialized 4-tuples), or
-    ``None`` when the group carries classic :class:`TraceRecord` lists.
+    Records are ``(compute_cycles, issue_busy, reads, writes)`` tuples.
+    ``walk`` is the SM's generated walker, whose records carry packed
+    address quintuples, or ``None`` when the group's plain address tuples
+    take the per-line reference path.
     """
 
     __slots__ = ("cta", "records", "position", "walk")
@@ -162,14 +164,13 @@ class SimulationEngine:
         # bit-identical with or without the subsystem.
         self._telemetry = None
         self._next_sample = inf
-        #: Batched memory path (load_batch/store_batch) vs the reference
-        #: per-line path.  Both produce bit-identical results; the flag
-        #: exists so the identity suite can diff them.
+        #: Generated walkers on (where the system supports them) or off,
+        #: forcing the per-line reference path.  Both produce bit-identical
+        #: results; the flag exists so the identity suite can diff them.
         self.batched = not _perline_requested()
-        # Array-backed fast-path state: the geometry traces are
-        # specialized against and the per-SM fused walkers (None outside
-        # the fast path / for migrating placement).  ``_fast_cache``
-        # holds the one-time (walkers, geometry) build for this system.
+        # The geometry traces are specialized against and the per-SM
+        # walkers (None on the reference path).  ``_fast_cache`` holds the
+        # one-time (walkers, geometry) build for this system.
         self._geometry = None
         self._walkers = None
         self._fast_cache = None
@@ -195,24 +196,22 @@ class SimulationEngine:
             inf if telemetry is None else telemetry.begin_run(self.system, workload.name)
         )
 
-        # Array-backed fast path: fused per-SM walkers over geometry-
-        # specialized records.  Built once per engine and reused across
-        # runs — every object a walker binds (cache sets, stats, pipes,
-        # page maps, routes) is reset in place by ``system.reset()``.
-        # Migrating placement keeps the batch path (walkers None), and
-        # the general loop (telemetry, per-line reference) keeps classic
-        # TraceRecord lists.
+        # Walkers are built once per engine and reused across runs — every
+        # object a walker binds (cache sets, stats, pipes, page maps,
+        # routes) is reset in place by ``system.reset()``.  An attached
+        # probe, ``batched`` off, or a system the walker generator rejects
+        # takes the per-line reference over unpacked records.
+        memsys = self.system.memsys
         if telemetry is None and self.batched:
             cached = self._fast_cache
             if cached is None:
-                memsys = self.system.memsys
                 walkers = memsys.make_walkers()
                 cached = (walkers, memsys.walk_geometry(packed=walkers is not None))
                 self._fast_cache = cached
             self._walkers, self._geometry = cached
         else:
             self._walkers = None
-            self._geometry = None
+            self._geometry = memsys.walk_geometry(packed=False)
 
         # Live invariant checking is opt-in and read-only: with no validator
         # attached the loop pays one `is not None` test per kernel, and an
@@ -268,10 +267,7 @@ class SimulationEngine:
                 self._launch(heap, kernel, cta_index, sm, start_time)
                 placed = True
 
-        if telemetry is None and self.batched:
-            kernel_end = self._drain_fast(heap, kernel, start_time)
-        else:
-            kernel_end = self._drain_general(heap, kernel, start_time)
+        kernel_end = self._drain(heap, kernel, start_time)
 
         if not scheduler.exhausted:  # pragma: no cover - engine invariant
             raise RuntimeError(
@@ -295,81 +291,16 @@ class SimulationEngine:
         return quiesce if quiesce > kernel_end else kernel_end
 
     # ------------------------------------------------------------------
-    # event-heap drain loops
+    # event-heap drain loop
     # ------------------------------------------------------------------
-    #
-    # Two implementations of the same event semantics.  _drain_general is
-    # the readable reference: it supports an attached telemetry probe and
-    # the per-line memory path.  _drain_fast is the production hot loop
-    # for the common case (no probe, batched memory path): per-pop
-    # attribute lookups hoisted into locals, issue charging inlined, and
-    # the record's memory batch routed through the bulk MemorySystem
-    # paths.  Both are bit-identical (tests/test_perf_identity.py); any
-    # change to one must be mirrored in the other.
 
-    def _drain_general(self, heap: List, kernel: KernelLaunch, start_time: float) -> float:
+    def _drain(self, heap: List, kernel: KernelLaunch, start_time: float) -> float:
         scheduler = self.scheduler
+        memsys = self.system.memsys
+        load = memsys.load
+        store = memsys.store
         telemetry = self._telemetry
-        memsys = self.system.memsys
-        batched = self.batched
-        kernel_end = start_time
-        while heap:
-            ready, _, group = heappop(heap)
-            # Heap pops are monotone in ready time (pushes always re-arm at
-            # finish >= the current pop), so crossing a window boundary here
-            # closes the window exactly once.  Dormant (+inf) without a probe.
-            if ready >= self._next_sample:
-                self._next_sample = telemetry.take_window(
-                    ready, self.system, self.records_executed
-                )
-            sm = group.cta.sm
-            issue_start = sm.clock if sm.clock > ready else ready
-            record = group.records[group.position]
-            group.position += 1
-            reads = record.reads
-            writes = record.writes
-            sm.charge_issue(issue_start, record.compute_cycles + len(reads) + len(writes))
-
-            if batched:
-                mem_done = memsys.load_batch(issue_start, sm, reads) if reads else issue_start
-                if writes:
-                    memsys.store_batch(issue_start, sm, writes)
-            else:
-                mem_done = issue_start
-                for line in reads:
-                    done = memsys.load(issue_start, sm, line)
-                    if done > mem_done:
-                        mem_done = done
-                for line in writes:
-                    memsys.store(issue_start, sm, line)
-
-            finish = issue_start + record.compute_cycles
-            if mem_done > finish:
-                finish = mem_done
-            self.records_executed += 1
-
-            if group.position < len(group.records):
-                self._seq += 1
-                heappush(heap, (finish, self._seq, group))
-                continue
-
-            if finish > kernel_end:
-                kernel_end = finish
-            cta = group.cta
-            cta.groups_left -= 1
-            if cta.groups_left == 0:
-                self.ctas_executed += 1
-                sm.release_slot()
-                next_index = scheduler.next_cta(sm)
-                if next_index is not None:
-                    self._launch(heap, kernel, next_index, sm, finish)
-        return kernel_end
-
-    def _drain_fast(self, heap: List, kernel: KernelLaunch, start_time: float) -> float:
-        scheduler = self.scheduler
-        memsys = self.system.memsys
-        load_batch = memsys.load_batch
-        store_batch = memsys.store_batch
+        next_sample = self._next_sample
         pop = heappop
         push = heappush
         seq = self._seq
@@ -377,15 +308,21 @@ class SimulationEngine:
         kernel_end = start_time
         while heap:
             ready, _, group = pop(heap)
+            # Heap pops are monotone in ready time (pushes always re-arm at
+            # finish >= the current pop), so crossing a window boundary here
+            # closes the window exactly once.  Dormant (+inf) without a probe.
+            if ready >= next_sample:
+                next_sample = telemetry.take_window(
+                    ready, self.system, self.records_executed + records_executed
+                )
             cta = group.cta
             sm = cta.sm
             clock = sm.clock
             issue_start = clock if clock > ready else ready
             position = group.position
             records = group.records
-            # Fast records carry the issue busy time pre-divided (same
-            # left-to-right arithmetic as SM.charge_issue) alongside the
-            # geometry-specialized read/write lists.
+            # The issue busy time comes pre-divided (same left-to-right
+            # arithmetic as SM.charge_issue).
             compute_cycles, busy, reads, writes = records[position]
             position += 1
             group.position = position
@@ -399,9 +336,13 @@ class SimulationEngine:
                 else:
                     mem_done = issue_start
             else:
-                mem_done = load_batch(issue_start, sm, reads) if reads else issue_start
-                if writes:
-                    store_batch(issue_start, sm, writes)
+                mem_done = issue_start
+                for line in reads:
+                    done = load(issue_start, sm, line)
+                    if done > mem_done:
+                        mem_done = done
+                for line in writes:
+                    store(issue_start, sm, line)
 
             finish = issue_start + compute_cycles
             if mem_done > finish:
@@ -426,6 +367,7 @@ class SimulationEngine:
                     self._launch(heap, kernel, next_index, sm, finish)
                     seq = self._seq
         self._seq = seq
+        self._next_sample = next_sample
         self.records_executed += records_executed
         # Fold the walkers' deferred counters into the real stats objects
         # before anything at the kernel boundary (live validation, cache
@@ -445,24 +387,17 @@ class SimulationEngine:
                     f"kernel {kernel.label!r}: trace_fn returned {len(trace)} groups, "
                     f"expected {kernel.groups_per_cta}"
                 )
-            # Pick the record representation for the active drain loop:
-            # geometry-specialized fast records (derived and cached by
-            # columnar traces, packed per launch for plain lists) or the
-            # classic TraceRecord view.
-            geometry = self._geometry
-            walk = None
-            if geometry is not None:
-                fast_groups = getattr(trace, "fast_groups", None)
-                if fast_groups is not None:
-                    groups = fast_groups(geometry)
-                else:
-                    groups = _pack_plain_trace(trace, geometry)
-                walkers = self._walkers
-                if walkers is not None:
-                    walk = walkers[sm.sm_id][1 if self._kernel_unique else 0]
+            # Records specialized for the active geometry: derived and
+            # cached by columnar traces, packed per launch for plain lists.
+            fast_groups = getattr(trace, "fast_groups", None)
+            if fast_groups is not None:
+                groups = fast_groups(self._geometry)
             else:
-                base_groups = getattr(trace, "base_groups", None)
-                groups = base_groups() if base_groups is not None else trace
+                groups = _pack_plain_trace(trace, self._geometry)
+            walkers = self._walkers
+            walk = None
+            if walkers is not None:
+                walk = walkers[sm.sm_id][1 if self._kernel_unique else 0]
             sm.occupy_slot()
             cta = _CTA(cta_index, len(trace), sm)
             for records in groups:

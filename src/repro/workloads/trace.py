@@ -46,7 +46,7 @@ CTATrace = List[List[TraceRecord]]
 class WalkGeometry(NamedTuple):
     """The memory-system shape a columnar trace is specialized against.
 
-    The array-backed fast path precomputes, per line, every piece of
+    The generated walkers' records carry, per line, every piece of
     arithmetic that depends only on the address and the (immutable) system
     geometry: the L1 set index (``line % n_l1_sets``), the homing key
     (``line % n_partitions`` for fine-grain interleaving, ``line //
@@ -55,9 +55,8 @@ class WalkGeometry(NamedTuple):
     ``n_l2_sets``/``n_l15_sets`` are 0 when the level is absent, disabled,
     or non-uniform across GPMs; walkers then derive the index themselves.
     ``issue_throughput`` folds the per-record issue busy time into the same
-    derivation.  ``packed`` is False for the fallback flavor (migrating
-    placement policies) whose records keep plain address tuples for
-    ``load_batch``/``store_batch``.
+    derivation.  ``packed`` is False for the per-line reference path's
+    flavor, whose records keep plain address tuples.
     """
 
     packed: bool

@@ -1,25 +1,35 @@
-"""Bit-identity and accounting tests for the hot-path performance pass.
+"""Bit-identity, dispatch and accounting tests for the engine's two paths.
 
-Three contracts:
+A memory access has exactly two implementations: the per-line reference
+(``MemorySystem.load``/``store``) and the generated per-GPM walkers
+(:mod:`repro.core.walkgen`).  One drain loop runs both; a warp group
+takes the walkers when the system supports them and no telemetry probe
+is attached, and the reference otherwise.
 
-1. **Bit-identity** — the batched memory path (``MemorySystem.load_batch``
-   / ``store_batch`` driven by the engine's ``_drain_fast`` loop) produces
-   a ``SimResult`` identical *field for field* to the reference per-line
-   path, on every behavioural regime in the matrix.  The per-line path is
-   kept behind ``engine.batched`` / the ``REPRO_SIM_PERLINE`` env knob as
-   the executable specification.
-2. **Trace memoization** — materialized CTA traces are reused across
+Four contracts:
+
+1. **Bit-identity** — every machine's production run produces a
+   ``SimResult`` identical *field for field* to the per-line reference
+   (``engine.batched = False`` / the ``REPRO_SIM_PERLINE`` env knob), on
+   ring, monolithic, multi-GPU, mesh, torus, hierarchical and
+   fully-connected fabrics, under migrating placement, and with a probe.
+2. **Dispatch** — ring, mesh, torus and hierarchical machines take the
+   walkers; fully-connected, migrating and probed machines take the
+   reference, as does any system ``build_walkers`` rejects.
+3. **Trace memoization** — materialized CTA traces are reused across
    kernel iterations and across runs (``materializations`` stays flat),
    and kernel-variant patterns still materialize per kernel.
-3. **Store accounting** — every store lands in exactly one L1 counter
+4. **Store accounting** — every store lands in exactly one L1 counter
    (``write_hits`` or ``bypasses``; the probe-miss case used to vanish),
    and the reported hit *rates* are load-only (the Figure 6/7 quantity).
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
+from repro.core import walkgen
+from repro.core.gpu import build_system
 from repro.core.presets import (
     baseline_mcm_gpu,
     mcm_gpu_with_l15,
@@ -50,11 +60,35 @@ def tiny_workload(name="pi-w", pattern="streaming", write_fraction=0.25, iterati
     )
 
 
-def simulate_with_path(workload, config, batched):
-    """Run ``workload`` forcing the batched or the per-line memory path."""
-    simulator = Simulator(config)
+def simulate_with_path(workload, config, batched, probe=None):
+    """Run ``workload`` with walkers allowed (``batched``) or forced off."""
+    simulator = Simulator(config, telemetry=probe)
     simulator.engine.batched = batched
     return simulator.run(workload)
+
+
+def on_fabric(topology, n_gpms):
+    return replace(baseline_mcm_gpu(n_gpms=n_gpms, sms_per_gpm=2), topology=topology)
+
+
+def migrating():
+    return replace(
+        baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2), placement="migrating_first_touch"
+    )
+
+
+class Probed:
+    """A config whose production run carries a telemetry probe."""
+
+    def __init__(self, config):
+        self.config = config
+
+
+def unwrap(machine):
+    """``(config, probe)`` for a ``CONFIG_MAKERS`` result."""
+    if isinstance(machine, Probed):
+        return machine.config, Telemetry(window_cycles=256.0)
+    return machine, None
 
 
 CONFIG_MAKERS = [
@@ -71,6 +105,14 @@ CONFIG_MAKERS = [
     ),
     pytest.param(lambda: monolithic_gpu(n_sms=32), id="monolithic"),
     pytest.param(lambda: multi_gpu(optimized=False, sms_per_gpu=2), id="multi-gpu"),
+    pytest.param(lambda: on_fabric("mesh", 8), id="mesh-8"),
+    pytest.param(lambda: on_fabric("torus", 8), id="torus-8"),
+    pytest.param(lambda: on_fabric("hierarchical", 8), id="hier-8"),
+    pytest.param(lambda: on_fabric("fully_connected", 4), id="fc-4"),
+    pytest.param(migrating, id="migrating"),
+    pytest.param(
+        lambda: Probed(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)), id="probed-ring"
+    ),
 ]
 
 WORKLOAD_MAKERS = [
@@ -85,22 +127,25 @@ WORKLOAD_MAKERS = [
 
 
 class TestBatchedPerLineIdentity:
+    """Production runs (``engine.batched`` on) against the per-line reference."""
+
     @pytest.mark.parametrize("make_config", CONFIG_MAKERS)
     @pytest.mark.parametrize("make_workload", WORKLOAD_MAKERS)
     def test_results_identical_field_for_field(self, make_config, make_workload):
-        batched = simulate_with_path(make_workload(), make_config(), batched=True)
-        perline = simulate_with_path(make_workload(), make_config(), batched=False)
-        batched_fields = asdict(batched)
+        config, probe = unwrap(make_config())
+        production = simulate_with_path(make_workload(), config, batched=True, probe=probe)
+        perline = simulate_with_path(make_workload(), config, batched=False)
+        production_fields = asdict(production)
         perline_fields = asdict(perline)
-        assert batched_fields.keys() == perline_fields.keys()
-        for name in batched_fields:
-            assert batched_fields[name] == perline_fields[name], (
-                f"field {name!r} differs: batched={batched_fields[name]!r} "
+        assert production_fields.keys() == perline_fields.keys()
+        for name in production_fields:
+            assert production_fields[name] == perline_fields[name], (
+                f"field {name!r} differs: production={production_fields[name]!r} "
                 f"per-line={perline_fields[name]!r}"
             )
 
-    def test_general_loop_with_probe_matches_fast_loop(self):
-        # Telemetry forces the general drain loop; results must not move.
+    def test_probed_run_matches_walkers(self):
+        # A probe forces the per-line reference; results must not move.
         config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
         fast = simulate_with_path(tiny_workload(), config, batched=True)
         simulator = Simulator(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
@@ -121,6 +166,81 @@ class TestBatchedPerLineIdentity:
         assert Simulator(monolithic_gpu(n_sms=32)).engine.batched is True
         monkeypatch.delenv("REPRO_SIM_PERLINE")
         assert Simulator(monolithic_gpu(n_sms=32)).engine.batched is True
+
+
+def reference_loads(config, probe=None):
+    """``MemorySystem.load`` calls made by one production run of ``config``."""
+    simulator = Simulator(config, telemetry=probe)
+    simulator.engine.batched = True
+    memsys = simulator.system.memsys
+    calls = []
+    reference_load = memsys.load
+
+    def load(now, sm, line):
+        calls.append(line)
+        return reference_load(now, sm, line)
+
+    memsys.load = load
+    simulator.run(tiny_workload())
+    return len(calls)
+
+
+def walkers_for(config):
+    system = build_system(config)
+    system.reset()
+    return system.memsys.make_walkers()
+
+
+class TestEnginePathDispatch:
+    @pytest.mark.parametrize("topology", ["ring", "mesh", "torus", "hierarchical"])
+    def test_routed_fabrics_take_walkers(self, topology):
+        config = on_fabric(topology, 8)
+        assert walkers_for(config) is not None
+        assert reference_loads(config) == 0
+
+    @pytest.mark.parametrize(
+        "make_config, reason",
+        [
+            (lambda: on_fabric("fully_connected", 4), "route table"),
+            (migrating, "migrating placement"),
+        ],
+        ids=["fc-4", "migrating"],
+    )
+    def test_unsupported_machines_take_reference(self, make_config, reason):
+        config = make_config()
+        assert walkers_for(config) is None
+        system = build_system(config)
+        system.reset()
+        with pytest.raises(walkgen.UnsupportedWalk, match=reason):
+            walkgen.build_walkers(system.memsys)
+        assert reference_loads(config) > 0
+
+    def test_probed_ring_takes_reference(self):
+        config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
+        assert walkers_for(config) is not None
+        assert reference_loads(config, probe=Telemetry()) > 0
+
+    def test_non_uniform_l1_is_unsupported(self):
+        system = build_system(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
+        system.reset()
+        system.gpms[1].sms[1].l1_hit_latency += 1
+        with pytest.raises(walkgen.UnsupportedWalk, match="gpm 1: non-uniform L1"):
+            walkgen.build_walkers(system.memsys)
+        assert system.memsys.make_walkers() is None
+        assert system.memsys._walker_flushes == []
+
+    def test_rejected_build_falls_back_to_reference(self, monkeypatch):
+        def reject(memsys):
+            raise walkgen.UnsupportedWalk("rejected for the test")
+
+        monkeypatch.setattr(walkgen, "build_walkers", reject)
+        config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
+        assert walkers_for(config) is None
+        assert reference_loads(config) > 0
+        production = simulate_with_path(tiny_workload(), config, batched=True)
+        monkeypatch.undo()
+        perline = simulate_with_path(tiny_workload(), config, batched=False)
+        assert asdict(production) == asdict(perline)
 
 
 class TestTraceMemo:

@@ -118,6 +118,10 @@ class TestRecording:
         assert sum(w.l1_hits for w in probe.windows) == result.l1.hits
         assert sum(w.l2_misses for w in probe.windows) == result.l2.misses
         assert sum(w.link_bytes for w in probe.windows) == result.link_bytes
+        # Each window counts the records whose accesses it counts: two
+        # accesses per record in ``tiny_workload``.
+        for w in probe.windows:
+            assert w.loads + w.stores == 2 * w.records
 
     def test_kernel_phases_recorded(self):
         probe = Telemetry()
