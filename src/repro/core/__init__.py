@@ -10,7 +10,6 @@ from .analytical import (
     predict_suite_score,
     predicted_objectives,
     required_link_bandwidth,
-    ring_average_hops,
     supply_bandwidth_per_partition,
     topology_link_count,
     topology_ports,
@@ -56,7 +55,6 @@ __all__ = [
     "predict_suite_score",
     "predicted_objectives",
     "required_link_bandwidth",
-    "ring_average_hops",
     "supply_bandwidth_per_partition",
     "topology_link_count",
     "topology_ports",

@@ -88,22 +88,11 @@ def supply_bandwidth_per_partition(dram_bandwidth_per_partition: float, l2_hit_r
     return dram_bandwidth_per_partition / (1.0 - l2_hit_rate)
 
 
-def ring_average_hops(n_gpms: int) -> float:
-    """Mean shortest-path hop count between distinct nodes of a ring."""
-    if n_gpms <= 1:
-        return 0.0
-    total = 0
-    for distance in range(1, n_gpms):
-        total += min(distance, n_gpms - distance)
-    return total / (n_gpms - 1)
-
-
 def average_hops(n_gpms: int, topology: str = "ring") -> float:
     """Mean shortest-path hops between distinct nodes for a topology.
 
     Dispatches through the :mod:`repro.interconnect.topology` registry
     (BFS over the fabric's edge list); unknown topologies fail loudly.
-    For the ring this matches :func:`ring_average_hops` exactly.
     """
     return _topology.average_hops(topology, n_gpms)
 

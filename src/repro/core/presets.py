@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..interconnect.board import BOARD_AGGREGATE_GBPS, BOARD_HOP_LATENCY_CYCLES
 from ..memory.cache import AllocationPolicy, WritePolicy
 from .config import MEMORY_SCALE, CacheConfig, GPMConfig, SMConfig, SystemConfig
 
@@ -240,8 +241,8 @@ def multi_gpu(
     optimized: bool = False,
     n_gpus: int = 2,
     sms_per_gpu: int = 128,
-    board_bandwidth_aggregate: float = 256.0,
-    board_hop_latency: float = 320.0,
+    board_bandwidth_aggregate: float = BOARD_AGGREGATE_GBPS,
+    board_hop_latency: float = BOARD_HOP_LATENCY_CYCLES,
     scale: float = MEMORY_SCALE,
     name: Optional[str] = None,
 ) -> SystemConfig:

@@ -719,18 +719,18 @@ def build_walkers(memsys):
 
     * migrating placement, whose page copies interleave with line charges
       and whose homing does per-access work;
-    * an interconnect without a precomputed ``_routes`` table (the
-      all-to-all network charges transfers through the network object);
+    * the fully-connected fabric, by rule: its walkers would need one
+      more packed trace geometry per machine (about 40 MB of peak RSS
+      on the fabric-paths bench), which waits for a cheaper pack;
     * a GPM whose SMs have non-uniform L1 shapes.
     """
     from .memsys import LINE_BYTES, REQUEST_HEADER_BYTES
 
     if memsys._migrating_policy is not None:
         raise UnsupportedWalk("migrating placement")
+    if memsys.system.config.topology == "fully_connected":
+        raise UnsupportedWalk("fully-connected fabric")
     gpms = memsys._gpms
-    routes = getattr(memsys._ring, "_routes", None)
-    if routes is None or (len(gpms) > 1 and not routes):
-        raise UnsupportedWalk("interconnect without a route table")
     for gpm in gpms:
         if len({_l1_shape(sm) for sm in gpm.sms}) != 1:
             raise UnsupportedWalk(f"gpm {gpm.gpm_id}: non-uniform L1 shapes")

@@ -21,7 +21,7 @@ from typing import Dict
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup
 from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
-from ..interconnect.fully_connected import iso_budget_link_bandwidth
+from ..interconnect.topology import iso_budget_link_bandwidth
 from ..workloads.synthetic import Category
 from .common import filter_names, names_in_category, run_suites
 

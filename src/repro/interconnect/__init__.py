@@ -1,44 +1,30 @@
 """Interconnect substrate: links, topologies (ring/FC/mesh/torus/hier), board tier."""
 
-from .board import (
-    BOARD_AGGREGATE_GBPS,
-    BOARD_HOP_LATENCY_CYCLES,
-    make_board_interconnect,
-)
+from .board import BOARD_AGGREGATE_GBPS, BOARD_HOP_LATENCY_CYCLES
 from .crossbar import GPMCrossbar
-from .fully_connected import FullyConnectedNetwork, iso_budget_link_bandwidth
 from .grid import GraphNetwork
-from .hierarchical import PACKAGE_SIZE, make_hierarchical
+from .hierarchical import PACKAGE_SIZE
 from .link import Link
-from .mesh import grid_dims, make_mesh
-from .ring import CLOCKWISE, COUNTER_CLOCKWISE, RingNetwork
+from .mesh import grid_dims
 from .topology import (
     TopologyDescriptor,
     build_network,
     get_topology,
+    iso_budget_link_bandwidth,
     topology_names,
 )
-from .torus import make_torus
 
 __all__ = [
     "BOARD_AGGREGATE_GBPS",
     "BOARD_HOP_LATENCY_CYCLES",
-    "make_board_interconnect",
     "GPMCrossbar",
-    "FullyConnectedNetwork",
     "iso_budget_link_bandwidth",
     "GraphNetwork",
     "PACKAGE_SIZE",
-    "make_hierarchical",
     "Link",
     "grid_dims",
-    "make_mesh",
-    "CLOCKWISE",
-    "COUNTER_CLOCKWISE",
-    "RingNetwork",
     "TopologyDescriptor",
     "build_network",
     "get_topology",
     "topology_names",
-    "make_torus",
 ]

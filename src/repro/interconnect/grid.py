@@ -1,30 +1,66 @@
-"""Generic routed-graph network: arbitrary static topologies over links.
+"""Generic routed-graph network: every inter-GPM fabric over links.
 
-Mesh, torus, and hierarchical package/board fabrics share everything but
-their edge lists.  :class:`GraphNetwork` takes an undirected weighted
+Ring, fully-connected, mesh, torus, and hierarchical package/board
+fabrics share everything but their edge lists (and, for the ring, one
+tie-break rule).  :class:`GraphNetwork` takes an undirected weighted
 edge list, builds one directional :class:`~repro.interconnect.link.Link`
 per direction of each edge, and precomputes deterministic shortest-path
-routes (BFS distances, greedy next-hop with lowest-index tie-break).  It
-exposes the same protocol as :class:`~repro.interconnect.ring.RingNetwork`
-— ``route()`` / ``hops_between()`` / ``transfer()`` / ``total_link_bytes``
+routes (BFS distances, greedy next hop, lowest index unless a
+``tie_break`` hook picks among equally short next hops).  Its protocol —
+``route()`` / ``hops_between()`` / ``transfer()`` / ``total_link_bytes``
 / ``links`` / ``reset()`` — plus the precomputed ``_routes`` table the
-generated walkers key on, so every topology built on this class gets the
-fast engine path for free.
+generated walkers key on is what the memory system drives.
 
-The module also hosts the pure-graph math (:func:`bfs_distances`,
-:func:`remote_hop_counts`, :func:`graph_diameter`) the topology registry
-uses for its closed-form-free analytical dispatch.
+The module also hosts the shared ring edge helper (:func:`ring_edges`)
+and the pure-graph math (:func:`bfs_distances`, :func:`remote_hop_counts`,
+:func:`graph_diameter`) the topology registry uses for its
+closed-form-free analytical dispatch.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .link import REQUEST, RESPONSE, Link
 
 #: One undirected edge: (node u, node v, total bandwidth across both
 #: directions in bytes/cycle, per-hop latency in cycles).
 WeightedEdge = Tuple[int, int, float, float]
+
+#: Route-choice hook: ``(node, candidates) -> next hop``, called only when
+#: several neighbors (sorted ascending) stay on a shortest path.
+TieBreak = Callable[[int, Sequence[int]], int]
+
+
+def _adjacency(n_nodes: int, edges: Iterable[Tuple[int, int]]) -> List[List[int]]:
+    """Sorted neighbor lists of an undirected graph."""
+    adjacency: List[List[int]] = [[] for _ in range(n_nodes)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for neighbors in adjacency:
+        neighbors.sort()
+    return adjacency
+
+
+def ring_edges(
+    nodes: Sequence[int], link_bandwidth: float, hop_latency: float
+) -> List[WeightedEdge]:
+    """Ring edges over an ordered node list, each node to the next.
+
+    One node has no edges.  Two nodes share a single physical link pair,
+    not two parallel pairs of which minimal routing could only ever use
+    one.
+    """
+    count = len(nodes)
+    if count < 2:
+        return []
+    if count == 2:
+        return [(nodes[0], nodes[1], link_bandwidth, hop_latency)]
+    return [
+        (nodes[i], nodes[(i + 1) % count], link_bandwidth, hop_latency)
+        for i in range(count)
+    ]
 
 
 def bfs_distances(n_nodes: int, edges: Iterable[Tuple[int, int]]) -> List[List[int]]:
@@ -35,12 +71,7 @@ def bfs_distances(n_nodes: int, edges: Iterable[Tuple[int, int]]) -> List[List[i
     distance -1 (callers treat a disconnected fabric as a construction
     error).
     """
-    adjacency: List[List[int]] = [[] for _ in range(n_nodes)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    for neighbors in adjacency:
-        neighbors.sort()
+    adjacency = _adjacency(n_nodes, edges)
     distances: List[List[int]] = []
     for src in range(n_nodes):
         dist = [-1] * n_nodes
@@ -86,10 +117,13 @@ class GraphNetwork:
         edge's total bandwidth (the ring's full-duplex convention).
     name:
         Prefix for link names (telemetry and debugging).
+    tie_break:
+        Optional :data:`TieBreak` hook; only the ring sets one.
 
     Routing is minimal and deterministic: per-pair shortest paths are
     walked greedily, preferring the lowest-numbered neighbor that stays
-    on a shortest path, and frozen into ``_routes`` at construction.
+    on a shortest path (or the ``tie_break`` choice among several), and
+    frozen into ``_routes`` at construction.
     """
 
     def __init__(
@@ -97,15 +131,15 @@ class GraphNetwork:
         n_nodes: int,
         edges: Sequence[WeightedEdge],
         name: str = "graph",
+        tie_break: Optional[TieBreak] = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError(f"n_nodes must be positive, got {n_nodes}")
         self.n_nodes = n_nodes
         self.name = name
-        self.edges: List[WeightedEdge] = list(edges)
         self._link_by_pair: Dict[Tuple[int, int], Link] = {}
         self._link_order: List[Link] = []
-        for u, v, bandwidth, latency in self.edges:
+        for u, v, bandwidth, latency in edges:
             if not 0 <= u < n_nodes or not 0 <= v < n_nodes or u == v:
                 raise ValueError(f"bad edge ({u}, {v}) for {n_nodes} nodes")
             if (u, v) in self._link_by_pair:
@@ -117,45 +151,47 @@ class GraphNetwork:
                 )
                 self._link_by_pair[(src, dst)] = link
                 self._link_order.append(link)
-        self._dist = bfs_distances(
-            n_nodes, [(u, v) for u, v, _, _ in self.edges]
-        )
+        pairs = [(u, v) for u, v, _, _ in edges]
+        self._dist = bfs_distances(n_nodes, pairs)
         for src, row in enumerate(self._dist):
             for dst, hops in enumerate(row):
                 if hops < 0:
                     raise ValueError(
                         f"{name!r} fabric is disconnected: no path {src}->{dst}"
                     )
-        adjacency: List[List[int]] = [[] for _ in range(n_nodes)]
-        for u, v, _, _ in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        for neighbors in adjacency:
-            neighbors.sort()
+        adjacency = _adjacency(n_nodes, pairs)
         # Shortest paths are static; precompute them so the per-transfer
         # hot path (and the generated walkers) is a tuple walk.
         self._routes: List[List[tuple]] = [
             [
-                tuple(self._compute_route(src, dst, adjacency))
+                tuple(self._compute_route(src, dst, adjacency, tie_break))
                 for dst in range(n_nodes)
             ]
             for src in range(n_nodes)
         ]
 
     def _compute_route(
-        self, src: int, dst: int, adjacency: Sequence[Sequence[int]]
+        self,
+        src: int,
+        dst: int,
+        adjacency: Sequence[Sequence[int]],
+        tie_break: Optional[TieBreak],
     ) -> List[Link]:
         if src == dst:
             return []
         path: List[Link] = []
         node = src
         while node != dst:
-            target = self._dist[node][dst]
-            step = next(
+            target = self._dist[node][dst] - 1
+            candidates = [
                 neighbor
                 for neighbor in adjacency[node]
-                if self._dist[neighbor][dst] == target - 1
-            )
+                if self._dist[neighbor][dst] == target
+            ]
+            if len(candidates) > 1 and tie_break is not None:
+                step = tie_break(node, candidates)
+            else:
+                step = candidates[0]
             path.append(self._link_by_pair[(node, step)])
             node = step
         return path
@@ -198,35 +234,6 @@ class GraphNetwork:
     def links(self) -> List[Link]:
         """All directional links, in construction order."""
         return list(self._link_order)
-
-    def average_hops_uniform(self) -> float:
-        """Mean shortest-path hop count over distinct uniformly random pairs."""
-        if self.n_nodes == 1:
-            return 0.0
-        total = sum(
-            hops for row in self._dist for hops in row if hops > 0
-        )
-        return total / (self.n_nodes * (self.n_nodes - 1))
-
-    def diameter(self) -> int:
-        """Largest shortest-path hop count between any two nodes."""
-        return graph_diameter(self._dist)
-
-    def bisection_bandwidth(self) -> float:
-        """Bandwidth across the canonical half-split, both directions.
-
-        The cut separates nodes ``0 .. n//2 - 1`` from the rest; the sum
-        is over the per-direction bandwidth of every directional link
-        crossing it.  For the regular fabrics built on this class the
-        canonical split is a minimum cut, so this is the classical
-        bisection bandwidth.
-        """
-        half = self.n_nodes // 2
-        total = 0.0
-        for u, v, bandwidth, _ in self.edges:
-            if (u < half) != (v < half):
-                total += bandwidth  # both directions, bandwidth/2 each
-        return total
 
     def reset(self) -> None:
         """Clear all link counters and timing state."""

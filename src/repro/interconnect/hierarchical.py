@@ -19,36 +19,20 @@ Modeling notes:
   ``link_tier``; the board hops' higher per-bit cost is approximated
   away.  This keeps the result comparable with the flat topologies and
   is documented in DESIGN.md.
-* ``n <= PACKAGE_SIZE`` degenerates to a plain on-package ring (built on
-  :class:`~repro.interconnect.grid.GraphNetwork` rather than
-  :class:`~repro.interconnect.ring.RingNetwork`, so routes are
-  lowest-index-greedy instead of parity-tie-broken).
+* ``n <= PACKAGE_SIZE`` degenerates to a plain on-package ring.  Only
+  the registry's ``ring`` sets the antipodal source-parity tie-break,
+  so this fabric's routes stay lowest-index greedy.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from .board import BOARD_AGGREGATE_GBPS, BOARD_HOP_LATENCY_CYCLES
-from .grid import GraphNetwork, WeightedEdge
+from .grid import WeightedEdge, ring_edges
 
 #: GPMs per package — the paper's 4-GPM building block (Section 3).
 PACKAGE_SIZE = 4
-
-
-def _ring_edges(
-    nodes: Sequence[int], link_bandwidth: float, hop_latency: float
-) -> List[WeightedEdge]:
-    """Ring edges over an ordered node subset (1 node: none; 2: one edge)."""
-    count = len(nodes)
-    if count < 2:
-        return []
-    if count == 2:
-        return [(nodes[0], nodes[1], link_bandwidth, hop_latency)]
-    return [
-        (nodes[i], nodes[(i + 1) % count], link_bandwidth, hop_latency)
-        for i in range(count)
-    ]
 
 
 def hierarchical_edges(
@@ -67,25 +51,10 @@ def hierarchical_edges(
     ]
     edges: List[WeightedEdge] = []
     for members in packages:
-        edges.extend(_ring_edges(members, link_bandwidth, hop_latency))
+        edges.extend(ring_edges(members, link_bandwidth, hop_latency))
     gateways = [members[0] for members in packages]
     edges.extend(
-        _ring_edges(gateways, BOARD_AGGREGATE_GBPS, BOARD_HOP_LATENCY_CYCLES)
+        ring_edges(gateways, BOARD_AGGREGATE_GBPS, BOARD_HOP_LATENCY_CYCLES)
     )
     return edges
 
-
-def make_hierarchical(
-    n_nodes: int,
-    link_bandwidth_bytes_per_cycle: float,
-    hop_latency_cycles: float = 32.0,
-    name: str = "hier",
-) -> GraphNetwork:
-    """Build the hierarchical network (ring-compatible, walker-ready)."""
-    return GraphNetwork(
-        n_nodes,
-        hierarchical_edges(
-            n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles
-        ),
-        name=name,
-    )

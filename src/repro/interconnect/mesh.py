@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import List, Tuple
 
-from .grid import GraphNetwork, WeightedEdge
+from .grid import WeightedEdge
 
 
 def grid_dims(n_nodes: int) -> Tuple[int, int]:
@@ -61,16 +61,3 @@ def mesh_edges(
                 )
     return edges
 
-
-def make_mesh(
-    n_nodes: int,
-    link_bandwidth_bytes_per_cycle: float,
-    hop_latency_cycles: float = 32.0,
-    name: str = "mesh",
-) -> GraphNetwork:
-    """Build the mesh network (ring-compatible protocol, walker-ready)."""
-    return GraphNetwork(
-        n_nodes,
-        mesh_edges(n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles),
-        name=name,
-    )

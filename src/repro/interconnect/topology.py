@@ -1,19 +1,14 @@
 """Topology registry: one place that knows every inter-GPM fabric.
 
-Every registered topology supplies two things:
-
-* an **edge builder** — ``(n_nodes, link_bandwidth, hop_latency) ->``
-  undirected weighted edge list — from which all analytical quantities
-  (hop distributions, port counts, diameter, bisection bandwidth, PHY
-  totals) are derived generically by BFS, with no per-topology closed
-  forms to keep in sync;
-* a **network factory** — ``(n_nodes, link_bandwidth, hop_latency) ->``
-  a network object implementing the ring protocol (``route`` /
-  ``hops_between`` / ``transfer`` / ``total_link_bytes`` / ``links`` /
-  ``reset`` plus the precomputed ``_routes`` the generated walkers key
-  on).  ``ring`` and ``fully_connected`` keep their dedicated classes
-  (bit-identical timing with pre-registry code); mesh/torus/hierarchical
-  build on :class:`~repro.interconnect.grid.GraphNetwork`.
+Every registered topology supplies an **edge builder** —
+``(n_nodes, link_bandwidth, hop_latency) ->`` undirected weighted edge
+list — plus a link-name prefix and, for the ring alone, a route
+tie-break.  :func:`build_network` turns that edge list into a
+:class:`~repro.interconnect.grid.GraphNetwork`, so the edges the
+analytics read are, by construction, the ones that are simulated.  All
+analytical quantities (hop distributions, port counts, diameter,
+bisection bandwidth, PHY totals) are derived generically by BFS over the
+same edges, with no per-topology closed forms to keep in sync.
 
 ``core.config`` validates ``SystemConfig.topology`` against this
 registry, ``core.gpu`` builds fabrics through :func:`build_network`, and
@@ -26,48 +21,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fully_connected import FullyConnectedNetwork
 from .grid import (
     GraphNetwork,
+    TieBreak,
     WeightedEdge,
     bfs_distances,
     graph_diameter,
     remote_hop_counts,
+    ring_edges,
 )
-from .hierarchical import hierarchical_edges, make_hierarchical
-from .mesh import mesh_edges, make_mesh
-from .ring import RingNetwork
-from .torus import make_torus, torus_edges
+from .hierarchical import hierarchical_edges
+from .mesh import mesh_edges
+from .torus import torus_edges
 
 EdgeBuilder = Callable[[int, float, float], List[WeightedEdge]]
-NetworkFactory = Callable[[int, float, float], object]
 
 
-def ring_edges(
+def _ring_builder(
     n_nodes: int, link_bandwidth: float, hop_latency: float
 ) -> List[WeightedEdge]:
-    """Undirected edge list of the paper's baseline ring.
+    """Undirected edge list of the paper's baseline ring over ``0..n-1``."""
+    return ring_edges(range(n_nodes), link_bandwidth, hop_latency)
 
-    The two-node case has a single physical link pair (matching the
-    collapsed :class:`~repro.interconnect.ring.RingNetwork` degenerate
-    form), not two parallel pairs.
+
+def _ring_tie_break(node: int, candidates: Sequence[int]) -> int:
+    """Antipodal pairs on an even ring: even sources go clockwise.
+
+    Both directions are equally short only at the source of an antipodal
+    pair, so the source-parity split spreads opposite-corner traffic
+    over both directions instead of piling it onto one half while the
+    other idles.  Ties arise only on even rings, where an even node is
+    never ``n - 1`` and an odd node never ``0``, so neither step wraps.
     """
-    if n_nodes < 2:
-        return []
-    if n_nodes == 2:
-        return [(0, 1, link_bandwidth, hop_latency)]
-    return [
-        (node, (node + 1) % n_nodes, link_bandwidth, hop_latency)
-        for node in range(n_nodes)
-    ]
+    return node + 1 if node % 2 == 0 else node - 1
 
 
 def fully_connected_edges(
     n_nodes: int, link_bandwidth: float, hop_latency: float
 ) -> List[WeightedEdge]:
-    """Undirected edge list of the all-to-all fabric (one edge per pair)."""
+    """Undirected edge list of the all-to-all fabric (one edge per pair).
+
+    Section 3.2 leaves other topologies open.  All-to-all needs
+    ``n*(n-1)/2`` links instead of the ring's ``n``, so at a fixed
+    per-GPM escape budget each link is thinner, but every transfer is
+    one hop; ``topology_study`` runs that iso-budget comparison.
+    """
     return [
         (u, v, link_bandwidth, hop_latency)
         for u in range(n_nodes)
@@ -77,52 +77,48 @@ def fully_connected_edges(
 
 @dataclass(frozen=True)
 class TopologyDescriptor:
-    """One registered fabric: its edge math and its network constructor."""
+    """One registered fabric: its edge math, link names and routing rule."""
 
     name: str
     description: str
     edge_builder: EdgeBuilder
-    network_factory: NetworkFactory
-
-
-def _ring_factory(n: int, bandwidth: float, latency: float) -> RingNetwork:
-    return RingNetwork(n, bandwidth, latency)
-
-
-def _fc_factory(n: int, bandwidth: float, latency: float) -> FullyConnectedNetwork:
-    return FullyConnectedNetwork(n, bandwidth, latency)
+    #: Link-name prefix: links are ``"<prefix>.<src>-><dst>"``.
+    link_prefix: str
+    #: Route choice among equally short next hops (default: lowest index).
+    tie_break: Optional[TieBreak] = None
 
 
 _REGISTRY: Dict[str, TopologyDescriptor] = {
     "ring": TopologyDescriptor(
         name="ring",
         description="bidirectional ring (paper baseline, Section 3.2)",
-        edge_builder=ring_edges,
-        network_factory=_ring_factory,
+        edge_builder=_ring_builder,
+        link_prefix="ring",
+        tie_break=_ring_tie_break,
     ),
     "fully_connected": TopologyDescriptor(
         name="fully_connected",
         description="direct link between every GPM pair",
         edge_builder=fully_connected_edges,
-        network_factory=_fc_factory,
+        link_prefix="fc",
     ),
     "mesh": TopologyDescriptor(
         name="mesh",
         description="2-D mesh on the most-square grid, no wraparound",
         edge_builder=mesh_edges,
-        network_factory=make_mesh,
+        link_prefix="mesh",
     ),
     "torus": TopologyDescriptor(
         name="torus",
         description="2-D torus (mesh plus wraparound links)",
         edge_builder=torus_edges,
-        network_factory=make_torus,
+        link_prefix="torus",
     ),
     "hierarchical": TopologyDescriptor(
         name="hierarchical",
         description="4-GPM package rings bridged by a fixed board ring",
         edge_builder=hierarchical_edges,
-        network_factory=make_hierarchical,
+        link_prefix="hier",
     ),
 }
 
@@ -148,11 +144,16 @@ def build_network(
     n_nodes: int,
     link_bandwidth_bytes_per_cycle: float,
     hop_latency_cycles: float,
-):
-    """Construct the network object for a topology (ring protocol)."""
+) -> GraphNetwork:
+    """Construct the routed network of a registered topology."""
     descriptor = get_topology(topology)
-    return descriptor.network_factory(
-        n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles
+    return GraphNetwork(
+        n_nodes,
+        descriptor.edge_builder(
+            n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles
+        ),
+        name=descriptor.link_prefix,
+        tie_break=descriptor.tie_break,
     )
 
 
@@ -239,3 +240,15 @@ def total_fabric_bandwidth(
     """
     edges = get_topology(topology).edge_builder(n_nodes, link_bandwidth, 0.0)
     return sum(bandwidth for _, _, bandwidth, _ in edges)
+
+
+def iso_budget_link_bandwidth(ring_setting: float, n_nodes: int) -> float:
+    """Per-link bandwidth giving all-to-all the ring's per-GPM escape budget.
+
+    A ring node has ports on 2 links; an all-to-all node on ``n-1`` links.
+    Holding the per-GPM escape bandwidth constant (2 x setting), each
+    all-to-all link gets ``2 * ring_setting / (n - 1)``.
+    """
+    if n_nodes < 2:
+        raise ValueError("iso-budget comparison needs at least two nodes")
+    return 2.0 * ring_setting / (n_nodes - 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Set
 
-from .grid import GraphNetwork, WeightedEdge
+from .grid import WeightedEdge
 from .mesh import grid_dims, grid_node
 
 
@@ -45,16 +45,3 @@ def torus_edges(
                 )
     return edges
 
-
-def make_torus(
-    n_nodes: int,
-    link_bandwidth_bytes_per_cycle: float,
-    hop_latency_cycles: float = 32.0,
-    name: str = "torus",
-) -> GraphNetwork:
-    """Build the torus network (ring-compatible protocol, walker-ready)."""
-    return GraphNetwork(
-        n_nodes,
-        torus_edges(n_nodes, link_bandwidth_bytes_per_cycle, hop_latency_cycles),
-        name=name,
-    )

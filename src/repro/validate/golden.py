@@ -69,9 +69,11 @@ def default_store_path() -> Path:
 def golden_configs() -> List[SystemConfig]:
     """The six systems pinned into the golden matrix.
 
-    The four machine classes of the paper, plus two scale-out points
-    (8-GPM mesh and torus) so the registry-built fabrics are regression-
-    pinned alongside the dedicated ring/fully-connected classes.
+    The four machine classes of the paper (ring fabrics), plus two
+    scale-out points (8-GPM mesh and torus).  No fully-connected or
+    hierarchical machine is in the matrix: those fabrics are pinned by
+    the benchmark's seed-0 fingerprints (``mcm-fc-4``, ``mcm-hier-8``)
+    and ``tests/test_perf_identity.py``.
     """
     return [
         baseline_mcm_gpu(),

@@ -6,7 +6,6 @@ from repro.core.analytical import (
     average_hops,
     expected_slowdown_bound,
     required_link_bandwidth,
-    ring_average_hops,
     supply_bandwidth_per_partition,
     topology_link_count,
     topology_ports,
@@ -28,13 +27,13 @@ class TestSupplyBandwidth:
 
 class TestRingHops:
     def test_four_gpm_ring(self):
-        assert ring_average_hops(4) == pytest.approx(4.0 / 3.0)
+        assert average_hops(4, "ring") == pytest.approx(4.0 / 3.0)
 
     def test_two_nodes(self):
-        assert ring_average_hops(2) == 1.0
+        assert average_hops(2, "ring") == 1.0
 
     def test_single_node(self):
-        assert ring_average_hops(1) == 0.0
+        assert average_hops(1, "ring") == 0.0
 
 
 class TestTopologyCounts:

@@ -107,7 +107,7 @@ class TestGPUSystem:
         system = build_system(multi_gpu())
         assert system.n_gpms == 2
         assert system.total_sms == 256
-        assert system.ring.hop_latency_cycles == 320.0
+        assert system.ring.links[0].latency_cycles == 320.0
 
     def test_reset_restores_pristine_state(self):
         system = build_system(baseline_mcm_gpu(n_gpms=2, sms_per_gpm=2))

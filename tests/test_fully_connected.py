@@ -1,23 +1,25 @@
 """Unit tests for the fully-connected topology extension."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.interconnect.fully_connected import (
-    FullyConnectedNetwork,
-    iso_budget_link_bandwidth,
-)
+from repro.interconnect import iso_budget_link_bandwidth
+from repro.interconnect.grid import GraphNetwork
 from repro.interconnect.link import REQUEST, RESPONSE
+from repro.interconnect.topology import average_hops, build_network
+
+
+def make_fc(n_nodes, link_bandwidth=768.0, hop_latency_cycles=32.0):
+    """The registry's all-to-all fabric."""
+    return build_network("fully_connected", n_nodes, link_bandwidth, hop_latency_cycles)
 
 
 class TestTopology:
     def test_link_count(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = make_fc(4)
         assert len(network.links) == 12  # n*(n-1) directed links
 
     def test_single_hop_everywhere(self):
-        network = FullyConnectedNetwork(6, 768.0)
+        network = make_fc(6)
         for src in range(6):
             for dst in range(6):
                 expected = 0 if src == dst else 1
@@ -25,34 +27,37 @@ class TestTopology:
                 assert len(network.route(src, dst)) == expected
 
     def test_average_hops(self):
-        assert FullyConnectedNetwork(4, 768.0).average_hops_uniform() == 1.0
-        assert FullyConnectedNetwork(1, 768.0).average_hops_uniform() == 0.0
+        assert average_hops("fully_connected", 4) == 1.0
+        assert average_hops("fully_connected", 1) == 0.0
 
-    def test_out_of_range(self):
-        network = FullyConnectedNetwork(4, 768.0)
-        with pytest.raises(ValueError, match="out of range"):
-            network.transfer(0.0, 0, 4, 128)
+    @pytest.mark.parametrize("n_nodes", range(1, 13))
+    def test_every_route_is_the_direct_link(self, n_nodes):
+        network = make_fc(n_nodes)
+        for src in range(n_nodes):
+            for dst in range(n_nodes):
+                expected = [] if src == dst else [f"fc.{src}->{dst}"]
+                assert [link.name for link in network.route(src, dst)] == expected
 
 
 class TestTiming:
     def test_transfer_single_hop_latency(self):
-        network = FullyConnectedNetwork(4, 768.0, hop_latency_cycles=32.0)
+        network = make_fc(4, hop_latency_cycles=32.0)
         arrival = network.transfer(0.0, 0, 2, 128)
         # One hop even between "opposite" nodes: serialization + 32.
         assert 32.0 < arrival < 40.0
 
     def test_per_direction_bandwidth_is_half(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = make_fc(4)
         assert network.links[0].request_pipe.bytes_per_cycle == pytest.approx(384.0)
 
     def test_channels_independent(self):
-        network = FullyConnectedNetwork(2, 2.0, hop_latency_cycles=0.0)
+        network = make_fc(2, link_bandwidth=2.0, hop_latency_cycles=0.0)
         network.transfer(0.0, 0, 1, 10_000, REQUEST)
         prompt = network.transfer(0.0, 0, 1, 1, RESPONSE)
         assert prompt < 100.0
 
     def test_accounting_and_reset(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = make_fc(4)
         network.transfer(0.0, 0, 1, 100)
         network.transfer(0.0, 2, 3, 50)
         assert network.total_link_bytes == 150
@@ -60,7 +65,7 @@ class TestTiming:
         assert network.total_link_bytes == 0
 
     def test_self_transfer_free(self):
-        network = FullyConnectedNetwork(4, 768.0)
+        network = make_fc(4)
         assert network.transfer(9.0, 1, 1, 4096) == 9.0
 
 
@@ -77,32 +82,6 @@ class TestIsoBudget:
             iso_budget_link_bandwidth(768.0, 1)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    n_nodes=st.integers(min_value=2, max_value=6),
-    transfers=st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=5),
-            st.integers(min_value=0, max_value=5),
-            st.integers(min_value=1, max_value=512),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
-)
-def test_fc_accounting_matches_bytes(n_nodes, transfers):
-    """Property: total link bytes == sum of distinct-pair transfer sizes."""
-    network = FullyConnectedNetwork(n_nodes, 768.0)
-    expected = 0
-    for src, dst, size in transfers:
-        src %= n_nodes
-        dst %= n_nodes
-        network.transfer(0.0, src, dst, size)
-        if src != dst:
-            expected += size
-    assert network.total_link_bytes == expected
-
-
 class TestSystemIntegration:
     def test_gpu_system_builds_fc_topology(self):
         from dataclasses import replace
@@ -114,7 +93,10 @@ class TestSystemIntegration:
             baseline_mcm_gpu(name="fc"), topology="fully_connected"
         )
         system = build_system(config)
-        assert isinstance(system.ring, FullyConnectedNetwork)
+        assert isinstance(system.ring, GraphNetwork)
+        assert {link.name for link in system.ring.links} == {
+            f"fc.{src}->{dst}" for src in range(4) for dst in range(4) if src != dst
+        }
 
     def test_config_rejects_unknown_topology(self):
         from dataclasses import replace
@@ -127,8 +109,8 @@ class TestSystemIntegration:
 
     def test_fc_topology_simulates_end_to_end(self):
         # Regression: the specialized walker generator assumed a ring's
-        # precomputed routes and crashed on all-to-all systems instead of
-        # falling back to the generic walker.
+        # precomputed routes and crashed on all-to-all systems; they now
+        # run on the per-line reference by an explicit rule.
         from dataclasses import replace
 
         from repro.core.presets import baseline_mcm_gpu

@@ -201,7 +201,7 @@ class TestEnginePathDispatch:
     @pytest.mark.parametrize(
         "make_config, reason",
         [
-            (lambda: on_fabric("fully_connected", 4), "route table"),
+            (lambda: on_fabric("fully_connected", 4), "fully-connected fabric"),
             (migrating, "migrating placement"),
         ],
         ids=["fc-4", "migrating"],

@@ -3,13 +3,15 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.presets import baseline_mcm_gpu
+from repro.interconnect.board import BOARD_AGGREGATE_GBPS, BOARD_HOP_LATENCY_CYCLES
 from repro.interconnect.grid import GraphNetwork
-from repro.interconnect.hierarchical import PACKAGE_SIZE, make_hierarchical
+from repro.interconnect.hierarchical import PACKAGE_SIZE, hierarchical_edges
 from repro.interconnect.link import REQUEST, RESPONSE
 from repro.interconnect.mesh import grid_dims
-from repro.interconnect.ring import RingNetwork
 from repro.interconnect.topology import (
     average_hops,
     bisection_bandwidth,
@@ -42,9 +44,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown topology"):
             replace(baseline_mcm_gpu(), topology="hypercube")
 
-    def test_factories_build_the_dedicated_classes(self):
-        assert isinstance(build_network("ring", 4, 768.0, 32.0), RingNetwork)
-        assert isinstance(build_network("mesh", 8, 768.0, 32.0), GraphNetwork)
+    @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+    def test_every_topology_builds_a_graph_network(self, topology):
+        network = build_network(topology, 8, 768.0, 32.0)
+        assert isinstance(network, GraphNetwork)
+        prefix = get_topology(topology).link_prefix
+        assert all(link.name.startswith(f"{prefix}.") for link in network.links)
 
     def test_analytical_queries_reject_unknown_topology(self):
         for query in (average_hops, link_count, mean_ports, diameter):
@@ -59,13 +64,13 @@ class TestTwoNodeRingRegression:
     single physical pair, consistent with its 2-port analytical claim."""
 
     def test_two_node_ring_has_exactly_one_link_pair(self):
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         assert len(ring.links) == 2  # one directional link each way
 
     def test_no_link_is_stranded_under_symmetric_load(self):
         # Pre-fix this failed: 4 directional links existed and the
         # route tables only ever used one per direction.
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         ring.transfer(0.0, 0, 1, 128, REQUEST)
         ring.transfer(0.0, 1, 0, 128, REQUEST)
         ring.transfer(0.0, 0, 1, 64, RESPONSE)
@@ -76,14 +81,14 @@ class TestTwoNodeRingRegression:
     def test_directions_do_not_share_a_pipe(self):
         # Each direction still gets its own physical link at half the
         # setting — the collapse removes idle hardware, not capacity.
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         assert ring.links[0].request_pipe.bytes_per_cycle == pytest.approx(384.0)
         ring.transfer(0.0, 0, 1, 1 << 20, REQUEST)
         prompt = ring.transfer(0.0, 1, 0, 128, REQUEST)
         assert prompt < 100.0  # reverse direction unaffected by the backlog
 
     def test_two_node_routes_are_single_hop(self):
-        ring = RingNetwork(2, 768.0)
+        ring = build_network("ring", 2, 768.0, 32.0)
         assert ring.hops_between(0, 1) == 1
         assert ring.hops_between(1, 0) == 1
         assert ring.route(0, 1) != ring.route(1, 0)
@@ -113,15 +118,54 @@ class TestConservationAcrossRegistry:
 
     def test_analytical_hops_match_network(self, topology, n_nodes):
         network = build_network(topology, n_nodes, 768.0, 32.0)
-        assert network.average_hops_uniform() == pytest.approx(
-            average_hops(topology, n_nodes)
-        )
+        hops = [
+            network.hops_between(src, dst)
+            for src in range(n_nodes)
+            for dst in range(n_nodes)
+            if src != dst
+        ]
+        assert sum(hops) / len(hops) == pytest.approx(average_hops(topology, n_nodes))
+
+    def test_out_of_range_nodes_rejected(self, topology, n_nodes):
+        network = build_network(topology, n_nodes, 768.0, 32.0)
+        for src, dst in ((0, n_nodes), (n_nodes, 0), (-1, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                network.route(src, dst)
+            with pytest.raises(ValueError, match="out of range"):
+                network.hops_between(src, dst)
 
     def test_reset_clears_traffic(self, topology, n_nodes):
         network = build_network(topology, n_nodes, 768.0, 32.0)
         network.transfer(0.0, 0, n_nodes - 1, 128)
         network.reset()
         assert network.total_link_bytes == 0
+
+
+@pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
+@settings(max_examples=30, deadline=None)
+@given(
+    n_nodes=st.integers(min_value=2, max_value=9),
+    transfers=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8),
+            st.integers(min_value=0, max_value=8),
+            st.integers(min_value=1, max_value=512),
+            st.sampled_from([REQUEST, RESPONSE]),
+        ),
+        min_size=1,
+        max_size=50,
+    ),
+)
+def test_link_accounting_matches_hops(topology, n_nodes, transfers):
+    """Property: total link bytes == sum(bytes * hops) over all transfers."""
+    network = build_network(topology, n_nodes, 768.0, 32.0)
+    expected = 0
+    for src, dst, size, channel in transfers:
+        src %= n_nodes
+        dst %= n_nodes
+        network.transfer(0.0, src, dst, size, channel)
+        expected += size * network.hops_between(src, dst)
+    assert network.total_link_bytes == expected
 
 
 @pytest.mark.parametrize("topology", ALL_TOPOLOGIES)
@@ -167,19 +211,14 @@ class TestHierarchical:
         assert PACKAGE_SIZE == 4
 
     def test_cross_package_routes_go_through_gateways(self):
-        network = make_hierarchical(8, 768.0, 32.0)
+        network = build_network("hierarchical", 8, 768.0, 32.0)
         # Gateways are nodes 0 and 4; 1 -> 5 must hop 1->0, board, 4->5.
         assert network.hops_between(0, 4) == 1
         assert network.hops_between(1, 5) == 3
         assert network.hops_between(1, 2) == 1
 
     def test_board_links_carry_board_latency(self):
-        from repro.interconnect.board import (
-            BOARD_AGGREGATE_GBPS,
-            BOARD_HOP_LATENCY_CYCLES,
-        )
-
-        network = make_hierarchical(8, 768.0, 32.0)
+        network = build_network("hierarchical", 8, 768.0, 32.0)
         (board_link,) = network.route(0, 4)
         assert board_link.latency_cycles == BOARD_HOP_LATENCY_CYCLES
         assert board_link.request_pipe.bytes_per_cycle == pytest.approx(
@@ -193,9 +232,34 @@ class TestHierarchical:
         assert bisection_bandwidth("hierarchical", 8, 1536.0) == pytest.approx(256.0)
 
     def test_small_counts_degenerate_to_one_package(self):
-        network = make_hierarchical(4, 768.0, 32.0)
-        assert network.diameter() == 2  # plain 4-ring, no board links
+        assert diameter("hierarchical", 4) == 2  # plain 4-ring, no board links
         assert bisection_bandwidth("hierarchical", 4, 768.0) == pytest.approx(1536.0)
+
+
+    @pytest.mark.parametrize("n_nodes", range(1, 65))
+    def test_edge_lists_are_package_rings_plus_board_ring(self, n_nodes):
+        def ring(nodes, bandwidth, latency):
+            if len(nodes) == 2:
+                return [(nodes[0], nodes[1], bandwidth, latency)]
+            if len(nodes) < 2:
+                return []
+            return [
+                (node, nodes[(i + 1) % len(nodes)], bandwidth, latency)
+                for i, node in enumerate(nodes)
+            ]
+
+        packages = [
+            list(range(start, min(start + PACKAGE_SIZE, n_nodes)))
+            for start in range(0, n_nodes, PACKAGE_SIZE)
+        ]
+        expected = [
+            edge for members in packages for edge in ring(members, 768.0, 32.0)
+        ] + ring(
+            [members[0] for members in packages],
+            BOARD_AGGREGATE_GBPS,
+            BOARD_HOP_LATENCY_CYCLES,
+        )
+        assert hierarchical_edges(n_nodes, 768.0, 32.0) == expected
 
 
 class TestSimulatedTopologyConservation:
