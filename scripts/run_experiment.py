@@ -55,7 +55,7 @@ def main() -> int:
         default=None,
         metavar="N",
         help="process-pool size for suite runs (overrides REPRO_WORKERS; "
-        "1 forces the serial path)",
+        "1 runs every pair in this process)",
     )
     parser.add_argument(
         "--profile",

@@ -735,17 +735,16 @@ def build_walkers(memsys):
         if len({_l1_shape(sm) for sm in gpm.sms}) != 1:
             raise UnsupportedWalk(f"gpm {gpm.gpm_id}: non-uniform L1 shapes")
 
-    l2_counts = {gpm.l2.n_sets for gpm in gpms}
-    uniform_l2 = l2_counts.pop() if len(l2_counts) == 1 else 0
-    l15_counts = {gpm.l15.n_sets if gpm.has_l15 else 0 for gpm in gpms}
-    uniform_l15 = l15_counts.pop() if len(l15_counts) == 1 else 0
+    # Uniform L2/L1.5 set counts come from the geometry traces are packed
+    # against, so the walkers and the trace's set columns always agree.
+    geometry = memsys.walk_geometry()
 
     pipe_cells: dict = {}
     walkers = []
     flushes = memsys._walker_flushes
     for gpm in gpms:
         generator = _GpmCodegen(
-            memsys, gpm.gpm_id, pipe_cells, uniform_l2, uniform_l15,
+            memsys, gpm.gpm_id, pipe_cells, geometry.n_l2_sets, geometry.n_l15_sets,
             LINE_BYTES, REQUEST_HEADER_BYTES,
         )
         factory, ctx, gc = generator.build()

@@ -7,14 +7,13 @@ re-running a bench (or several benches that share the baseline) costs only
 the first run.  Set the ``REPRO_CACHE_DIR`` environment variable to move
 the cache, or ``REPRO_NO_CACHE=1`` to disable it.
 
-Suite runs fan out over a process pool when more than one worker is
-available (``REPRO_WORKERS``, defaulting to the machine's core count; see
-:mod:`repro.parallel`).  ``REPRO_WORKERS=1`` forces the classic serial
-path, which is useful when bisecting determinism issues.  The cache file
-format is concurrency-safe: every entry is appended as a single
-``O_APPEND`` write under an advisory lock, and loads merge every
-``results*.jsonl`` shard in the cache directory, tolerating duplicate and
-truncated lines — so any number of processes may share one cache
+Suite runs fan out over a process pool sized by ``REPRO_WORKERS``
+(defaulting to the machine's core count; see :mod:`repro.parallel`).
+``REPRO_WORKERS=1`` runs every pair in this process, which is useful
+when bisecting determinism issues.  The cache file format is
+concurrency-safe: every entry is appended as a single ``O_APPEND`` write
+under an advisory lock, and loads merge every ``results*.jsonl`` shard
+in the cache directory, tolerating duplicate and truncated lines — so any number of processes may share one cache
 directory.
 """
 
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -415,9 +413,9 @@ def run_suite(
 ) -> Dict[str, SimResult]:
     """Run (or fetch) the whole suite on ``config``; keyed by workload name.
 
-    Transparently fans out over a process pool when more than one worker
-    is configured (see :func:`repro.parallel.resolve_workers`); with
-    ``REPRO_WORKERS=1`` this is the classic serial loop.
+    Fans out over a process pool sized by
+    :func:`repro.parallel.resolve_workers`; with ``REPRO_WORKERS=1``
+    every pair runs in this process.
     """
     return run_suites([config], workloads=workloads, cache=cache)[0]
 
@@ -430,16 +428,21 @@ def run_suites(
     progress=None,
     metrics=None,
 ) -> List[Dict[str, SimResult]]:
-    """Run the suite on several configurations in one (parallel) batch.
+    """Run the suite on several configurations in one batch.
 
     Returns one ``{workload name: SimResult}`` dict per configuration, in
     input order — the exact shape :func:`run_suite` returns per config.
     Batching every configuration of an experiment into one call lets the
-    parallel runner overlap *all* (workload, config) pairs instead of
+    runner overlap *all* (workload, config) pairs instead of
     synchronizing at each configuration boundary.
 
+    Resolves the default cache (``workloads=None`` is the whole suite)
+    and delegates to :func:`repro.parallel.runner.run_suite_parallel`,
+    which sizes the pool (``max_workers`` > ``REPRO_WORKERS`` > cores;
+    one worker runs every pair in this process) and records the batch.
     ``progress``, when given, is called as ``progress(done, total,
-    result)`` after each simulated (non-cached) pair.
+    result)`` after each simulated pair; ``total`` counts the batch's
+    unique pairs to simulate, excluding cache hits.
 
     ``metrics``, when given, is a private
     :class:`~repro.parallel.metrics.SuiteMetrics` sink that receives the
@@ -447,108 +450,16 @@ def run_suites(
     lets a caller (e.g. the explore rung accounting) scope its cost
     deltas to its own runs, immune to concurrent suite activity.
     """
-    from ..parallel import metrics as _metrics
-    from ..parallel import runner as _runner
+    from ..parallel.runner import run_suite_parallel
 
-    cache = _resolve_cache(cache)
-    configs = list(configs)
-    workload_list = list(workloads) if workloads is not None else suite_workloads()
-    workers = _runner.resolve_workers(max_workers)
-
-    start = time.time()
-    hits_before = cache.hits if cache is not None else 0
-    results: List[Dict[str, SimResult]]
-    total = len(configs) * len(workload_list)
-    if workers > 1:
-        # The parallel runner deduplicates (workload, config) pairs and
-        # calls cache.get once per unique pair, so the hits delta would
-        # undercount duplicated output slots; it reports the per-slot
-        # count itself.
-        stats: Dict[str, int] = {}
-        results = _runner.run_suite_parallel(
-            configs,
-            workloads=workload_list,
-            max_workers=workers,
-            cache=cache,
-            progress=progress,
-            stats=stats,
-            metrics=metrics,
-        )
-        cached = stats.get("cached_slots", 0)
-    else:
-        results = [
-            _run_suite_serial(config, workload_list, cache, progress, metrics=metrics)
-            for config in configs
-        ]
-        hits_after = cache.hits if cache is not None else 0
-        cached = hits_after - hits_before
-    for sink in (_metrics.GLOBAL_METRICS, metrics):
-        if sink is None:
-            continue
-        sink.record_batch(
-            configs=[config.name for config in configs],
-            total=total,
-            cached=cached,
-            wall=time.time() - start,
-            workers=workers,
-        )
-    return results
-
-
-def _run_suite_serial(
-    config: SystemConfig,
-    workloads: Iterable[Workload],
-    cache: Optional[ResultCache],
-    progress=None,
-    metrics=None,
-) -> Dict[str, SimResult]:
-    """The classic serial loop: one reused simulator, workloads in order.
-
-    ``progress`` follows the parallel runner's convention: ``total``
-    counts only the pairs actually simulated, so a cache-hit pass never
-    reports ``done < total`` at completion.
-    """
-    from ..parallel import metrics as _metrics
-
-    workload_list = list(workloads)
-    config_digest = config.digest()
-    results: Dict[str, SimResult] = {}
-    misses: List[Workload] = []
-    for workload in workload_list:
-        cached = cache.get(workload.digest(), config_digest) if cache is not None else None
-        if cached is not None:
-            results[workload.name] = cached
-        else:
-            misses.append(workload)
-
-    simulator: Optional[Simulator] = None
-    done = 0
-    for workload in misses:
-        if simulator is None:
-            from ..parallel.runner import profiling_enabled
-            from ..telemetry import Telemetry
-
-            telemetry = Telemetry() if profiling_enabled() else None
-            simulator = Simulator(config, telemetry=telemetry)
-        sim_start = time.time()
-        result = simulator.run(workload)
-        sim_seconds = time.time() - sim_start
-        _metrics.GLOBAL_METRICS.record_sim(result.system_name, sim_seconds)
-        if metrics is not None:
-            metrics.record_sim(result.system_name, sim_seconds)
-        if simulator.telemetry is not None:
-            _metrics.GLOBAL_METRICS.record_telemetry(simulator.telemetry.summary())
-        if cache is not None:
-            cache.put(result)
-        results[workload.name] = result
-        done += 1
-        if progress is not None:
-            progress(done, len(misses), result)
-    return {
-        workload.name: results[workload.name]
-        for workload in workload_list
-        if workload.name in results
-    }
+    return run_suite_parallel(
+        configs,
+        workloads=workloads,
+        max_workers=max_workers,
+        cache=_resolve_cache(cache),
+        progress=progress,
+        metrics=metrics,
+    )
 
 
 def category_of(workloads: Iterable[SyntheticWorkload]) -> Dict[str, Category]:

@@ -2,20 +2,19 @@
 
 Independent (workload, configuration) simulations are embarrassingly
 parallel; this package fans them out over a :class:`concurrent.futures.
-ProcessPoolExecutor` while keeping the serial path's semantics:
+ProcessPoolExecutor`, and one worker is the same runner in process:
 
-* results are bit-identical to the serial runner (simulations are
+* results are bit-identical at every pool width (simulations are
   deterministic and share no state across processes);
 * each worker process builds at most one :class:`~repro.sim.simulator.
-  Simulator` per configuration digest and reuses it across workloads,
-  mirroring the serial loop's simulator reuse;
+  Simulator` per configuration digest and reuses it across workloads;
 * the shared disk cache (:class:`~repro.experiments.common.ResultCache`)
   is consulted before dispatch and written concurrently via per-process
   shard files, so interrupted runs still keep every finished result.
 
 Worker-count policy lives in :func:`resolve_workers`: an explicit
 argument wins, then the ``REPRO_WORKERS`` environment variable, then the
-machine's core count.  ``REPRO_WORKERS=1`` disables fan-out entirely.
+machine's core count.  ``REPRO_WORKERS=1`` runs every pair in process.
 
 Throughput accounting (sims/sec, cache hit rate, per-config wall time)
 is aggregated in :data:`repro.parallel.metrics.GLOBAL_METRICS` and

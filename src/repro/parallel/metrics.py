@@ -39,7 +39,7 @@ class SuiteMetrics:
         wall: float,
         workers: int,
     ) -> None:
-        """Record one :func:`~repro.experiments.common.run_suites` batch."""
+        """Record one :func:`~repro.parallel.runner.run_suite_parallel` batch."""
         self.total_pairs += total
         self.cached_pairs += cached
         self.wall_seconds += wall
@@ -59,9 +59,10 @@ class SuiteMetrics:
         """Absorb one run's telemetry digest (see ``Telemetry.summary``).
 
         Worker processes produce these under ``REPRO_PROFILE=1`` and ship
-        them back with the result; the coordinator (or the serial loop)
-        records them here so the end-of-experiment report can rank hot
-        runs without holding full timelines in memory.
+        them back with the result (in-process pairs hand them over
+        directly); the coordinator records them here so the
+        end-of-experiment report can rank hot runs without holding full
+        timelines in memory.
         """
         self.telemetry_summaries.append(dict(summary))
 

@@ -1,10 +1,12 @@
-"""Process-pool runner for (workload, configuration) simulation fan-out.
+"""The suite runner: (workload, configuration) pairs over a process pool.
 
 The unit of work is one (workload, config) pair.  The coordinating
 process checks the result cache before dispatch, deduplicates pairs that
 appear under several output slots (experiments often reuse one baseline
-configuration), and merges worker results back into the per-config
-``{workload name: SimResult}`` dicts the serial path returns.
+configuration), and merges results back into per-config
+``{workload name: SimResult}`` dicts.  One worker is a pool of width one
+run in the coordinating process; every pair, pooled or not, is simulated
+by :func:`_simulate_pair` and recorded by one step.
 
 Worker processes keep a module-level ``{config digest: Simulator}`` table
 so a configuration's system model is built once per worker, not once per
@@ -22,7 +24,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import SystemConfig
 from ..sim.result import SimResult
@@ -71,31 +73,42 @@ def _revive_workload(payload) -> Workload:
     return payload
 
 
-def _run_task(payload, config: SystemConfig) -> Tuple[SimResult, float, Optional[dict]]:
-    """Worker entry point: simulate one pair, reusing per-config simulators.
+def _simulate_pair(
+    workload: Workload,
+    config: SystemConfig,
+    simulators: Dict[str, Simulator],
+    cache,
+) -> Tuple[SimResult, float, Optional[dict]]:
+    """Simulate one pair, reusing ``simulators``' per-config machines.
 
-    Returns ``(result, sim_seconds, telemetry_summary)``; the summary is
-    None unless profiling is enabled (``REPRO_PROFILE=1``), in which case
-    the run carries a probe and ships its compact digest back to the
-    coordinator for :data:`~repro.parallel.metrics.GLOBAL_METRICS`.
+    The one place a pair is simulated, in a worker or in process.  Returns
+    ``(result, sim_seconds, telemetry_summary)``; the summary is None
+    unless profiling is enabled (``REPRO_PROFILE=1``), in which case the
+    run carries a probe and its compact digest goes to
+    :data:`~repro.parallel.metrics.GLOBAL_METRICS`.  ``cache``, when
+    given, persists the result.
     """
-    workload = _revive_workload(payload)
     digest = config.digest()
-    simulator = _WORKER_SIMULATORS.get(digest)
+    simulator = simulators.get(digest)
     profile = profiling_enabled()
     if simulator is None:
         simulator = Simulator(config, telemetry=Telemetry() if profile else None)
-        _WORKER_SIMULATORS[digest] = simulator
+        simulators[digest] = simulator
     elif profile and simulator.telemetry is None:
         simulator.telemetry = Telemetry()
         simulator.system.attach_telemetry(simulator.telemetry)
     start = time.time()
     result = simulator.run(workload)
     elapsed = time.time() - start
-    if _WORKER_CACHE is not None:
-        _WORKER_CACHE.put(result)
+    if cache is not None:
+        cache.put(result)
     summary = simulator.telemetry.summary() if profile and simulator.telemetry else None
     return result, elapsed, summary
+
+
+def _run_task(payload, config: SystemConfig) -> Tuple[SimResult, float, Optional[dict]]:
+    """Worker entry point: :func:`_simulate_pair` on this worker's state."""
+    return _simulate_pair(_revive_workload(payload), config, _WORKER_SIMULATORS, _WORKER_CACHE)
 
 
 # ----------------------------------------------------------------------
@@ -158,18 +171,18 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 def resolve_workers(max_workers: Optional[int] = None) -> int:
     """Worker count: explicit argument, else ``REPRO_WORKERS``, else cores.
 
-    Any value below one is clamped to one (the serial path); a malformed
-    ``REPRO_WORKERS`` is treated as unset rather than crashing a bench.
+    Any value below one is clamped to one (every pair runs in process); a
+    malformed ``REPRO_WORKERS`` raises :class:`ValueError` naming it.
     """
     if max_workers is not None:
         return max(1, int(max_workers))
     env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}") from None
 
 
 def _shippable(workload: Workload):
@@ -177,8 +190,7 @@ def _shippable(workload: Workload):
 
     Synthetic workloads travel as their spec (tiny, always picklable) and
     are rebuilt worker-side; other Workload subclasses are shipped whole
-    when pickle accepts them, and fall back to in-process simulation when
-    it does not.
+    when pickle accepts them, and run in process when it does not.
     """
     if isinstance(workload, SyntheticWorkload):
         return workload.spec
@@ -191,50 +203,55 @@ def _shippable(workload: Workload):
 
 def run_suite_parallel(
     configs: Sequence[SystemConfig],
-    workloads: Optional[Sequence[Workload]] = None,
+    workloads: Optional[Iterable[Workload]] = None,
     max_workers: Optional[int] = None,
     cache=None,
     progress=None,
-    stats: Optional[Dict[str, int]] = None,
     metrics=None,
     timeout: Optional[float] = None,
     crash_retries: int = 2,
     failures: Optional[List[PairFailure]] = None,
 ) -> List[Dict[str, SimResult]]:
-    """Simulate every (workload, config) pair over a process pool.
+    """Simulate every (workload, config) pair; the one suite runner.
 
     Returns one ``{workload name: SimResult}`` dict per configuration in
-    input order — the same shape the serial :func:`~repro.experiments.
-    common.run_suite` produces for each config, and (because simulations
-    are deterministic) the same values.
+    input order, each keyed in workload order.  Pairs run on a process
+    pool of ``max_workers`` (see :func:`resolve_workers`); one worker is a
+    pool of width one run in this process, and a pair whose workload
+    cannot be pickled runs here too.  Simulations are deterministic, so
+    every width returns the same values.
 
     ``cache`` follows :class:`~repro.experiments.common.ResultCache`
-    semantics: hits are returned without dispatch, worker processes
-    persist misses to per-process shards of the same cache directory, and
-    the coordinator absorbs returned results in memory.  ``progress``,
-    when given, is called as ``progress(done, total, result)`` after each
-    simulated pair.  ``stats``, when given a dict, receives a
-    ``"cached_slots"`` entry: the number of output slots filled without a
-    dedicated simulation (cache hits plus duplicate-pair fan-outs), which
-    the batch accounting needs because duplicated configurations make the
-    slot count exceed the unique-pair count.  ``metrics``, when given, is
-    a private :class:`~repro.parallel.metrics.SuiteMetrics` sink that
-    mirrors the per-simulation records the process-wide ``GLOBAL_METRICS``
-    receives (see :func:`repro.experiments.common.run_suites`).
+    semantics: hits are returned without simulation, pool workers persist
+    misses to per-process shards of the same cache directory (in-process
+    pairs write through ``cache`` itself), and the coordinator absorbs
+    every result in memory.  Pairs repeated across output slots are
+    simulated once and fanned out.  ``progress``, when given, is called
+    as ``progress(done, total, result)`` after each simulated pair, where
+    ``total`` counts the batch's unique pairs to simulate (cache hits
+    excluded).  ``metrics``, when given, is a private
+    :class:`~repro.parallel.metrics.SuiteMetrics` sink that receives the
+    same sim and batch records as the process-wide ``GLOBAL_METRICS``;
+    batch records count cached pairs per output slot, so
+    ``executed_pairs`` equals the simulations actually run.
 
     Failure handling: a pair whose simulation raises, whose worker
     process dies (after ``crash_retries`` pool rebuilds), or that runs
     longer than ``timeout`` seconds (measured from when a worker picks it
     up) becomes a structured :class:`PairFailure` instead of stalling or
-    crashing the whole batch.  With a ``failures`` list supplied, the
-    failures are appended there and the surviving pairs' results are
-    returned (failed pairs are simply absent from their dicts); without
-    one, the batch still runs to completion and then raises
-    :class:`SuiteRunError` listing every failed pair.  A timeout has to
-    kill the worker pool (hung workers cannot be cancelled), so pairs
-    that were mid-flight on other workers restart on a fresh pool — they
-    are not charged a crash retry.
+    crashing the whole batch; ``timeout`` and ``crash_retries`` apply to
+    pool pairs only.  With a ``failures`` list supplied, the failures are
+    appended there and the surviving pairs' results are returned (failed
+    pairs are simply absent from their dicts); without one, the batch
+    still runs to completion and then raises :class:`SuiteRunError`
+    listing every failed pair, chained to the first raised exception.
+    A timeout has to kill the worker pool (hung workers cannot be
+    cancelled), so pairs that were mid-flight on other workers restart on
+    a fresh pool — they are not charged a crash retry.
     """
+    from .metrics import GLOBAL_METRICS
+
+    start = time.time()
     configs = list(configs)
     workload_list = list(workloads) if workloads is not None else suite_workloads()
     workers = resolve_workers(max_workers)
@@ -245,9 +262,8 @@ def run_suite_parallel(
     # pair key -> cached result, fanned out only after the scan completes
     # (a duplicate slot may register in sinks[key] after the cache hit)
     resolved: Dict[str, SimResult] = {}
-    # pair key -> (payload, config) for pairs that must be simulated
-    pending: Dict[str, Tuple[object, SystemConfig]] = {}
-    local: List[Tuple[str, Workload, SystemConfig]] = []
+    # pair key -> (workload, config) for pairs that must be simulated
+    pending: Dict[str, Tuple[Workload, SystemConfig]] = {}
 
     for slot, config in enumerate(configs):
         config_digest = config.digest()
@@ -260,25 +276,32 @@ def run_suite_parallel(
             cached = cache.get(workload.digest(), config_digest) if cache is not None else None
             if cached is not None:
                 resolved[key] = cached
-                continue
-            payload = _shippable(workload)
-            if payload is None:
-                local.append((key, workload, config))
             else:
-                pending[key] = (payload, config)
+                pending[key] = (workload, config)
 
     for key, cached in resolved.items():
         _fan_out(merged, sinks[key], cached)
 
-    total = len(pending) + len(local)
-    done = 0
-    if stats is not None:
-        # Output slots served without a dedicated simulation: cache hits
-        # plus duplicate slots of deduplicated pairs.
-        stats["cached_slots"] = len(configs) * len(workload_list) - total
+    # pair key -> (payload, config) for the pool; at one worker nothing is
+    # pickled and every pair runs in process.
+    shipped: Dict[str, Tuple[object, SystemConfig]] = {}
+    if workers > 1:
+        for key, (workload, config) in pending.items():
+            payload = _shippable(workload)
+            if payload is not None:
+                shipped[key] = (payload, config)
 
-    def _record(key: str, result: SimResult) -> None:
+    total = len(pending)
+    done = 0
+
+    def _record(key: str, outcome: Tuple[SimResult, float, Optional[dict]]) -> None:
         nonlocal done
+        result, sim_seconds, summary = outcome
+        for sink in (GLOBAL_METRICS, metrics):
+            if sink is not None:
+                sink.record_sim(result.system_name, sim_seconds)
+        if summary is not None:
+            GLOBAL_METRICS.record_telemetry(summary)
         if cache is not None:
             cache.absorb(result)
         _fan_out(merged, sinks[key], result)
@@ -287,8 +310,12 @@ def run_suite_parallel(
             progress(done, total, result)
 
     collected: List[PairFailure] = []
+    raised: List[BaseException] = []
 
-    def _fail(key: str, config_name: str, kind: str, error: str) -> None:
+    def _fail(key: str, config_name: str, kind: str, error) -> None:
+        if isinstance(error, BaseException):
+            raised.append(error)
+            error = repr(error)
         collected.append(
             PairFailure(
                 key=key,
@@ -299,156 +326,153 @@ def run_suite_parallel(
             )
         )
 
-    if pending:
-        from .metrics import GLOBAL_METRICS
-
+    if shipped:
         cache_dir = str(cache.directory) if cache is not None else None
-        pool_workers = min(workers, len(pending))
-        outstanding: Dict[str, Tuple[object, SystemConfig]] = dict(pending)
-        attempts: Dict[str, int] = {}
-        # Crash suspects awaiting an isolation round (see the broken-pool
-        # handler below): run one at a time so a repeat break identifies
-        # the culprit unambiguously instead of charging innocent pairs.
-        suspects: List[str] = []
-        while outstanding:
-            suspects = [key for key in suspects if key in outstanding]
-            round_keys = suspects[:1] if suspects else list(outstanding)
-            pool = ProcessPoolExecutor(
-                max_workers=min(pool_workers, len(round_keys)),
-                initializer=_init_worker,
-                initargs=(cache_dir,),
-            )
-            futures = {
-                pool.submit(_run_task, *outstanding[key]): key
-                for key in round_keys
-            }
-            started: Dict[object, float] = {}
-            rebuild = False
-            remaining = set(futures)
-            while remaining and not rebuild:
-                finished, remaining = wait(
-                    remaining, timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-                )
-                now = time.time()
-                for future in remaining:
-                    if future not in started and future.running():
-                        started[future] = now
-                broken = False
-                for future in finished:
-                    key = futures[future]
-                    if key not in outstanding:
-                        continue
-                    try:
-                        result, sim_seconds, summary = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        continue
-                    except Exception as exc:  # noqa: BLE001 - surfaced per pair
-                        _fail(key, outstanding[key][1].name, "exception", repr(exc))
-                        outstanding.pop(key, None)
-                        if key in suspects:
-                            suspects.remove(key)
-                        continue
-                    GLOBAL_METRICS.record_sim(result.system_name, sim_seconds)
-                    if metrics is not None:
-                        metrics.record_sim(result.system_name, sim_seconds)
-                    if summary is not None:
-                        GLOBAL_METRICS.record_telemetry(summary)
-                    _record(key, result)
-                    outstanding.pop(key, None)
-                    if key in suspects:
-                        suspects.remove(key)
-                if broken:
-                    # A worker died and took the pool with it.  The pairs
-                    # observed running are the crash candidates; queued
-                    # pairs restart for free.  A single candidate is
-                    # charged a retry; several are ambiguous (any of them
-                    # may be the killer), so nobody is charged — they are
-                    # queued for one-at-a-time isolation rounds where a
-                    # repeat break is unambiguous.
-                    culprits = {
-                        futures[item]
-                        for item in started
-                        if futures[item] in outstanding
-                    } or {key for key in round_keys if key in outstanding}
-                    if len(culprits) == 1:
-                        culprit = next(iter(culprits))
-                        attempts[culprit] = attempts.get(culprit, 0) + 1
-                        if attempts[culprit] > crash_retries:
-                            _fail(
-                                culprit,
-                                outstanding[culprit][1].name,
-                                "crash",
-                                f"worker process died ({attempts[culprit]} attempts)",
-                            )
-                            outstanding.pop(culprit, None)
-                            if culprit in suspects:
-                                suspects.remove(culprit)
-                    else:
-                        for key in sorted(culprits):
-                            if key not in suspects:
-                                suspects.append(key)
-                    rebuild = True
-                    continue
-                if timeout is not None:
-                    expired = [
-                        future
-                        for future in remaining
-                        if future in started and now - started[future] > timeout
-                    ]
-                    for future in expired:
-                        key = futures[future]
-                        _fail(
-                            key,
-                            outstanding[key][1].name,
-                            "timeout",
-                            f"exceeded {timeout:g}s wall-clock limit",
-                        )
-                        outstanding.pop(key, None)
-                    if expired:
-                        rebuild = True
-            if rebuild:
-                _terminate_pool(pool)
-            else:
-                pool.shutdown(wait=True)
+        _run_pool(shipped, workers, cache_dir, timeout, crash_retries, _record, _fail)
 
-    # Unpicklable workloads run in-process (rare; custom Workload objects).
-    for key, workload, config in local:
-        from .metrics import GLOBAL_METRICS
-
-        telemetry = Telemetry() if profiling_enabled() else None
-        start = time.time()
-        try:
-            result = Simulator(config, telemetry=telemetry).run(workload)
-        except Exception as exc:  # noqa: BLE001 - surfaced per pair
-            _fail(key, config.name, "exception", repr(exc))
+    # Pending pairs are config-major and deduplicated, so each
+    # configuration's pairs are contiguous: only its simulator stays alive.
+    simulators: Dict[str, Simulator] = {}
+    for key, (workload, config) in pending.items():
+        if key in shipped:
             continue
-        sim_seconds = time.time() - start
-        GLOBAL_METRICS.record_sim(result.system_name, sim_seconds)
-        if metrics is not None:
-            metrics.record_sim(result.system_name, sim_seconds)
-        if telemetry is not None:
-            GLOBAL_METRICS.record_telemetry(telemetry.summary())
-        if cache is not None:
-            cache.put(result)
-        _fan_out(merged, sinks[key], result)
-        done += 1
-        if progress is not None:
-            progress(done, total, result)
+        if config.digest() not in simulators:
+            simulators.clear()
+        try:
+            outcome = _simulate_pair(workload, config, simulators, cache)
+        except Exception as exc:  # noqa: BLE001 - surfaced per pair
+            _fail(key, config.name, "exception", exc)
+            continue
+        _record(key, outcome)
 
     if collected:
-        if failures is not None:
-            failures.extend(collected)
-        else:
-            raise SuiteRunError(collected)
+        if failures is None:
+            raise SuiteRunError(collected) from (raised[0] if raised else None)
+        failures.extend(collected)
 
-    # Re-key each dict into workload order so iteration order matches the
-    # serial path exactly.
+    slots = len(configs) * len(workload_list)
+    for sink in (GLOBAL_METRICS, metrics):
+        if sink is not None:
+            sink.record_batch(
+                configs=[config.name for config in configs],
+                total=slots,
+                cached=slots - total,
+                wall=time.time() - start,
+                workers=workers,
+            )
+
     names = [workload.name for workload in workload_list]
     return [
         {name: per_config[name] for name in names if name in per_config}
         for per_config in merged
     ]
+
+
+def _run_pool(shipped, workers, cache_dir, timeout, crash_retries, record, fail) -> None:
+    """Run the ``shipped`` pairs on process pools, rebuilt as needed.
+
+    Each finished pair goes to ``record(key, outcome)``; each failed one to
+    ``fail(key, config_name, kind, error)``, where ``error`` is the raised
+    exception or a description of the crash or timeout.
+    """
+    pool_workers = min(workers, len(shipped))
+    outstanding: Dict[str, Tuple[object, SystemConfig]] = dict(shipped)
+    attempts: Dict[str, int] = {}
+    # Crash suspects awaiting an isolation round (see the broken-pool
+    # handler below): run one at a time so a repeat break identifies the
+    # culprit unambiguously instead of charging innocent pairs.
+    suspects: List[str] = []
+
+    def _settle(key: str) -> None:
+        outstanding.pop(key, None)
+        if key in suspects:
+            suspects.remove(key)
+
+    while outstanding:
+        suspects = [key for key in suspects if key in outstanding]
+        round_keys = suspects[:1] if suspects else list(outstanding)
+        pool = ProcessPoolExecutor(
+            max_workers=min(pool_workers, len(round_keys)),
+            initializer=_init_worker,
+            initargs=(cache_dir,),
+        )
+        futures = {pool.submit(_run_task, *outstanding[key]): key for key in round_keys}
+        started: Dict[object, float] = {}
+        rebuild = False
+        remaining = set(futures)
+        while remaining and not rebuild:
+            finished, remaining = wait(
+                remaining, timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
+            )
+            now = time.time()
+            for future in remaining:
+                if future not in started and future.running():
+                    started[future] = now
+            broken = False
+            for future in finished:
+                key = futures[future]
+                if key not in outstanding:
+                    continue
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    continue
+                except Exception as exc:  # noqa: BLE001 - surfaced per pair
+                    fail(key, outstanding[key][1].name, "exception", exc)
+                    _settle(key)
+                    continue
+                record(key, outcome)
+                _settle(key)
+            if broken:
+                # A worker died and took the pool with it.  The pairs
+                # observed running are the crash candidates; queued pairs
+                # restart for free.  A single candidate is charged a
+                # retry; several are ambiguous (any of them may be the
+                # killer), so nobody is charged — they are queued for
+                # one-at-a-time isolation rounds where a repeat break is
+                # unambiguous.
+                culprits = {
+                    futures[item] for item in started if futures[item] in outstanding
+                } or {key for key in round_keys if key in outstanding}
+                if len(culprits) == 1:
+                    culprit = next(iter(culprits))
+                    attempts[culprit] = attempts.get(culprit, 0) + 1
+                    if attempts[culprit] > crash_retries:
+                        fail(
+                            culprit,
+                            outstanding[culprit][1].name,
+                            "crash",
+                            f"worker process died ({attempts[culprit]} attempts)",
+                        )
+                        _settle(culprit)
+                else:
+                    for key in sorted(culprits):
+                        if key not in suspects:
+                            suspects.append(key)
+                rebuild = True
+                continue
+            if timeout is not None:
+                expired = [
+                    future
+                    for future in remaining
+                    if future in started and now - started[future] > timeout
+                ]
+                for future in expired:
+                    key = futures[future]
+                    fail(
+                        key,
+                        outstanding[key][1].name,
+                        "timeout",
+                        f"exceeded {timeout:g}s wall-clock limit",
+                    )
+                    _settle(key)
+                if expired:
+                    rebuild = True
+        if rebuild:
+            _terminate_pool(pool)
+        else:
+            pool.shutdown(wait=True)
 
 
 def _fan_out(merged: List[Dict[str, SimResult]], positions, result: SimResult) -> None:

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.core.presets import baseline_mcm_gpu
-from repro.experiments.common import ResultCache, _run_suite_serial, run_suites
+from repro.experiments.common import ResultCache, run_suites
 from repro.memory.cache import CacheStats
 from repro.parallel import runner
 from repro.parallel.metrics import SuiteMetrics
@@ -62,9 +62,10 @@ class TestResolveWorkers:
         assert resolve_workers() == 1
         assert resolve_workers(-4) == 1
 
-    def test_malformed_env_falls_back_to_cores(self, monkeypatch):
+    def test_malformed_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "lots")
-        assert resolve_workers() == (os.cpu_count() or 1)
+        with pytest.raises(ValueError, match="REPRO_WORKERS.*'lots'"):
+            resolve_workers()
 
     def test_default_is_core_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -75,7 +76,7 @@ class TestParallelMatchesSerial:
     def test_bit_identical_on_cold_cache(self):
         workloads = tiny_workloads()
         configs = tiny_configs()
-        serial = [_run_suite_serial(config, workloads, None) for config in configs]
+        serial = run_suite_parallel(configs, workloads=workloads, max_workers=1, cache=None)
         parallel = run_suite_parallel(
             configs, workloads=workloads, max_workers=4, cache=None
         )
@@ -138,14 +139,14 @@ class TestParallelMatchesSerial:
                 assert cold_map[name].to_dict() == warm_map[name].to_dict()
 
     def test_serial_progress_counts_only_simulated(self, tmp_path):
-        # Serial and parallel paths share one convention: total == pairs
-        # actually simulated, so done reaches total on a partly warm cache.
+        # total == pairs actually simulated, so done reaches total on a
+        # partly warm cache, at one worker as at several.
         config = tiny_configs()[0]
         workloads = tiny_workloads()
-        _run_suite_serial(config, workloads[:2], ResultCache(tmp_path))
+        run_suites([config], workloads[:2], ResultCache(tmp_path), max_workers=1)
         seen = []
-        _run_suite_serial(
-            config, workloads, ResultCache(tmp_path),
+        run_suites(
+            [config], workloads, ResultCache(tmp_path), max_workers=1,
             progress=lambda done, total, result: seen.append((done, total)),
         )
         assert seen == [(1, 2), (2, 2)]
@@ -153,8 +154,8 @@ class TestParallelMatchesSerial:
     def test_serial_warm_cache_preserves_workload_order(self, tmp_path):
         config = tiny_configs()[0]
         workloads = tiny_workloads()
-        _run_suite_serial(config, workloads[2:], ResultCache(tmp_path))
-        results = _run_suite_serial(config, workloads, ResultCache(tmp_path))
+        run_suites([config], workloads[2:], ResultCache(tmp_path), max_workers=1)
+        [results] = run_suites([config], workloads, ResultCache(tmp_path), max_workers=1)
         assert list(results) == [workload.name for workload in workloads]
 
 
@@ -255,9 +256,9 @@ class TestSerialFallback:
         monkeypatch.setenv("REPRO_WORKERS", "1")
 
         def boom(*args, **kwargs):
-            raise AssertionError("parallel runner must not be used at 1 worker")
+            raise AssertionError("no process pool may be built at 1 worker")
 
-        monkeypatch.setattr(runner, "run_suite_parallel", boom)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", boom)
         results = run_suites(
             tiny_configs()[:1], workloads=tiny_workloads()[:2], cache=None
         )
@@ -270,15 +271,16 @@ class TestSerialFallback:
 
 
 class TestBatchAccounting:
-    def test_duplicate_configs_count_per_slot(self, tmp_path, monkeypatch):
-        # Regression: with duplicated configs the parallel runner calls
-        # cache.get once per unique pair; batch accounting must still
-        # count cached/executed per output slot (executed == sims run).
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_duplicate_configs_count_per_slot(self, tmp_path, monkeypatch, workers):
+        # Regression: with duplicated configs the runner calls cache.get
+        # once per unique pair; batch accounting must still count
+        # cached/executed per output slot (executed == sims run).
         from repro.parallel import metrics as metrics_mod
 
         fresh = SuiteMetrics()
         monkeypatch.setattr(metrics_mod, "GLOBAL_METRICS", fresh)
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_WORKERS", workers)
         config = tiny_configs()[0]
         workloads = tiny_workloads()
         run_suites([config, config], workloads=workloads, cache=ResultCache(tmp_path))
@@ -371,13 +373,14 @@ class TestPairFailures:
         assert [failure.kind for failure in failures] == ["timeout"]
         assert results[0] == {}
 
-    def test_simulation_exception_is_reported_not_retried(self):
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_simulation_exception_is_reported_not_retried(self, max_workers):
         config = tiny_configs()[0]
         failures = []
         results = run_suite_parallel(
             [config],
             workloads=[self._raiser(), tiny_workload("pf-ok2")],
-            max_workers=2,
+            max_workers=max_workers,
             cache=None,
             failures=failures,
         )
@@ -385,7 +388,8 @@ class TestPairFailures:
         assert "intentional test failure" in failures[0].error
         assert "pf-ok2" in results[0]
 
-    def test_without_sink_the_batch_raises(self):
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_without_sink_the_batch_raises(self, max_workers):
         from repro.parallel import SuiteRunError
 
         config = tiny_configs()[0]
@@ -393,10 +397,14 @@ class TestPairFailures:
             run_suite_parallel(
                 [config],
                 workloads=[self._raiser()],
-                max_workers=2,
+                max_workers=max_workers,
                 cache=None,
             )
         assert info.value.failures[0].kind == "exception"
+        # The original exception (and its traceback) is chained.
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError)
+        assert str(cause) == "intentional test failure"
 
 
 class TestCacheRefresh:
@@ -408,9 +416,7 @@ class TestCacheRefresh:
         mine = ResultCache(tmp_path)
         assert mine.refresh() == 0  # cold, empty directory
         other = ResultCache(tmp_path, shard="other")
-        from repro.experiments.common import _run_suite_serial
-
-        results = _run_suite_serial(config, [workload], None)
+        [results] = run_suites([config], [workload], None, max_workers=1)
         other.put(results[workload.name])
         assert mine.refresh() == 1
         assert (
@@ -425,9 +431,10 @@ class TestCacheRefresh:
         mine = ResultCache(tmp_path)
         mine.refresh()
         shard = tmp_path / "results-torn.jsonl"
-        from repro.experiments.common import RESULT_SCHEMA, _run_suite_serial
+        from repro.experiments.common import RESULT_SCHEMA
 
-        result = _run_suite_serial(config, [workload], None)[workload.name]
+        [results] = run_suites([config], [workload], None, max_workers=1)
+        result = results[workload.name]
         line = json.dumps(
             {
                 "key": f"{workload.digest()}##{config.digest()}",

@@ -3,8 +3,8 @@
 The two contracts under test:
 
 1. **Bit-identity** — attaching (or not attaching) a probe never changes a
-   ``SimResult``: cycles and every counter match exactly, on the serial
-   and the parallel suite paths, with profiling on or off.
+   ``SimResult``: cycles and every counter match exactly, on the suite
+   runner in process (one worker) and on its pool, with profiling on or off.
 2. **Usefulness** — an attached probe records a non-empty windowed
    timeline, per-kernel phases, and pipe occupancy, and the exporters emit
    schema-valid output.
@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.core.presets import baseline_mcm_gpu, optimized_mcm_gpu
-from repro.experiments.common import _run_suite_serial, run_suites
+from repro.experiments.common import run_suites
 from repro.parallel.metrics import SuiteMetrics
 from repro.parallel.runner import profiling_enabled, run_suite_parallel
 from repro.sim.simulator import Simulator, simulate
@@ -77,9 +77,9 @@ class TestBitIdentity:
     def test_serial_and_parallel_suite_paths_match_with_profiling(self, monkeypatch):
         config = tiny_config()
         workloads = [tiny_workload("t-w1"), tiny_workload("t-w2", pattern="hotset")]
-        plain = _run_suite_serial(config, workloads, None)
+        [plain] = run_suites([config], workloads, None, max_workers=1)
         monkeypatch.setenv("REPRO_PROFILE", "1")
-        profiled_serial = _run_suite_serial(config, workloads, None)
+        [profiled_serial] = run_suites([config], workloads, None, max_workers=1)
         profiled_parallel = run_suite_parallel(
             [config], workloads=workloads, max_workers=2, cache=None
         )[0]
