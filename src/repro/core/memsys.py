@@ -180,15 +180,13 @@ class MemorySystem:
         )
 
     def make_walkers(self):
-        """Per-SM ``(walk, walk_unique)`` pairs, or ``None`` for the reference.
+        """One walker per SM (indexed by ``sm_id``), or ``None`` for the reference.
 
-        The pairs come from :func:`repro.core.walkgen.build_walkers`, which
-        decides which systems it supports; ``None`` (it raised
+        The walkers come from :func:`repro.core.walkgen.build_walkers`,
+        which decides which systems it supports; ``None`` (it raised
         :class:`~repro.core.walkgen.UnsupportedWalk`) means every access
-        takes :meth:`load`/:meth:`store`.  ``walk_unique`` is the flavor
-        the engine selects for kernels with globally unique address
-        columns.  Must be called after ``system.reset()`` — walkers bind
-        the current stats objects.
+        takes :meth:`load`/:meth:`store`.  Must be called after
+        ``system.reset()`` — walkers bind the current stats objects.
         """
         from .walkgen import UnsupportedWalk, build_walkers
 

@@ -27,14 +27,9 @@ system-invariant decision resolved at build time:
 * all pure-count statistics accumulated in one shared per-GPM counter list
   and folded into the real stats objects at kernel boundaries.
 
-Each GPM also gets a second walker flavor, ``walk_u``, selected by the
-engine for kernels whose address columns are globally unique: such a
-kernel can never hit in the write-through, kernel-flushed L1/L1.5 levels,
-so their dict mutations are skipped wholesale.  Counters advance
-identically (every access is a miss/bypass there by construction) and the
-skipped allocations could only have produced clean evictions, so no
-traffic is lost; the levels' transient residency differs within the
-kernel but is invalidated at the boundary before anything reads it.
+Each SM gets exactly one walker, and every kernel runs it: the L1 and
+L1.5 probes are always emitted, even for kernels whose addresses never
+repeat (and so can never hit there).
 
 Everything observable — SimResult fields, cache/DRAM/pipe counters, LRU
 state of the persistent L2 — is bit-identical to the per-line reference
@@ -68,7 +63,7 @@ _CODE_CACHE: Dict[str, object] = {}
 
 
 class _GpmCodegen:
-    """Emits one GPM's ``_factory(sm, ctx) -> (walk, walk_u, flush)``."""
+    """Emits one GPM's ``_factory(sm, ctx) -> (walk, flush)``."""
 
     def __init__(self, memsys, gpm_id, pipe_cells, uniform_l2, uniform_l15,
                  line_bytes, header_bytes):
@@ -246,35 +241,29 @@ class _GpmCodegen:
             p = self.bind("_POP", self.partition_of_page)
             out.append(_ind(ind, f"home = {p}(trip[2], {self.gid})"))
 
-    def _emit_l15_read(self, out, ind, unique, penalized):
+    def _emit_l15_read(self, out, ind, penalized):
         """L1.5 probe on the read path; miss falls through with ``_t`` set."""
         l15s = self.bind("_L15S", self.l15._sets)
-        if unique:
-            out.append(_ind(ind, f"{self.cell('15m')} += 1"))
-        else:
-            out += [
-                _ind(ind, f"_cs = {l15s}[{self.l15_set_expr()}]"),
-                _ind(ind, "_d = _cs.pop(line, None)"),
-                _ind(ind, "if _d is not None:"),
-                _ind(ind + 1, f"{self.cell('15h')} += 1"),
-                _ind(ind + 1, "_cs[line] = _d"),
-                _ind(ind + 1, f"done = base_time + {self.l15_hit!r}"),
-                _ind(ind + 1, "if done > mem_done:"),
-                _ind(ind + 2, "mem_done = done"),
-                _ind(ind + 1, "continue"),
-                _ind(ind, f"{self.cell('15m')} += 1"),
-                _ind(ind, f"if len(_cs) >= {self.l15.ways}:"),
-                _ind(ind + 1, "if _cs.pop(next(iter(_cs))):"),
-                _ind(ind + 2, f"{self.cell('15wb')} += 1"),
-                _ind(ind, "_cs[line] = False"),
-            ]
+        out += [
+            _ind(ind, f"_cs = {l15s}[{self.l15_set_expr()}]"),
+            _ind(ind, "_d = _cs.pop(line, None)"),
+            _ind(ind, "if _d is not None:"),
+            _ind(ind + 1, f"{self.cell('15h')} += 1"),
+            _ind(ind + 1, "_cs[line] = _d"),
+            _ind(ind + 1, f"done = base_time + {self.l15_hit!r}"),
+            _ind(ind + 1, "if done > mem_done:"),
+            _ind(ind + 2, "mem_done = done"),
+            _ind(ind + 1, "continue"),
+            _ind(ind, f"{self.cell('15m')} += 1"),
+            _ind(ind, f"if len(_cs) >= {self.l15.ways}:"),
+            _ind(ind + 1, "if _cs.pop(next(iter(_cs))):"),
+            _ind(ind + 2, f"{self.cell('15wb')} += 1"),
+            _ind(ind, "_cs[line] = False"),
+        ]
         if penalized:
             out.append(_ind(ind, f"_t = base_time + {self.l15_pen!r}"))
 
-    def _emit_l15_store(self, out, ind, unique):
-        if unique:
-            out.append(_ind(ind, f"{self.cell('15byp')} += 1"))
-            return
+    def _emit_l15_store(self, out, ind):
         l15s = self.bind("_L15S", self.l15._sets)
         insert = "True" if self.l15._track_dirty else "_d"
         out += [
@@ -288,11 +277,11 @@ class _GpmCodegen:
             _ind(ind + 1, f"{self.cell('15byp')} += 1"),
         ]
 
-    def _emit_local_read(self, out, ind, unique):
+    def _emit_local_read(self, out, ind):
         c = self.cell
         out.append(_ind(ind, f"{c('lh')} += 1"))
         if self.caches_local:
-            self._emit_l15_read(out, ind, unique, penalized=False)
+            self._emit_l15_read(out, ind, penalized=False)
         l2 = self.gpm.l2
         if l2.n_sets:
             l2s = self.bind(f"_L2S{self.gid}", l2._sets)
@@ -318,12 +307,12 @@ class _GpmCodegen:
         out.append(_ind(ind, f"{c(f'dr{self.gid}')} += 1"))
         out.append(_ind(ind, "local_fills += 1"))
 
-    def _emit_remote_read(self, out, ind, home, unique):
+    def _emit_remote_read(self, out, ind, home):
         c = self.cell
         out.append(_ind(ind, f"{c('rh')} += 1"))
         out.append(_ind(ind, f"{c('rld')} += 1"))
         if self.has_l15:
-            self._emit_l15_read(out, ind, unique, penalized=True)
+            self._emit_l15_read(out, ind, penalized=True)
         else:
             out.append(_ind(ind, "_t = base_time"))
         out.append(_ind(ind, f"{c(f'rgr{home}')} += 1"))
@@ -368,11 +357,11 @@ class _GpmCodegen:
         out.append(_ind(ind, "if _t > mem_done:"))
         out.append(_ind(ind + 1, "mem_done = _t"))
 
-    def _emit_local_store(self, out, ind, unique):
+    def _emit_local_store(self, out, ind):
         c = self.cell
         out.append(_ind(ind, f"{c('lh')} += 1"))
         if self.caches_local:
-            self._emit_l15_store(out, ind, unique)
+            self._emit_l15_store(out, ind)
         l2 = self.gpm.l2
         if l2.n_sets:
             l2s = self.bind(f"_L2S{self.gid}", l2._sets)
@@ -401,12 +390,12 @@ class _GpmCodegen:
         out.append(_ind(ind, f"{c(f'dr{self.gid}')} += 1"))
         out.append(_ind(ind, "local_fills += 1"))
 
-    def _emit_remote_store(self, out, ind, home, unique):
+    def _emit_remote_store(self, out, ind, home):
         c = self.cell
         out.append(_ind(ind, f"{c('rh')} += 1"))
         out.append(_ind(ind, f"{c('rst')} += 1"))
         if self.has_l15:
-            self._emit_l15_store(out, ind, unique)
+            self._emit_l15_store(out, ind)
         out.append(_ind(ind, "_t = store_time"))
         out.append(_ind(ind, f"{c(f'rgs{home}')} += 1"))
         routes = self.memsys._ring._routes
@@ -446,24 +435,24 @@ class _GpmCodegen:
 
     # -- walker assembly -------------------------------------------------
 
-    def _emit_dispatch(self, out, ind, emit_local, emit_remote, unique):
+    def _emit_dispatch(self, out, ind, emit_local, emit_remote):
         if self.n == 1:
-            emit_local(out, ind, unique)
+            emit_local(out, ind)
             return
         self._emit_home(out, ind)
         out.append(_ind(ind, f"if home == {self.gid}:"))
-        emit_local(out, ind + 1, unique)
+        emit_local(out, ind + 1)
         others = [h for h in range(self.n) if h != self.gid]
         for i, home in enumerate(others):
             if i < len(others) - 1:
                 out.append(_ind(ind, f"elif home == {home}:"))
             else:
                 out.append(_ind(ind, "else:"))
-            emit_remote(out, ind + 1, home, unique)
+            emit_remote(out, ind + 1, home)
 
-    def _emit_walk(self, out, name, unique):
+    def _emit_walk(self, out):
         c = self.cell
-        out.append(_ind(1, f"def {name}(now, reads, writes):"))
+        out.append(_ind(1, "def walk(now, reads, writes):"))
         out.append(_ind(2, "nonlocal c_l1h, c_l1m, c_l1wb, c_l1byp, c_l1wh"))
         out.append(_ind(2, "mem_done = now"))
         out.append(_ind(2, "if reads:"))
@@ -471,7 +460,7 @@ class _GpmCodegen:
         out.append(_ind(3, f"hit_time = now + {self.l1_hit!r}"))
         miss_ind = 3
         iterable = "misses"
-        if not self.l1_n_sets or unique:
+        if not self.l1_n_sets:
             out.append(_ind(3, "c_l1m += len(reads)"))
             iterable = "reads"
         else:
@@ -506,7 +495,7 @@ class _GpmCodegen:
         body = miss_ind + 1
         out.append(_ind(body, "line = trip[0]"))
         self._emit_dispatch(out, body, self._emit_local_read,
-                            self._emit_remote_read, unique)
+                            self._emit_remote_read)
         out.append(_ind(miss_ind, "if local_fills:"))
         own = self.own_dram
         self._emit_run_charge(out, miss_ind + 1, own.pipe, "local_time",
@@ -522,11 +511,11 @@ class _GpmCodegen:
         out.append(_ind(3, f"store_time = now + {self.xbar_lat!r}"))
         out.append(_ind(3, f"local_write_time = store_time + {self.own_l2_hit!r}"))
         out.append(_ind(3, "local_fills = 0"))
-        if not self.l1_n_sets or unique:
+        if not self.l1_n_sets:
             out.append(_ind(3, "c_l1byp += len(writes)"))
         out.append(_ind(3, "for trip in writes:"))
         out.append(_ind(4, "line = trip[0]"))
-        if self.l1_n_sets and not unique:
+        if self.l1_n_sets:
             l1_insert = "True" if self.l1_track else "_d"
             out += [
                 _ind(4, "_cs = l1_sets[trip[1]]"),
@@ -539,7 +528,7 @@ class _GpmCodegen:
                 _ind(5, "c_l1byp += 1"),
             ]
         self._emit_dispatch(out, 4, self._emit_local_store,
-                            self._emit_remote_store, unique)
+                            self._emit_remote_store)
         out.append(_ind(3, "if local_fills:"))
         self._emit_run_charge(out, 4, own.pipe, "local_write_time",
                               own.line_bytes, "local_fills")
@@ -549,8 +538,7 @@ class _GpmCodegen:
         """Compile the factory; returns ``(factory, ctx_tuple, gc_list)``."""
         self.bind("_GC", self.gc)
         body: List[str] = []
-        self._emit_walk(body, "walk", unique=False)
-        self._emit_walk(body, "walk_u", unique=True)
+        self._emit_walk(body)
 
         lines = [
             "def _factory(sm, ctx):",
@@ -579,7 +567,7 @@ class _GpmCodegen:
             _ind(3, "c_l1wb = 0"),
             _ind(3, "c_l1byp = 0"),
             _ind(3, "c_l1wh = 0"),
-            _ind(1, "return walk, walk_u, flush"),
+            _ind(1, "return walk, flush"),
         ]
         source = "\n".join(lines)
         code = _CODE_CACHE.get(source)
@@ -710,7 +698,7 @@ def _make_pipe_fold(pipe_cells):
 
 
 def build_walkers(memsys):
-    """Generate ``(walk, walk_u)`` pairs for every SM of ``memsys``.
+    """Generate one walker per SM of ``memsys``, as a list indexed by ``sm_id``.
 
     Registers the deferred-counter folds on ``memsys._walker_flushes`` (the
     engine runs them at the end of every kernel drain).  This is the one
@@ -749,8 +737,8 @@ def build_walkers(memsys):
         )
         factory, ctx, gc = generator.build()
         for sm in gpm.sms:
-            walk, walk_u, l1_flush = factory(sm, ctx)
-            walkers.append((walk, walk_u))
+            walk, l1_flush = factory(sm, ctx)
+            walkers.append(walk)
             flushes.append(l1_flush)
         flushes.append(
             _make_gpm_fold(memsys, gpm.gpm_id, gc, generator.counters,

@@ -11,6 +11,14 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+#: How many profiled runs the report ranks, and so all a window keeps.
+HOTTEST_RUNS = 5
+
+
+def _heat(summary: Dict[str, object]) -> float:
+    """Sort key: hottest (highest peak pipe occupancy) first."""
+    return -float(summary.get("peak_pipe_occupancy", 0.0))
+
 
 class SuiteMetrics:
     """Accumulates batch/throughput counters for one reporting window."""
@@ -27,6 +35,9 @@ class SuiteMetrics:
         self.configs: List[str] = []
         self.sim_seconds_by_config: Dict[str, float] = {}
         self.sims_by_config: Dict[str, int] = {}
+        #: Runs profiled in this window, and the ``HOTTEST_RUNS`` hottest
+        #: of their summaries, hottest first (ties in arrival order).
+        self.profiled_runs = 0
         self.telemetry_summaries: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
@@ -62,9 +73,16 @@ class SuiteMetrics:
         them back with the result (in-process pairs hand them over
         directly); the coordinator records them here so the
         end-of-experiment report can rank hot runs without holding full
-        timelines in memory.
+        timelines in memory.  Only the hottest summaries are kept, so a
+        long-lived window (a server) stays bounded.  The stable re-sort
+        keeps exactly the entries, order and ties that ranking every
+        summary ever recorded would give.
         """
-        self.telemetry_summaries.append(dict(summary))
+        self.profiled_runs += 1
+        hottest = self.telemetry_summaries
+        hottest.append(dict(summary))
+        hottest.sort(key=_heat)
+        del hottest[HOTTEST_RUNS:]
 
     # ------------------------------------------------------------------
 
@@ -103,16 +121,12 @@ class SuiteMetrics:
             ):
                 count = self.sims_by_config.get(name, 0)
                 lines.append(f"  {name}: {count} sims, {seconds:.1f}s sim time")
-        if self.telemetry_summaries:
+        if self.profiled_runs:
             lines.append(
-                f"  profiled {len(self.telemetry_summaries)} runs; "
+                f"  profiled {self.profiled_runs} runs; "
                 "hottest by peak pipe occupancy:"
             )
-            ranked = sorted(
-                self.telemetry_summaries,
-                key=lambda s: -float(s.get("peak_pipe_occupancy", 0.0)),
-            )
-            for summary in ranked[:5]:
+            for summary in self.telemetry_summaries:
                 lines.append(
                     f"    {summary.get('workload', '?')} on "
                     f"{summary.get('system', '?')}: "

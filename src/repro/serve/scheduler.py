@@ -236,6 +236,7 @@ class Scheduler:
             "coalesced": self.coalesced,
             "sim_seconds_by_config": dict(self.metrics.sim_seconds_by_config),
             "sims_by_config": dict(self.metrics.sims_by_config),
+            "profiled_runs": self.metrics.profiled_runs,
             "telemetry_summaries": list(self.metrics.telemetry_summaries),
         }
         if self.cache is not None:

@@ -18,9 +18,7 @@ from __future__ import annotations
 import os
 from heapq import heappop, heappush
 from math import inf
-from typing import List, Optional
-
-import numpy as np
+from typing import List
 
 from ..core.gpu import GPUSystem
 from ..memory.cache import CacheStats
@@ -114,41 +112,6 @@ def _pack_plain_trace(trace, geometry):
     return groups
 
 
-def _kernel_addrs_unique(kernel: KernelLaunch) -> bool:
-    """True when no line address repeats anywhere in the kernel's traces.
-
-    Such a kernel cannot hit in the write-through levels that are flushed
-    at its boundaries (L1, L1.5) — a hit needs a second access to a line —
-    so the walkers' ``walk_u`` flavor may skip those levels' dict work
-    outright.  Only columnar traces are probed (their address columns make
-    the check a few array ops); the verdict is memoized on the first CTA's
-    trace, which the per-workload trace memo keeps alive across runs.
-    """
-    trace_fn = kernel.trace_fn
-    trace0 = trace_fn(0)
-    addrs0 = getattr(trace0, "addrs", None)
-    if addrs0 is None:
-        return False
-    cached = trace0._unique_key
-    if cached is not None and cached[0] == kernel.n_ctas:
-        return cached[1]
-    arrays = [addrs0.reshape(-1)]
-    total = addrs0.size
-    unique = True
-    for cta in range(1, kernel.n_ctas):
-        addrs = getattr(trace_fn(cta), "addrs", None)
-        if addrs is None:
-            unique = False
-            break
-        arrays.append(addrs.reshape(-1))
-        total += addrs.size
-    if unique:
-        flat = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
-        unique = int(np.unique(flat).size) == total
-    trace0._unique_key = (kernel.n_ctas, unique)
-    return unique
-
-
 class SimulationEngine:
     """Runs workloads on a :class:`~repro.core.gpu.GPUSystem`."""
 
@@ -174,9 +137,6 @@ class SimulationEngine:
         self._geometry = None
         self._walkers = None
         self._fast_cache = None
-        # True while the current kernel's addresses are globally unique
-        # (selects the walkers' L1/L1.5-skipping flavor).
-        self._kernel_unique = False
 
     # ------------------------------------------------------------------
 
@@ -242,9 +202,6 @@ class SimulationEngine:
     def _run_kernel(self, kernel: KernelLaunch, start_time: float) -> float:
         scheduler = self.scheduler
         scheduler.start_kernel(kernel.n_ctas)
-        self._kernel_unique = (
-            self._walkers is not None and _kernel_addrs_unique(kernel)
-        )
         heap: List = []
         self._seq = 0
         telemetry = self._telemetry
@@ -395,9 +352,7 @@ class SimulationEngine:
             else:
                 groups = _pack_plain_trace(trace, self._geometry)
             walkers = self._walkers
-            walk = None
-            if walkers is not None:
-                walk = walkers[sm.sm_id][1 if self._kernel_unique else 0]
+            walk = walkers[sm.sm_id] if walkers is not None else None
             sm.occupy_slot()
             cta = _CTA(cta_index, len(trace), sm)
             for records in groups:

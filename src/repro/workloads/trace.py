@@ -178,7 +178,6 @@ class ColumnarCTATrace:
         "_layout",
         "_base",
         "_fast",
-        "_unique_key",
     )
 
     def __init__(
@@ -200,9 +199,6 @@ class ColumnarCTATrace:
         self._layout = layout
         self._base: list = None
         self._fast: dict = None
-        #: Memo for the engine's kernel-wide address-uniqueness probe:
-        #: ``(n_ctas, all_unique)`` for the launch this trace fronted.
-        self._unique_key = None
 
     @classmethod
     def from_flat(

@@ -312,6 +312,47 @@ class TestMetrics:
     def test_empty_report(self):
         assert "no suite runs" in SuiteMetrics().report()
 
+    def test_telemetry_summaries_are_bounded(self):
+        def unbounded_profile_lines(summaries):
+            # The report's profile section as computed over every summary.
+            lines = [
+                f"  profiled {len(summaries)} runs; hottest by peak pipe occupancy:"
+            ]
+            ranked = sorted(
+                summaries, key=lambda s: -float(s.get("peak_pipe_occupancy", 0.0))
+            )
+            for summary in ranked[:5]:
+                lines.append(
+                    f"    {summary.get('workload', '?')} on "
+                    f"{summary.get('system', '?')}: "
+                    f"{summary.get('peak_pipe', '-') or '-'} at "
+                    f"{float(summary.get('peak_pipe_occupancy', 0.0)):.0%}, "
+                    f"quiesce tail "
+                    f"{float(summary.get('quiesce_tail_cycles', 0.0)):,.0f} cyc"
+                )
+            return lines
+
+        # Few distinct occupancies, so the top five is full of ties that
+        # only arrival order breaks.
+        summaries = [
+            {
+                "workload": f"w{i}",
+                "system": "s",
+                "peak_pipe": "ring0",
+                "peak_pipe_occupancy": (i * 37 % 11) / 10,
+                "quiesce_tail_cycles": float(i),
+            }
+            for i in range(1000)
+        ]
+        metrics = SuiteMetrics()
+        metrics.record_batch(configs=["s"], total=1000, cached=0, wall=1.0, workers=1)
+        expected = metrics.report().split("\n") + unbounded_profile_lines(summaries)
+        for summary in summaries:
+            metrics.record_telemetry(summary)
+        assert metrics.profiled_runs == 1000
+        assert len(metrics.telemetry_summaries) <= 5
+        assert metrics.report() == "\n".join(expected)
+
     def test_reset(self):
         metrics = SuiteMetrics()
         metrics.record_batch(configs=["a"], total=1, cached=0, wall=1.0, workers=1)

@@ -195,7 +195,13 @@ class TestEnginePathDispatch:
     @pytest.mark.parametrize("topology", ["ring", "mesh", "torus", "hierarchical"])
     def test_routed_fabrics_take_walkers(self, topology):
         config = on_fabric(topology, 8)
-        assert walkers_for(config) is not None
+        walkers = walkers_for(config)
+        assert walkers is not None
+        # One walker per SM, indexed by sm_id, each a plain callable.
+        assert len(walkers) == config.total_sms
+        for walk in walkers:
+            assert callable(walk)
+            assert not isinstance(walk, tuple)
         assert reference_loads(config) == 0
 
     @pytest.mark.parametrize(
@@ -253,20 +259,12 @@ class TestTraceMemo:
         n_ctas = workload.spec.n_ctas
         iterations = 3
         # Streaming is not kernel-variant: all three launches share the
-        # seed-0 materialization, one per CTA.
+        # seed-0 materialization, one per CTA.  On both paths the engine
+        # touches each CTA's trace only at its launch, so the first
+        # kernel's launches are the materializations and later kernels'
+        # launches are the reuses.
         assert memo.materializations == n_ctas
-        if simulator.engine.batched:
-            # The engine's address-uniqueness probe walks every CTA once
-            # before the first launch (materializing them) and re-touches
-            # only CTA 0 on later kernels (its memoized verdict
-            # short-circuits the scan), so reuse counts every launch of
-            # every kernel plus one probe per later kernel.
-            assert memo.reuses == iterations * n_ctas + (iterations - 1)
-        else:
-            # Per-line reference path (REPRO_SIM_PERLINE=1): no probe; the
-            # first kernel's launches are the materializations, later
-            # kernels reuse.
-            assert memo.reuses == (iterations - 1) * n_ctas
+        assert memo.reuses == (iterations - 1) * n_ctas
 
     def test_reuse_across_runs_and_configs(self):
         workload = tiny_workload("memo-x", "streaming", iterations=2)
