@@ -65,7 +65,8 @@ def main() -> int:
         type=int,
         default=2,
         metavar="N",
-        help="pool rebuilds one job may survive before failing (default: 2)",
+        help="worker deaths charged to one job before it fails; co-running "
+        "casualties are not charged (default: 2)",
     )
     parser.add_argument(
         "--grace",

@@ -38,6 +38,7 @@ path; tests/test_perf_identity.py pins this across the config matrix.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List
 
 
@@ -55,11 +56,13 @@ def _ind(level: int, text: str) -> str:
     return "    " * level + text
 
 
-# Compiled factory code objects keyed by their exact source.  Identical
-# system shapes regenerate identical source, so repeat Simulator
-# constructions (benchmark repeats, sweeps) skip ``compile`` — by far the
-# dominant cost of specialization — and pay only source assembly + exec.
-_CODE_CACHE: Dict[str, object] = {}
+# Compiled factory code by exact source, which names its GPM: repeat shapes
+# skip ``compile``, the dominant cost of specialization.  Bounded so a
+# long-running server cannot grow without limit; no bench workload process
+# compiles more than 22 sources (fabric-paths' three 8-GPM fabrics).
+@functools.lru_cache(maxsize=32)
+def _compile(source: str, filename: str):
+    return compile(source, filename, "exec")
 
 
 class _GpmCodegen:
@@ -570,12 +573,8 @@ class _GpmCodegen:
             _ind(1, "return walk, flush"),
         ]
         source = "\n".join(lines)
-        code = _CODE_CACHE.get(source)
-        if code is None:
-            code = compile(source, f"<walker-gpm{self.gid}>", "exec")
-            _CODE_CACHE[source] = code
         namespace: dict = {}
-        exec(code, namespace)
+        exec(_compile(source, f"<walker-gpm{self.gid}>"), namespace)
         self.gc.extend([0] * len(self.counters))
         return namespace["_factory"], tuple(self.ctx_values), self.gc
 

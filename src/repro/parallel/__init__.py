@@ -1,8 +1,8 @@
 """Parallel suite execution.
 
 Independent (workload, configuration) simulations are embarrassingly
-parallel; this package fans them out over a :class:`concurrent.futures.
-ProcessPoolExecutor`, and one worker is the same runner in process:
+parallel; this package fans them out over :class:`PairPool`, the process
+pool the job server shares, and one worker is the same runner in process:
 
 * results are bit-identical at every pool width (simulations are
   deterministic and share no state across processes);
@@ -23,7 +23,11 @@ rendered by the experiment scripts after each run.
 
 from .metrics import GLOBAL_METRICS, SuiteMetrics
 from .runner import (
+    PairCrash,
+    PairError,
     PairFailure,
+    PairPool,
+    PairTimeout,
     SuiteRunError,
     profiling_enabled,
     resolve_workers,
@@ -32,7 +36,11 @@ from .runner import (
 
 __all__ = [
     "GLOBAL_METRICS",
+    "PairCrash",
+    "PairError",
     "PairFailure",
+    "PairPool",
+    "PairTimeout",
     "SuiteMetrics",
     "SuiteRunError",
     "profiling_enabled",

@@ -4,9 +4,10 @@ The unit of work is one (workload, config) pair.  The coordinating
 process checks the result cache before dispatch, deduplicates pairs that
 appear under several output slots (experiments often reuse one baseline
 configuration), and merges results back into per-config
-``{workload name: SimResult}`` dicts.  One worker is a pool of width one
-run in the coordinating process; every pair, pooled or not, is simulated
-by :func:`_simulate_pair` and recorded by one step.
+``{workload name: SimResult}`` dicts on :class:`PairPool`, the process
+pool the job server shares.  One worker is a pool of width one run in
+the coordinating process; every pair, pooled or not, is simulated by
+:func:`_simulate_pair` and recorded by one step.
 
 Worker processes keep a module-level ``{config digest: Simulator}`` table
 so a configuration's system model is built once per worker, not once per
@@ -20,11 +21,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import SystemConfig
 from ..sim.result import SimResult
@@ -66,13 +69,6 @@ def _init_worker(cache_dir: Optional[str]) -> None:
     _WORKER_CACHE = ResultCache(cache_dir, shard=f"w{os.getpid()}")
 
 
-def _revive_workload(payload) -> Workload:
-    """Rebuild the workload a task was shipped with."""
-    if isinstance(payload, WorkloadSpec):
-        return SyntheticWorkload(payload)
-    return payload
-
-
 def _simulate_pair(
     workload: Workload,
     config: SystemConfig,
@@ -108,7 +104,245 @@ def _simulate_pair(
 
 def _run_task(payload, config: SystemConfig) -> Tuple[SimResult, float, Optional[dict]]:
     """Worker entry point: :func:`_simulate_pair` on this worker's state."""
-    return _simulate_pair(_revive_workload(payload), config, _WORKER_SIMULATORS, _WORKER_CACHE)
+    workload = SyntheticWorkload(payload) if isinstance(payload, WorkloadSpec) else payload
+    return _simulate_pair(workload, config, _WORKER_SIMULATORS, _WORKER_CACHE)
+
+
+# ----------------------------------------------------------------------
+# The pair pool
+# ----------------------------------------------------------------------
+
+
+class PairError(RuntimeError):
+    """A pair failed to produce a result; ``kind`` labels the class."""
+
+    kind = "exception"
+
+
+class PairCrash(PairError):
+    """The worker process died and the retry budget is exhausted."""
+
+    kind = "crash"
+
+
+class PairTimeout(PairError):
+    """The pair exceeded its wall-clock limit and its worker was killed."""
+
+    kind = "timeout"
+
+
+def _pair_error(cause: Optional[BaseException], message: str = "") -> PairError:
+    """A :class:`PairError` chained to ``cause``, by default its repr."""
+    error = PairError(message or repr(cause))
+    error.__cause__ = cause
+    return error
+
+
+@dataclass(eq=False)
+class _Pair:
+    payload: object
+    config: SystemConfig
+    on_start: Optional[Callable[[], None]]
+    future: Future = field(default_factory=Future)
+    attempts: int = 0  # crash retries charged
+    started: float = 0.0  # monotonic time of the latest dispatch
+
+
+class PairPool:
+    """Runs pairs on ``workers`` processes; the only ``ProcessPoolExecutor``.
+
+    At most ``workers`` pairs are in flight, so a run starts at dispatch.
+    A pair past ``timeout`` seconds (read live) fails with
+    :class:`PairTimeout` and the pool is killed; pairs beside it restart
+    uncharged.  A dead worker is charged to a pair running alone
+    (:class:`PairCrash` past ``crash_retries``); pairs running together
+    rerun one at a time, uncharged, until a repeat death names the
+    culprit.  State changes under one lock, in :meth:`submit` (dispatching
+    into a free slot at once) or on the dispatcher thread; should that
+    thread fail, every pair left fails with a :class:`PairError` and the
+    pool closes.
+    """
+
+    def __init__(self, workers: int, cache_dir: Optional[str] = None,
+                 timeout: Optional[float] = None, crash_retries: int = 2) -> None:
+        self.workers = workers
+        self.cache_dir = cache_dir
+        self.timeout = timeout
+        self.crash_retries = crash_retries
+        self._lock = threading.RLock()
+        self._wake: Future = Future()  # resolved to wake the dispatcher
+        self._closing = False
+        self._thread: Optional[threading.Thread] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._queue: Deque[_Pair] = deque()  # waiting; restarts go first
+        self._suspects: List[_Pair] = []  # crash suspects, rerun alone in turn
+        self._running: Dict[Future, _Pair] = {}
+
+    def submit(self, payload, config: SystemConfig,
+               on_start: Optional[Callable[[], None]] = None) -> Future:
+        """Queue a ``WorkloadSpec`` or picklable ``Workload`` payload; the
+        future resolves to ``(result, sim_seconds, summary)`` or raises a
+        :class:`PairError`.  ``on_start`` runs at first dispatch: inside this
+        call if a slot is free, else on the dispatcher thread."""
+        pair = _Pair(payload, config, on_start)
+        with self._lock:
+            if self._closing:
+                raise RuntimeError("pair pool is closed")
+            self._queue.append(pair)
+            self._fill()
+            if self._thread is None:  # started after the first fork, not before
+                self._thread = threading.Thread(target=self._serve, name="pair-pool", daemon=True)
+                self._thread.start()
+            self._signal()
+        return pair.future
+
+    def close(self, wait: bool = True) -> None:
+        """Stop intake and shut down: after every pair ends, or (``wait=False``)
+        at once, killing the workers and failing what is left."""
+        with self._lock:
+            self._closing = True
+            if not wait:
+                self._abandon("pair pool closed mid-run")
+            self._signal()
+        if self._thread is not None:  # set only under the lock, before closing
+            self._thread.join()
+
+    def __enter__(self) -> "PairPool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(wait=exc_type is None)
+
+    def _serve(self) -> None:
+        """The dispatcher thread."""
+        done: set = set()
+        try:
+            while True:
+                with self._lock:
+                    if self._wake.done():
+                        self._wake = Future()
+                    wake = self._wake
+                    self._collect(done)
+                    self._fill()
+                    if self._closing and not self._running:
+                        break
+                    running = list(self._running)
+                    remaining = None
+                    if self.timeout is not None and running:
+                        first = min(pair.started for pair in self._running.values())
+                        remaining = max(0.0, first + self.timeout - time.monotonic())
+                done, _ = wait([wake, *running], timeout=remaining, return_when=FIRST_COMPLETED)
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+        except Exception as exc:  # noqa: BLE001 - fail the pairs, never strand them
+            with self._lock:
+                self._abandon(f"pair pool failed: {exc!r}", exc)
+
+    # The methods below run under the lock.
+
+    def _abandon(self, reason: str, cause: Optional[BaseException] = None) -> None:
+        """Stop intake, kill the workers and fail every pair left."""
+        self._closing = True
+        for pair in {*self._retire(), *self._queue, *self._suspects}:
+            # A waiting pair may be cancelled meanwhile; a running one cannot.
+            if pair.future.running() or pair.future.set_running_or_notify_cancel():
+                pair.future.set_exception(_pair_error(cause, reason))
+        self._queue, self._suspects = deque(), []
+
+    def _signal(self) -> None:
+        if not self._wake.done():
+            self._wake.set_result(None)
+
+    def _fill(self) -> None:
+        """Dispatch waiting pairs into free slots; suspects run alone."""
+        while len(self._running) < self.workers:
+            if self._suspects:
+                if self._running:
+                    return
+                self._dispatch(self._suspects[0])
+            elif not self._queue:
+                return
+            else:
+                pair = self._queue.popleft()
+                if not pair.future.running():  # a first dispatch, not a restart
+                    if not pair.future.set_running_or_notify_cancel():
+                        continue  # cancelled while waiting
+                    if pair.on_start is not None:
+                        pair.on_start()
+                self._dispatch(pair)
+
+    def _dispatch(self, pair: _Pair) -> None:
+        try:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_init_worker, initargs=(self.cache_dir,)
+                )
+            future = self._pool.submit(_run_task, pair.payload, pair.config)
+        except Exception:  # noqa: BLE001 - no pool, or it broke between checks
+            # A casualty like the running pairs: charged only if alone, so
+            # a pool that cannot start workers fails it instead of looping.
+            self._crash(self._retire() + [pair])
+            return
+        pair.started = time.monotonic()
+        self._running[future] = pair
+
+    def _collect(self, done) -> None:
+        """Settle finished pairs, then handle a dead worker or an overdue pair."""
+        broken = False
+        for future in done:
+            pair = self._running.get(future)
+            if pair is None:  # the wake-up future, or a retired pool's
+                continue
+            error = future.exception()
+            if isinstance(error, BrokenProcessPool):
+                broken = True
+                continue
+            del self._running[future]
+            if error is None:
+                self._settle(pair, future.result())
+            else:
+                self._settle(pair, error=_pair_error(error))
+        if broken:
+            self._crash(self._retire())
+        limit, now = self.timeout, time.monotonic()
+        if limit is not None and any(now - p.started >= limit for p in self._running.values()):
+            for pair in reversed(self._retire()):
+                if now - pair.started >= limit:
+                    self._settle(pair, error=PairTimeout(f"exceeded {limit:g}s wall-clock limit"))
+                elif pair not in self._suspects:  # restart uncharged
+                    self._queue.appendleft(pair)
+
+    def _crash(self, casualties: List[_Pair]) -> None:
+        """Charge a lone casualty one retry; several rerun alone, uncharged."""
+        if len(casualties) > 1:
+            self._suspects += [pair for pair in casualties if pair not in self._suspects]
+            return
+        for pair in casualties:
+            pair.attempts += 1
+            if pair.attempts > self.crash_retries:
+                self._settle(pair, error=PairCrash(f"worker process died ({pair.attempts} attempts)"))
+            elif pair not in self._suspects:
+                self._queue.appendleft(pair)
+
+    def _retire(self) -> List[_Pair]:
+        """Kill the live pool (``shutdown`` alone would wait for a hung
+        worker); return the pairs that were running on it."""
+        casualties = list(self._running.values())
+        self._running.clear()
+        if self._pool is not None:
+            for process in list(getattr(self._pool, "_processes", {}).values()):
+                process.terminate()
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
+        return casualties
+
+    def _settle(self, pair: _Pair, outcome=None, error: Optional[PairError] = None) -> None:
+        if pair in self._suspects:
+            self._suspects.remove(pair)
+        if error is None:
+            pair.future.set_result(outcome)
+        else:
+            pair.future.set_exception(error)
 
 
 # ----------------------------------------------------------------------
@@ -145,27 +379,6 @@ class SuiteRunError(RuntimeError):
         )
         more = "" if len(self.failures) <= 5 else f" (+{len(self.failures) - 5} more)"
         super().__init__(f"{len(self.failures)} pair(s) failed: {lines}{more}")
-
-
-#: Seconds between coordinator wake-ups while futures are outstanding —
-#: the granularity of per-pair timeout checks and crash observation.
-_POLL_SECONDS = 0.1
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcefully stop a pool whose workers are hung or poisoned.
-
-    ``ProcessPoolExecutor`` has no public kill switch: ``shutdown`` waits
-    for running tasks, which never return when a worker is stuck.
-    Terminating the worker processes flips the pool into its broken state,
-    after which shutdown returns immediately.
-    """
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except OSError:  # pragma: no cover - already dead
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
 
 
 def resolve_workers(max_workers: Optional[int] = None) -> int:
@@ -235,19 +448,14 @@ def run_suite_parallel(
     batch records count cached pairs per output slot, so
     ``executed_pairs`` equals the simulations actually run.
 
-    Failure handling: a pair whose simulation raises, whose worker
-    process dies (after ``crash_retries`` pool rebuilds), or that runs
-    longer than ``timeout`` seconds (measured from when a worker picks it
-    up) becomes a structured :class:`PairFailure` instead of stalling or
-    crashing the whole batch; ``timeout`` and ``crash_retries`` apply to
-    pool pairs only.  With a ``failures`` list supplied, the failures are
-    appended there and the surviving pairs' results are returned (failed
-    pairs are simply absent from their dicts); without one, the batch
-    still runs to completion and then raises :class:`SuiteRunError`
-    listing every failed pair, chained to the first raised exception.
-    A timeout has to kill the worker pool (hung workers cannot be
-    cancelled), so pairs that were mid-flight on other workers restart on
-    a fresh pool — they are not charged a crash retry.
+    Failure handling: a pair that raises, whose worker dies past
+    ``crash_retries``, or that runs past ``timeout`` seconds (both apply
+    to pool pairs only, as :class:`PairPool` defines
+    them) becomes a :class:`PairFailure` of the same ``kind``.  With a
+    ``failures`` list they are appended there and the surviving results
+    returned (failed pairs are absent from their dicts); without one the
+    batch still completes, then raises :class:`SuiteRunError` listing
+    every failed pair, chained to the first raised exception.
     """
     from .metrics import GLOBAL_METRICS
 
@@ -284,12 +492,11 @@ def run_suite_parallel(
 
     # pair key -> (payload, config) for the pool; at one worker nothing is
     # pickled and every pair runs in process.
-    shipped: Dict[str, Tuple[object, SystemConfig]] = {}
-    if workers > 1:
-        for key, (workload, config) in pending.items():
-            payload = _shippable(workload)
-            if payload is not None:
-                shipped[key] = (payload, config)
+    shipped: Dict[str, Tuple[object, SystemConfig]] = {
+        key: (payload, config)
+        for key, (workload, config) in pending.items()
+        if workers > 1 and (payload := _shippable(workload)) is not None
+    }
 
     total = len(pending)
     done = 0
@@ -312,23 +519,23 @@ def run_suite_parallel(
     collected: List[PairFailure] = []
     raised: List[BaseException] = []
 
-    def _fail(key: str, config_name: str, kind: str, error) -> None:
-        if isinstance(error, BaseException):
-            raised.append(error)
-            error = repr(error)
-        collected.append(
-            PairFailure(
-                key=key,
-                workload_name=sinks[key][0][1],
-                config_name=config_name,
-                kind=kind,
-                error=error,
-            )
-        )
+    def _fail(key: str, error: PairError) -> None:
+        if error.__cause__ is not None:
+            raised.append(error.__cause__)
+        names = (sinks[key][0][1], pending[key][1].name)
+        collected.append(PairFailure(key, *names, kind=error.kind, error=str(error)))
 
     if shipped:
         cache_dir = str(cache.directory) if cache is not None else None
-        _run_pool(shipped, workers, cache_dir, timeout, crash_retries, _record, _fail)
+        with PairPool(min(workers, len(shipped)), cache_dir, timeout, crash_retries) as pool:
+            futures = {pool.submit(*shipped[key]): key for key in shipped}
+            for future in as_completed(futures):
+                try:
+                    outcome = future.result()
+                except PairError as exc:
+                    _fail(futures[future], exc)
+                    continue
+                _record(futures[future], outcome)
 
     # Pending pairs are config-major and deduplicated, so each
     # configuration's pairs are contiguous: only its simulator stays alive.
@@ -341,7 +548,7 @@ def run_suite_parallel(
         try:
             outcome = _simulate_pair(workload, config, simulators, cache)
         except Exception as exc:  # noqa: BLE001 - surfaced per pair
-            _fail(key, config.name, "exception", exc)
+            _fail(key, _pair_error(exc))
             continue
         _record(key, outcome)
 
@@ -366,113 +573,6 @@ def run_suite_parallel(
         {name: per_config[name] for name in names if name in per_config}
         for per_config in merged
     ]
-
-
-def _run_pool(shipped, workers, cache_dir, timeout, crash_retries, record, fail) -> None:
-    """Run the ``shipped`` pairs on process pools, rebuilt as needed.
-
-    Each finished pair goes to ``record(key, outcome)``; each failed one to
-    ``fail(key, config_name, kind, error)``, where ``error`` is the raised
-    exception or a description of the crash or timeout.
-    """
-    pool_workers = min(workers, len(shipped))
-    outstanding: Dict[str, Tuple[object, SystemConfig]] = dict(shipped)
-    attempts: Dict[str, int] = {}
-    # Crash suspects awaiting an isolation round (see the broken-pool
-    # handler below): run one at a time so a repeat break identifies the
-    # culprit unambiguously instead of charging innocent pairs.
-    suspects: List[str] = []
-
-    def _settle(key: str) -> None:
-        outstanding.pop(key, None)
-        if key in suspects:
-            suspects.remove(key)
-
-    while outstanding:
-        suspects = [key for key in suspects if key in outstanding]
-        round_keys = suspects[:1] if suspects else list(outstanding)
-        pool = ProcessPoolExecutor(
-            max_workers=min(pool_workers, len(round_keys)),
-            initializer=_init_worker,
-            initargs=(cache_dir,),
-        )
-        futures = {pool.submit(_run_task, *outstanding[key]): key for key in round_keys}
-        started: Dict[object, float] = {}
-        rebuild = False
-        remaining = set(futures)
-        while remaining and not rebuild:
-            finished, remaining = wait(
-                remaining, timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-            )
-            now = time.time()
-            for future in remaining:
-                if future not in started and future.running():
-                    started[future] = now
-            broken = False
-            for future in finished:
-                key = futures[future]
-                if key not in outstanding:
-                    continue
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    continue
-                except Exception as exc:  # noqa: BLE001 - surfaced per pair
-                    fail(key, outstanding[key][1].name, "exception", exc)
-                    _settle(key)
-                    continue
-                record(key, outcome)
-                _settle(key)
-            if broken:
-                # A worker died and took the pool with it.  The pairs
-                # observed running are the crash candidates; queued pairs
-                # restart for free.  A single candidate is charged a
-                # retry; several are ambiguous (any of them may be the
-                # killer), so nobody is charged — they are queued for
-                # one-at-a-time isolation rounds where a repeat break is
-                # unambiguous.
-                culprits = {
-                    futures[item] for item in started if futures[item] in outstanding
-                } or {key for key in round_keys if key in outstanding}
-                if len(culprits) == 1:
-                    culprit = next(iter(culprits))
-                    attempts[culprit] = attempts.get(culprit, 0) + 1
-                    if attempts[culprit] > crash_retries:
-                        fail(
-                            culprit,
-                            outstanding[culprit][1].name,
-                            "crash",
-                            f"worker process died ({attempts[culprit]} attempts)",
-                        )
-                        _settle(culprit)
-                else:
-                    for key in sorted(culprits):
-                        if key not in suspects:
-                            suspects.append(key)
-                rebuild = True
-                continue
-            if timeout is not None:
-                expired = [
-                    future
-                    for future in remaining
-                    if future in started and now - started[future] > timeout
-                ]
-                for future in expired:
-                    key = futures[future]
-                    fail(
-                        key,
-                        outstanding[key][1].name,
-                        "timeout",
-                        f"exceeded {timeout:g}s wall-clock limit",
-                    )
-                    _settle(key)
-                if expired:
-                    rebuild = True
-        if rebuild:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True)
 
 
 def _fan_out(merged: List[Dict[str, SimResult]], positions, result: SimResult) -> None:

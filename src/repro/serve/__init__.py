@@ -18,8 +18,8 @@ The moving parts:
 * :mod:`~repro.serve.jobs` — :class:`Job`/:class:`Batch` lifecycle and
   the event ring buffer behind ``/events``.
 * :mod:`~repro.serve.executor` — :class:`PairExecutor`, the asyncio
-  bridge onto the process pool with per-job timeouts and bounded crash
-  retries.
+  bridge onto :class:`~repro.parallel.PairPool`, the process-pool core
+  the batch runner shares (per-job timeouts, bounded crash retries).
 * :mod:`~repro.serve.scheduler` — dedup/coalesce/dispatch plus graceful
   drain.
 * :mod:`~repro.serve.http` — the stdlib asyncio HTTP front end.

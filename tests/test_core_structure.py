@@ -1,4 +1,8 @@
-"""Unit tests for the structural model: SM, GPM, GPUSystem."""
+"""Unit tests for the structural model (SM, GPM, GPUSystem) and the
+package structure guards."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +124,41 @@ class TestGPUSystem:
         assert system.page_table.local_resolutions == 0
         assert system.gpms[0].dram.total_bytes == 0
         assert system.gpms[0].xbar.total_requests == 0
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _parsed(directory: Path):
+    for path in sorted(directory.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+class TestPackageStructure:
+    def test_serve_imports_no_private_parallel_names(self):
+        offenders = []
+        for path, tree in _parsed(SRC / "serve"):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom) or node.module is None:
+                    continue
+                absolute = node.level == 0 and node.module.startswith("repro.parallel")
+                relative = node.level == 2 and node.module.split(".")[0] == "parallel"
+                if absolute or relative:
+                    offenders += [
+                        f"{path.name}: {alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                    ]
+        assert offenders == []
+
+    def test_one_process_pool_construction(self):
+        calls = []
+        for path, tree in _parsed(SRC):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name == "ProcessPoolExecutor":
+                        calls.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert len(calls) == 1, calls
+        assert calls[0].startswith("parallel/runner.py:"), calls

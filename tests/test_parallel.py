@@ -448,6 +448,76 @@ class TestPairFailures:
         assert str(cause) == "intentional test failure"
 
 
+class TestPairPool:
+    def test_concurrent_submitters_all_resolve(self):
+        # Four threads submit while the dispatcher refills slots, with a
+        # short switch interval to shake out unguarded pool state.
+        import sys
+        import threading
+
+        from repro.parallel import PairPool
+
+        config = tiny_configs()[0]
+        specs = [tiny_workload(f"pp-{i}", n_ctas=4).spec for i in range(12)]
+        submitted = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PairPool(3) as pool:
+
+                def feed(chunk):
+                    for spec in chunk:
+                        submitted.append((spec, pool.submit(spec, config)))
+
+                threads = [threading.Thread(target=feed, args=(specs[i::4],)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                names = {spec.name: future.result(timeout=120)[0].workload_name
+                         for spec, future in submitted}
+        finally:
+            sys.setswitchinterval(interval)
+        assert names == {spec.name: spec.name for spec in specs}
+
+
+    def test_a_pool_that_cannot_start_fails_the_pair_as_a_crash(self, monkeypatch):
+        from repro.parallel import PairCrash, PairPool
+
+        def no_pool(*args, **kwargs):
+            raise OSError("cannot start workers")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        with PairPool(2, crash_retries=1) as pool:
+            future = pool.submit(tiny_workload("pp-nopool", n_ctas=4).spec, tiny_configs()[0])
+            with pytest.raises(PairCrash, match="2 attempts"):
+                future.result(timeout=30)
+
+    def test_a_failing_dispatcher_fails_every_pair_and_closes(self, monkeypatch):
+        from repro.parallel import PairError, PairPool
+
+        def broken(self, done):
+            if self._running:
+                raise RuntimeError("dispatcher bug")
+
+        monkeypatch.setattr(PairPool, "_collect", broken)
+        config = tiny_configs()[0]
+        pool = PairPool(1)
+        try:
+            with pool._lock:  # queue both before the dispatcher thread runs
+                futures = [pool.submit(tiny_workload(f"pp-bug-{i}", n_ctas=4).spec, config)
+                           for i in range(2)]
+            for future in futures:
+                with pytest.raises(PairError) as info:
+                    future.result(timeout=30)
+                assert str(info.value.__cause__) == "dispatcher bug"
+            with pytest.raises(RuntimeError, match="closed"):
+                pool.submit(tiny_workload("pp-late", n_ctas=4).spec, config)
+        finally:
+            pool.close()
+
+
 class TestCacheRefresh:
     """Cross-process shard refresh for long-running cache holders."""
 

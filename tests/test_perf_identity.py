@@ -249,6 +249,20 @@ class TestEnginePathDispatch:
         assert asdict(production) == asdict(perline)
 
 
+class TestWalkerCodeCache:
+    def test_compiled_sources_stay_bounded(self):
+        # Each link bandwidth is a distinct machine shape with its own
+        # factory sources; more shapes than the bound must evict.
+        bound = walkgen._compile.cache_info().maxsize
+        for step in range(bound + 1):
+            config = baseline_mcm_gpu(n_gpms=2, sms_per_gpm=1, link_bandwidth=1000.0 + step)
+            system = build_system(config)
+            system.reset()
+            walkgen.build_walkers(system.memsys)
+            assert walkgen._compile.cache_info().currsize <= bound
+        assert walkgen._compile.cache_info().currsize == bound
+
+
 class TestTraceMemo:
     def test_iterative_kernels_materialize_once(self):
         workload = tiny_workload("memo-w", "streaming", iterations=3)

@@ -83,6 +83,23 @@ class HangingWorkload(Workload):
         return "hanger-v1"
 
 
+class SleepingWorkload(Workload):
+    """Healthy but slow: sleeps, then runs a tiny synthetic workload
+    (picklable, top-level)."""
+
+    name = "sleeper"
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def kernels(self):
+        time.sleep(self.seconds)
+        return tiny_workload(self.name).kernels()
+
+    def digest(self):
+        return "sleeper-v1"
+
+
 class RaisingWorkload(Workload):
     """Raises a deterministic in-simulation exception."""
 
@@ -205,16 +222,98 @@ class TestPairExecutor:
         config = tiny_config()
 
         async def go():
-            executor = PairExecutor(max_workers=1)
+            executor = PairExecutor(max_workers=1, timeout=1.0)
             try:
                 start = time.monotonic()
                 with pytest.raises(PairTimeout):
-                    await executor.run(HangingWorkload(), config, timeout=1.0)
+                    await executor.run(HangingWorkload(), config)
                 assert time.monotonic() - start < 30.0
             finally:
                 await executor.close(wait=False)
 
         asyncio.run(go())
+
+    def test_crash_does_not_charge_a_co_running_neighbour(self):
+        config = tiny_config()
+
+        async def go():
+            executor = PairExecutor(max_workers=2, crash_retries=0)
+            try:
+                both = asyncio.gather(
+                    executor.run(CrashingWorkload(), config),
+                    executor.run(SleepingWorkload(2.5), config),
+                    return_exceptions=True,
+                )
+                return await asyncio.wait_for(both, 60)
+            finally:
+                await executor.close(wait=False)
+
+        crashed, neighbour = asyncio.run(go())
+        assert isinstance(crashed, PairCrash)
+        assert not isinstance(neighbour, BaseException), neighbour
+        expected = Simulator(config).run(SleepingWorkload(0.0))
+        assert neighbour[0].to_dict() == expected.to_dict()
+
+    def test_timeout_kill_restarts_a_co_running_neighbour_uncharged(self):
+        config = tiny_config()
+
+        async def go():
+            executor = PairExecutor(max_workers=2, timeout=1.0, crash_retries=0)
+            try:
+                hung = asyncio.ensure_future(executor.run(HangingWorkload(), config))
+                # The neighbour starts 0.6 s in and needs at least 0.5 s,
+                # so it is still running when the hung pair is killed at
+                # 1 s; rerun from scratch it fits well inside the limit.
+                await asyncio.sleep(0.6)
+                neighbour = asyncio.ensure_future(
+                    executor.run(SleepingWorkload(0.5), config)
+                )
+                both = asyncio.gather(hung, neighbour, return_exceptions=True)
+                return await asyncio.wait_for(both, 60)
+            finally:
+                await executor.close(wait=False)
+
+        hung, neighbour = asyncio.run(go())
+        assert isinstance(hung, PairTimeout)
+        assert not isinstance(neighbour, PairCrash), neighbour
+        assert not isinstance(neighbour, BaseException), neighbour
+        expected = Simulator(config).run(SleepingWorkload(0.0))
+        assert neighbour[0].to_dict() == expected.to_dict()
+
+    def test_queued_job_done_before_the_loop_wakes_still_starts(self):
+        # Width one: the second job is dispatched from the pool's thread.
+        # The loop is blocked until both pairs are done, so that job's start
+        # and its result reach the loop in one batch.
+        config = tiny_config()
+        events = []
+
+        async def job(executor, name):
+            await executor.run(
+                tiny_workload(name).spec, config, on_start=lambda: events.append(("start", name))
+            )
+            events.append(("done", name))
+
+        async def go():
+            executor = PairExecutor(max_workers=1)
+            pool = executor.pool
+            try:
+                both = asyncio.gather(job(executor, "relay-w1"), job(executor, "relay-w2"))
+                await asyncio.sleep(0)  # both submitted; the first one runs
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    with pool._lock:
+                        if not (pool._queue or pool._running):
+                            break
+                    time.sleep(0.01)
+                await asyncio.wait_for(both, 60)
+            finally:
+                await executor.close()
+
+        asyncio.run(go())
+        assert events == [
+            ("start", "relay-w1"), ("done", "relay-w1"),
+            ("start", "relay-w2"), ("done", "relay-w2"),
+        ]
 
     def test_simulation_exception_is_not_retried(self):
         config = tiny_config()
@@ -246,7 +345,7 @@ class GateExecutor:
         self.calls = 0
         self.gate = asyncio.Event()
 
-    async def run(self, payload, config, timeout=None, on_start=None):
+    async def run(self, payload, config, on_start=None):
         self.calls += 1
         await self.gate.wait()
         if on_start is not None:
@@ -269,7 +368,7 @@ class ExplodingExecutor:
         self.exc_type = exc_type
         self.message = message
 
-    async def run(self, payload, config, timeout=None, on_start=None):
+    async def run(self, payload, config, on_start=None):
         raise self.exc_type(self.message)
 
     async def close(self, wait=True):
