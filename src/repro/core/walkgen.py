@@ -707,8 +707,8 @@ def build_walkers(memsys):
     * migrating placement, whose page copies interleave with line charges
       and whose homing does per-access work;
     * the fully-connected fabric, by rule: its walkers would need one
-      more packed trace geometry per machine (about 40 MB of peak RSS
-      on the fabric-paths bench), which waits for a cheaper pack;
+      more packed trace geometry per machine (about 18 MB, +15%, of peak
+      RSS on the fabric-paths bench), which waits for a cheaper pack;
     * a GPM whose SMs have non-uniform L1 shapes.
     """
     from .memsys import LINE_BYTES, REQUEST_HEADER_BYTES

@@ -10,7 +10,8 @@ the coordinating process; every pair, pooled or not, is simulated by
 :func:`_simulate_pair` and recorded by one step.
 
 Worker processes keep a module-level ``{config digest: Simulator}`` table
-so a configuration's system model is built once per worker, not once per
+(the :data:`MAX_WORKER_SIMULATORS` most recently used) so a
+configuration's system model is built once per worker, not once per
 workload, and persist every finished result to a per-process cache shard
 (``results-w<pid>.jsonl``) in the shared cache directory — concurrency-
 safe by construction, and crash-safe: results survive even if the
@@ -50,8 +51,11 @@ def profiling_enabled() -> bool:
 # Worker-process state
 # ----------------------------------------------------------------------
 
-#: Per-worker simulator table: config digest -> Simulator (built once).
+#: Per-worker simulator table: config digest -> Simulator, least recently
+#: used first.  Bounded like walkgen's compile memo, so a long-running
+#: server worker that sees many machine shapes does not grow without limit.
 _WORKER_SIMULATORS: Dict[str, Simulator] = {}
+MAX_WORKER_SIMULATORS = 32
 
 #: Per-worker cache shard (None when caching is disabled for the run).
 _WORKER_CACHE = None
@@ -77,6 +81,8 @@ def _simulate_pair(
 ) -> Tuple[SimResult, float, Optional[dict]]:
     """Simulate one pair, reusing ``simulators``' per-config machines.
 
+    ``simulators`` keeps insertion order as recency and at most
+    :data:`MAX_WORKER_SIMULATORS` entries; the least recently used goes.
     The one place a pair is simulated, in a worker or in process.  Returns
     ``(result, sim_seconds, telemetry_summary)``; the summary is None
     unless profiling is enabled (``REPRO_PROFILE=1``), in which case the
@@ -85,14 +91,16 @@ def _simulate_pair(
     given, persists the result.
     """
     digest = config.digest()
-    simulator = simulators.get(digest)
+    simulator = simulators.pop(digest, None)
     profile = profiling_enabled()
     if simulator is None:
         simulator = Simulator(config, telemetry=Telemetry() if profile else None)
-        simulators[digest] = simulator
+        if len(simulators) >= MAX_WORKER_SIMULATORS:
+            del simulators[next(iter(simulators))]
     elif profile and simulator.telemetry is None:
         simulator.telemetry = Telemetry()
         simulator.system.attach_telemetry(simulator.telemetry)
+    simulators[digest] = simulator
     start = time.time()
     result = simulator.run(workload)
     elapsed = time.time() - start

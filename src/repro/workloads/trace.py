@@ -10,6 +10,7 @@ for free.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
@@ -67,6 +68,60 @@ class WalkGeometry(NamedTuple):
     issue_throughput: float
     n_l2_sets: int = 0
     n_l15_sets: int = 0
+
+    def line_table_key(self) -> tuple:
+        """The fields a ``(line, l1_set, home_key, l2_set, l15_set)``
+        quintuple is derived from: machines that differ only in
+        ``issue_throughput`` or ``packed`` share one :class:`_LineTable`."""
+        return (
+            self.n_l1_sets,
+            self.line_interleaved,
+            self.n_partitions,
+            self.lines_per_page,
+            self.n_l2_sets,
+            self.n_l15_sets,
+        )
+
+
+class _LineTable:
+    """One geometry's ``{line: quintuple}`` table, shared by every trace.
+
+    Every packed record of the geometry takes its quintuples from here, so
+    a line that many traces touch is one immutable tuple, not one per
+    address.  ``quintuples`` stays an exact ``dict`` (``set.difference``
+    takes its fast path only on one), and a dict cannot be weakly
+    referenced, hence this holder.  :data:`_LINE_TABLES` holds a table
+    weakly and each trace packed against it holds it strongly (through
+    its :class:`_TablePins`), so a table lives exactly as long as some
+    trace that used it: a process-wide table would keep every geometry's
+    lines for the life of a pool worker.
+    """
+
+    __slots__ = ("quintuples", "__weakref__")
+
+    def __init__(self) -> None:
+        self.quintuples: dict = {}
+
+
+class _TablePins:
+    """The tables a trace was packed against, in packing order.
+
+    Traces that used the same tables in the same order share one instance
+    (interned in :data:`_TABLE_PINS` by ``keys``), so pinning adds no
+    per-trace container the cyclic collector would have to keep tracking.
+    """
+
+    __slots__ = ("keys", "tables", "__weakref__")
+
+    def __init__(self, keys: tuple, tables: tuple) -> None:
+        self.keys = keys
+        self.tables = tables
+
+
+#: Live line tables by :meth:`WalkGeometry.line_table_key`.
+_LINE_TABLES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+#: Live pin sets by their tuple of table keys.
+_TABLE_PINS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
 
 class _RecordLayout:
@@ -155,19 +210,26 @@ class ColumnarCTATrace:
     * :meth:`fast_groups` — records specialized for one
       :class:`WalkGeometry`: ``(compute_cycles, issue_busy, reads,
       writes)`` tuples whose read/write entries are ``(line, l1_set,
-      home_key, l2_set, l15_set)`` quintuples derived with whole-column
-      array ops.  Cached per geometry (benchmark harnesses interleave
-      several configurations over the same memoized traces, so a one-slot
-      cache would thrash and repack on every config switch).
+      home_key, l2_set, l15_set)`` quintuples.  Cached per geometry
+      (benchmark harnesses interleave several configurations over the
+      same memoized traces, so a one-slot cache would thrash and repack on
+      every config switch).
 
-    Both views are built with a few C-level passes per group: one ``zip``
-    over the flattened columns makes every quintuple, and ``map``/``zip``
-    over the layout's slice tables cut them into records.  Fast groups,
-    records and quintuples are plain tuples of numbers, built one tree
-    level at a time, so the cyclic collector stops tracking a packed trace
-    within the first passes that see it (about one level per pass) and
-    never rescans it in later full collections; with list groups every
-    packed trace stayed tracked for its whole life.
+    Quintuples come from one :class:`_LineTable` per geometry shape, shared
+    by every trace packed against it: a line that many CTAs and workloads
+    touch is one tuple, not one per address, and only lines the table has
+    not seen go through the whole-column array ops.  The trace pins each
+    table it used, so a table is freed with the last such trace.
+
+    Both views are built with a few C-level passes per group: a row's
+    entries (its addresses, or the quintuples one ``map`` fetches from the
+    line table) are cut into records by ``map``/``zip`` over the layout's
+    slice tables.  Fast groups, records and quintuples are plain
+    tuples of numbers, built one tree level at a time, so the cyclic
+    collector stops tracking a packed trace within the first passes that
+    see it (about one level per pass) and never rescans it in later full
+    collections; with list groups every packed trace stayed tracked for
+    its whole life.
     """
 
     __slots__ = (
@@ -178,6 +240,7 @@ class ColumnarCTATrace:
         "_layout",
         "_base",
         "_fast",
+        "_pins",
     )
 
     def __init__(
@@ -199,6 +262,7 @@ class ColumnarCTATrace:
         self._layout = layout
         self._base: list = None
         self._fast: dict = None
+        self._pins: _TablePins = None
 
     @classmethod
     def from_flat(
@@ -307,11 +371,14 @@ class ColumnarCTATrace:
         """Records specialized for ``geometry`` (cached per geometry).
 
         Packed records are ``(compute_cycles, issue_busy, reads, writes)``
-        with ``(line, l1_set, home_key, l2_set, l15_set)`` quintuples; the
-        unpacked flavor keeps plain address tuples (shared with
-        :meth:`base_groups`).  ``issue_busy`` is accumulated with the same
-        left-to-right float arithmetic as ``SM.charge_issue`` so the
-        engine's timing is bit-identical.  Groups and records are tuples.
+        with ``(line, l1_set, home_key, l2_set, l15_set)`` quintuples, the
+        same tuple object for a line wherever the geometry's line table
+        hands it out (machines that differ only in ``issue_throughput``
+        share the table); the unpacked flavor keeps plain address tuples
+        (shared with :meth:`base_groups`).  ``issue_busy`` is accumulated
+        with the same left-to-right float arithmetic as
+        ``SM.charge_issue`` so the engine's timing is bit-identical.
+        Groups and records are tuples.
         """
         cache = self._fast
         if cache is None:
@@ -331,9 +398,15 @@ class ColumnarCTATrace:
         # so a young collection mostly finds children in an older
         # generation, already untracked, and untracks the parents it scans.
         if geometry.packed:
-            reads, writes = self._fields(
-                tuple(zip(*_geometry_columns(self.addrs, geometry)))
-            )
+            quintuples = self._line_table(geometry).quintuples
+            lines = self.addrs.ravel().tolist()
+            missing = set(lines).difference(quintuples)
+            if missing:
+                columns = _geometry_columns(
+                    np.fromiter(missing, dtype=np.int64, count=len(missing)), geometry
+                )
+                quintuples.update(zip(columns[0], zip(*columns)))
+            reads, writes = self._fields(tuple(map(quintuples.__getitem__, lines)))
         else:
             base = list(chain.from_iterable(self.base_groups()))
             reads = list(map(_READS, base))
@@ -350,14 +423,32 @@ class ColumnarCTATrace:
         cache[tuple(geometry)] = groups
         return groups
 
+    def _line_table(self, geometry: WalkGeometry) -> _LineTable:
+        """``geometry``'s live line table, pinned by this trace."""
+        key = geometry.line_table_key()
+        table = _LINE_TABLES.get(key)
+        if table is None:
+            table = _LINE_TABLES[key] = _LineTable()
+        pins = self._pins
+        if pins is None:
+            keys, tables = (key,), (table,)
+        elif table in pins.tables:  # identity: a table defines no ``__eq__``
+            return table
+        else:
+            keys, tables = pins.keys + (key,), pins.tables + (table,)
+        pinned = _TABLE_PINS.get(keys)
+        if pinned is None:
+            pinned = _TABLE_PINS[keys] = _TablePins(keys, tables)
+        self._pins = pinned
+        return table
 
-def _geometry_columns(addrs: "np.ndarray", geometry: WalkGeometry) -> list:
-    """The five quintuple columns of ``addrs`` under ``geometry``, flattened.
 
-    Each is a list of Python ints in row-major address order; an index a
-    walker derives itself (its level absent or non-uniform) is a constant 0.
+def _geometry_columns(lines: "np.ndarray", geometry: WalkGeometry) -> list:
+    """The five quintuple columns of the 1-D ``lines`` under ``geometry``.
+
+    Each is a list of Python ints in ``lines`` order; an index a walker
+    derives itself (its level absent or non-uniform) is a constant 0.
     """
-    lines = addrs.ravel()
     n_l1_sets = geometry.n_l1_sets
     n_l2_sets = geometry.n_l2_sets
     n_l15_sets = geometry.n_l15_sets

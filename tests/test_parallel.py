@@ -14,6 +14,7 @@ from repro.parallel.metrics import SuiteMetrics
 from repro.parallel.runner import resolve_workers, run_suite_parallel
 from repro.sim.result import SimResult
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
+from repro.workloads.trace import Workload
 
 
 def tiny_workload(name, pattern="streaming", n_ctas=16):
@@ -30,6 +31,18 @@ def tiny_workload(name, pattern="streaming", n_ctas=16):
             footprint_bytes=256 * 1024,
         )
     )
+
+
+class SimulatorCountProbe(Workload):
+    """Fails with the size of its worker's simulator table in the message."""
+
+    name = "simulator-count"
+
+    def kernels(self):
+        raise RuntimeError(f"simulators={len(runner._WORKER_SIMULATORS)}")
+
+    def digest(self):
+        return "simulator-count-v1"
 
 
 def tiny_workloads():
@@ -516,6 +529,21 @@ class TestPairPool:
                 pool.submit(tiny_workload("pp-late", n_ctas=4).spec, config)
         finally:
             pool.close()
+
+    def test_a_worker_keeps_at_most_32_simulators(self):
+        from repro.parallel import PairError, PairPool
+
+        configs = [
+            baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2, link_bandwidth=64.0 + 8 * i)
+            for i in range(40)
+        ]
+        spec = tiny_workload("pp-lru", n_ctas=4).spec
+        with PairPool(1) as pool:
+            for config in configs:
+                pool.submit(spec, config).result(timeout=120)
+            probe = pool.submit(SimulatorCountProbe(), configs[-1])
+            with pytest.raises(PairError, match="simulators=32"):
+                probe.result(timeout=120)
 
 
 class TestCacheRefresh:

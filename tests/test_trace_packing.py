@@ -1,24 +1,37 @@
 """Differential tests: the columnar trace packers against a per-record oracle.
 
 ``ColumnarCTATrace.base_groups`` and ``fast_groups`` build their records
-with a few C-level passes over a memoised record layout.  The oracle below
-is the straightforward per-record packer they replaced; every drawn trace
-and geometry must produce the same records, element for element.
+with a few C-level passes over a memoised record layout, taking packed
+quintuples from one shared line table per geometry.  The oracle below is
+the straightforward per-record packer they replaced; every drawn trace and
+geometry must produce the same records, element for element.
+
+Example counts scale with the loaded Hypothesis profile
+(``HYPOTHESIS_PROFILE=deep``, see ``tests/conftest.py``).
 """
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 from repro.workloads.trace import (
+    _LINE_TABLES,
+    _TABLE_PINS,
     ColumnarCTATrace,
     TraceRecord,
     WalkGeometry,
     records_from_arrays,
 )
+
+
+def examples(count: int) -> int:
+    """``count``, or the loaded profile's example count when that is larger."""
+    return max(count, settings.default.max_examples)
 
 
 def oracle_base_groups(trace):
@@ -99,20 +112,23 @@ def assert_same_records(actual, expected):
 
 compute_cycles = st.floats(min_value=0.0, max_value=64.0, allow_nan=False)
 addresses = st.integers(min_value=0, max_value=(1 << 40) - 1)
+# Sparse addresses mixed with a small shared range, so that traces drawn
+# together touch some of the same lines.
+overlapping_addresses = st.one_of(st.integers(min_value=0, max_value=63), addresses)
 
 
 @st.composite
-def flat_traces(draw):
+def flat_traces(draw, lines=addresses):
     """``from_flat`` traces: write period 0, 1 or N; partial tails; one group."""
     n_groups = draw(st.integers(min_value=1, max_value=4))
     per_group = draw(st.integers(min_value=0, max_value=40))
     write_period = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 9)))
     accesses_per_record = draw(st.integers(min_value=1, max_value=9))
-    lines = draw(
-        st.lists(addresses, min_size=n_groups * per_group, max_size=n_groups * per_group)
+    drawn = draw(
+        st.lists(lines, min_size=n_groups * per_group, max_size=n_groups * per_group)
     )
     return ColumnarCTATrace.from_flat(
-        np.array(lines, dtype=np.int64),
+        np.array(drawn, dtype=np.int64),
         n_groups,
         write_period,
         accesses_per_record,
@@ -121,7 +137,7 @@ def flat_traces(draw):
 
 
 @st.composite
-def span_traces(draw):
+def span_traces(draw, lines=addresses):
     """Traces built from explicit spans, the way ``repro.ingest`` builds them."""
     n_groups = draw(st.integers(min_value=1, max_value=4))
     shape = draw(
@@ -136,12 +152,12 @@ def span_traces(draw):
     for reads, writes in shape:
         spans.append((cursor, cursor + reads, cursor + reads + writes))
         cursor += reads + writes
-    lines = draw(st.lists(addresses, min_size=n_groups * cursor, max_size=n_groups * cursor))
+    drawn = draw(st.lists(lines, min_size=n_groups * cursor, max_size=n_groups * cursor))
     is_write = np.zeros(cursor, dtype=bool)
     for _, mid, end in spans:
         is_write[mid:end] = True
     return ColumnarCTATrace(
-        np.array(lines, dtype=np.int64).reshape(n_groups, cursor),
+        np.array(drawn, dtype=np.int64).reshape(n_groups, cursor),
         is_write,
         spans,
         draw(compute_cycles),
@@ -166,13 +182,13 @@ geometries = st.builds(
 
 
 class TestAgainstOracle:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(trace=traces, geometry=geometries)
     def test_fast_groups_match_per_record_packer(self, trace, geometry):
         expected = oracle_fast_groups(trace, geometry)
         assert_same_records(trace.fast_groups(geometry), expected)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(trace=traces, geometries=st.lists(geometries, min_size=2, max_size=4))
     def test_interleaved_geometries_each_match(self, trace, geometries):
         for geometry in geometries + geometries[::-1]:
@@ -180,7 +196,7 @@ class TestAgainstOracle:
                 trace.fast_groups(geometry), oracle_fast_groups(trace, geometry)
             )
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(trace=traces)
     def test_base_groups_match_per_record_packer(self, trace):
         base = trace.base_groups()
@@ -190,7 +206,7 @@ class TestAgainstOracle:
             assert type(records) is list
             assert all(type(record) is TraceRecord for record in records)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(
         n_groups=st.integers(1, 3),
         per_group=st.integers(0, 30),
@@ -261,6 +277,121 @@ class TestSharedLayout:
         other = ColumnarCTATrace.from_flat(np.arange(60, dtype=np.int64), 3, 4, 5, 1.0)
         assert other.spans is not first.spans
         assert other.spans != first.spans
+
+
+def _quintuples(groups):
+    """Every packed read and write quintuple of ``groups``, in record order."""
+    for group in groups:
+        for _, _, reads, writes in group:
+            yield from reads
+            yield from writes
+
+
+def _first_trace(workload):
+    """CTA 0 of ``workload``'s first kernel."""
+    return next(iter(workload.kernels())).trace_fn(0)
+
+
+def _workload(name, pattern):
+    return SyntheticWorkload(
+        WorkloadSpec(
+            name=name,
+            category=Category.M_INTENSIVE,
+            pattern=pattern,
+            n_ctas=8,
+            groups_per_cta=2,
+            records_per_group=4,
+            accesses_per_record=4,
+            kernel_iterations=1,
+            footprint_bytes=64 * 1024,
+        )
+    )
+
+
+class TestSharedLineTables:
+    """Packed records share one quintuple per (geometry, line)."""
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(
+        drawn=st.lists(
+            st.one_of(
+                flat_traces(lines=overlapping_addresses),
+                span_traces(lines=overlapping_addresses),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        geometries=st.lists(geometries, min_size=2, max_size=3),
+        throughput=st.floats(min_value=0.25, max_value=8.0, allow_nan=False),
+        data=st.data(),
+    )
+    def test_interleaved_traces_share_quintuples_and_match(
+        self, drawn, geometries, throughput, data
+    ):
+        # One more geometry that differs from the first only in issue rate.
+        geometries = geometries + [geometries[0]._replace(issue_throughput=throughput)]
+        order = data.draw(
+            st.permutations(
+                [(trace, geometry) for trace in drawn for geometry in geometries]
+            )
+        )
+        shared = {}
+        for trace, geometry in order:
+            groups = trace.fast_groups(geometry)
+            assert_same_records(groups, oracle_fast_groups(trace, geometry))
+            if geometry.packed:
+                key = geometry.line_table_key()
+                for quintuple in _quintuples(groups):
+                    assert shared.setdefault((key, quintuple[0]), quintuple) is quintuple
+
+    def test_one_quintuple_per_line_across_workloads(self):
+        first = _first_trace(_workload("share-a", "streaming"))
+        second = _first_trace(_workload("share-b", "hotset"))
+        by_line = {q[0]: q for q in _quintuples(first.fast_groups(PACKED))}
+        common = [q for q in _quintuples(second.fast_groups(PACKED)) if q[0] in by_line]
+        assert common
+        assert all(by_line[q[0]] is q for q in common)
+
+    def test_issue_rate_does_not_split_a_table(self):
+        first, second = (
+            ColumnarCTATrace.from_flat(np.arange(48, dtype=np.int64) * 5, 2, 3, 4, 1.0)
+            for _ in range(2)
+        )
+        slower = PACKED._replace(issue_throughput=0.5)
+        assert slower.line_table_key() == PACKED.line_table_key()
+        pairs = zip(_quintuples(first.fast_groups(PACKED)), _quintuples(second.fast_groups(slower)))
+        assert all(a is b for a, b in pairs)
+        assert first._line_table(PACKED) is second._line_table(slower)
+        assert first.fast_groups(PACKED) != second.fast_groups(slower)  # busy differs
+
+    def test_a_table_lives_exactly_as_long_as_its_traces(self):
+        # Page sizes no other test uses, so no other live trace pins these.
+        pages = (4099, 8197, 16411)
+        geometries = [PACKED._replace(lines_per_page=page) for page in pages]
+        keys = [geometry.line_table_key() for geometry in geometries]
+        traces = [
+            ColumnarCTATrace.from_flat(np.arange(60, dtype=np.int64) * stride, 3, 4, 6, 1.0)
+            for stride in (1, 7, 4099)
+        ]
+        for geometry in geometries:
+            for trace in traces:
+                trace.fast_groups(geometry)
+        tables = [weakref.ref(_LINE_TABLES[key]) for key in keys]
+        pins = weakref.ref(traces[0]._pins)
+        assert pins().keys == tuple(keys)
+        assert all(trace._pins is pins() for trace in traces)
+
+        survivor = traces[-1]
+        del trace, traces
+        gc.collect()
+        assert all(table() is not None for table in tables)
+        assert survivor._pins is pins()
+        del survivor
+        gc.collect()
+        assert all(table() is None for table in tables)
+        assert pins() is None
+        assert not any(key in _LINE_TABLES for key in keys)
+        assert not any(set(keys) & set(pinned) for pinned in _TABLE_PINS.keys())
 
 
 def _tracked(value) -> int:
