@@ -147,37 +147,20 @@ class MemorySystem:
     #
     # load()/store() above are the reference.  The one other implementation
     # of an access is the per-GPM walker generated by repro.core.walkgen:
-    # it walks a whole record's geometry-specialized reads and writes with
-    # the same line order, state mutations and charge times, deferring
-    # pure-count counters to the kernel boundary.  Systems the generator
-    # rejects run on the reference.
+    # it walks a whole record's reads and writes with the same line order,
+    # state mutations and charge times, deferring pure-count counters to
+    # the kernel boundary.  Both read the same records.  Systems the
+    # generator rejects run on the reference.
 
     def walk_geometry(self, packed: bool = True) -> "WalkGeometry":
-        """The :class:`WalkGeometry` traces are specialized against."""
+        """The :class:`WalkGeometry` traces' records are built for.
+
+        ``packed`` is accepted and ignored: the walkers and the reference
+        read the same records, so the geometry is the same either way.
+        """
         from ..workloads.trace import WalkGeometry
 
-        page_table = self._page_table
-        policy = page_table.policy
-        gpms = self._gpms
-        sm0 = gpms[0].sms[0]
-        # L2/L1.5 set indices are precomputable only when the level has one
-        # set count across every GPM (0 = walkers derive the index).
-        l2_counts = {gpm.l2.n_sets for gpm in gpms}
-        n_l2_sets = l2_counts.pop() if len(l2_counts) == 1 else 0
-        l15_counts = {
-            gpm.l15.n_sets if gpm.has_l15 else 0 for gpm in gpms
-        }
-        n_l15_sets = l15_counts.pop() if len(l15_counts) == 1 else 0
-        return WalkGeometry(
-            packed=packed,
-            n_l1_sets=sm0.l1.n_sets if packed else 0,
-            line_interleaved=page_table._line_interleaved if packed else False,
-            n_partitions=policy.n_partitions if packed else 0,
-            lines_per_page=page_table.address_map.lines_per_page if packed else 0,
-            issue_throughput=sm0.issue_throughput,
-            n_l2_sets=n_l2_sets if packed else 0,
-            n_l15_sets=n_l15_sets if packed else 0,
-        )
+        return WalkGeometry(self._gpms[0].sms[0].issue_throughput)
 
     def make_walkers(self):
         """One walker per SM (indexed by ``sm_id``), or ``None`` for the reference.

@@ -11,6 +11,11 @@ per-SM counter updates.
 This module *generates* walker source for each GPM with every
 system-invariant decision resolved at build time:
 
+* set indices and home keys computed from the record's plain line
+  address, so records carry nothing machine-specific and every machine
+  shares a trace's records.  Set counts and the page size are bound
+  names rather than literals: machines that differ only in cache or page
+  sizes then emit the same source and share one compile;
 * home dispatch unrolled into literal ``if home == g`` chains (and removed
   entirely for single-partition systems);
 * every pipe charge inlined: the bucket-reservation fast path of
@@ -68,16 +73,13 @@ def _compile(source: str, filename: str):
 class _GpmCodegen:
     """Emits one GPM's ``_factory(sm, ctx) -> (walk, flush)``."""
 
-    def __init__(self, memsys, gpm_id, pipe_cells, uniform_l2, uniform_l15,
-                 line_bytes, header_bytes):
+    def __init__(self, memsys, gpm_id, pipe_cells, line_bytes, header_bytes):
         self.memsys = memsys
         self.gpms = memsys._gpms
         self.n = len(self.gpms)
         self.gid = gpm_id
         self.gpm = self.gpms[gpm_id]
         self.pipe_cells = pipe_cells
-        self.uniform_l2 = uniform_l2
-        self.uniform_l15 = uniform_l15
         self.request_bytes = header_bytes
         self.response_bytes = line_bytes + header_bytes
         self.store_bytes = line_bytes + header_bytes
@@ -92,6 +94,8 @@ class _GpmCodegen:
         page_table = memsys._page_table
         policy = page_table.policy
         self.interleaved = page_table._line_interleaved
+        self.n_partitions = policy.n_partitions
+        self.lines_per_page = page_table.address_map.lines_per_page
         self.partition_of_page = policy.partition_of_page
         page_map = getattr(policy, "_page_map", None)
         self.page_map_get = page_map.get if page_map is not None else None
@@ -152,18 +156,6 @@ class _GpmCodegen:
         }
         self._pipe_names[id(pipe)] = names
         return names
-
-    def l2_set_expr(self, home: int) -> str:
-        n_sets = self.gpms[home].l2.n_sets
-        if self.uniform_l2 and self.uniform_l2 == n_sets:
-            return "trip[3]"
-        return f"line % {n_sets}"
-
-    def l15_set_expr(self) -> str:
-        n_sets = self.l15.n_sets
-        if self.uniform_l15 and self.uniform_l15 == n_sets:
-            return "trip[4]"
-        return f"line % {n_sets}"
 
     # -- charge emission -------------------------------------------------
 
@@ -233,22 +225,24 @@ class _GpmCodegen:
 
     def _emit_home(self, out, ind):
         if self.interleaved:
-            out.append(_ind(ind, "home = trip[2]"))
-        elif self.page_map_get is not None:
+            out.append(_ind(ind, f"home = line % {self.n_partitions}"))
+            return
+        lpp = self.bind("_LPP", self.lines_per_page)
+        out.append(_ind(ind, f"_pg = line // {lpp}"))
+        p = self.bind("_POP", self.partition_of_page)
+        if self.page_map_get is not None:
             g = self.bind("_PMG", self.page_map_get)
-            p = self.bind("_POP", self.partition_of_page)
-            out.append(_ind(ind, f"home = {g}(trip[2])"))
+            out.append(_ind(ind, f"home = {g}(_pg)"))
             out.append(_ind(ind, "if home is None:"))
-            out.append(_ind(ind + 1, f"home = {p}(trip[2], {self.gid})"))
+            out.append(_ind(ind + 1, f"home = {p}(_pg, {self.gid})"))
         else:
-            p = self.bind("_POP", self.partition_of_page)
-            out.append(_ind(ind, f"home = {p}(trip[2], {self.gid})"))
+            out.append(_ind(ind, f"home = {p}(_pg, {self.gid})"))
 
     def _emit_l15_read(self, out, ind, penalized):
         """L1.5 probe on the read path; miss falls through with ``_t`` set."""
         l15s = self.bind("_L15S", self.l15._sets)
         out += [
-            _ind(ind, f"_cs = {l15s}[{self.l15_set_expr()}]"),
+            _ind(ind, f"_cs = {l15s}[line % {self.bind('_NL15', self.l15.n_sets)}]"),
             _ind(ind, "_d = _cs.pop(line, None)"),
             _ind(ind, "if _d is not None:"),
             _ind(ind + 1, f"{self.cell('15h')} += 1"),
@@ -270,7 +264,7 @@ class _GpmCodegen:
         l15s = self.bind("_L15S", self.l15._sets)
         insert = "True" if self.l15._track_dirty else "_d"
         out += [
-            _ind(ind, f"_cs = {l15s}[{self.l15_set_expr()}]"),
+            _ind(ind, f"_cs = {l15s}[line % {self.bind('_NL15', self.l15.n_sets)}]"),
             _ind(ind, "_d = _cs.pop(line, None)"),
             _ind(ind, "if _d is not None:"),
             _ind(ind + 1, f"{self.cell('15h')} += 1"),
@@ -288,8 +282,9 @@ class _GpmCodegen:
         l2 = self.gpm.l2
         if l2.n_sets:
             l2s = self.bind(f"_L2S{self.gid}", l2._sets)
+            nl2 = self.bind(f"_NL2{self.gid}", l2.n_sets)
             out += [
-                _ind(ind, f"_cs = {l2s}[{self.l2_set_expr(self.gid)}]"),
+                _ind(ind, f"_cs = {l2s}[line % {nl2}]"),
                 _ind(ind, "_d = _cs.pop(line, None)"),
                 _ind(ind, "if _d is not None:"),
                 _ind(ind + 1, f"{c(f'l2h{self.gid}')} += 1"),
@@ -328,8 +323,9 @@ class _GpmCodegen:
         resp = routes[home][self.gid]
         if l2.n_sets:
             l2s = self.bind(f"_L2S{home}", l2._sets)
+            nl2 = self.bind(f"_NL2{home}", l2.n_sets)
             out += [
-                _ind(ind, f"_cs = {l2s}[{self.l2_set_expr(home)}]"),
+                _ind(ind, f"_cs = {l2s}[line % {nl2}]"),
                 _ind(ind, "_d = _cs.pop(line, None)"),
                 _ind(ind, "if _d is not None:"),
                 _ind(ind + 1, f"{c(f'l2h{home}')} += 1"),
@@ -368,10 +364,11 @@ class _GpmCodegen:
         l2 = self.gpm.l2
         if l2.n_sets:
             l2s = self.bind(f"_L2S{self.gid}", l2._sets)
+            nl2 = self.bind(f"_NL2{self.gid}", l2.n_sets)
             hit_insert = "True" if l2._track_dirty else "_d"
             miss_insert = "True" if l2._track_dirty else "False"
             out += [
-                _ind(ind, f"_cs = {l2s}[{self.l2_set_expr(self.gid)}]"),
+                _ind(ind, f"_cs = {l2s}[line % {nl2}]"),
                 _ind(ind, "_d = _cs.pop(line, None)"),
                 _ind(ind, "if _d is not None:"),
                 _ind(ind + 1, f"{c(f'l2h{self.gid}')} += 1"),
@@ -409,10 +406,11 @@ class _GpmCodegen:
         dram = self.gpms[home].dram
         if l2.n_sets:
             l2s = self.bind(f"_L2S{home}", l2._sets)
+            nl2 = self.bind(f"_NL2{home}", l2.n_sets)
             hit_insert = "True" if l2._track_dirty else "_d"
             miss_insert = "True" if l2._track_dirty else "False"
             out += [
-                _ind(ind, f"_cs = {l2s}[{self.l2_set_expr(home)}]"),
+                _ind(ind, f"_cs = {l2s}[line % {nl2}]"),
                 _ind(ind, "_d = _cs.pop(line, None)"),
                 _ind(ind, "if _d is not None:"),
                 _ind(ind + 1, f"{c(f'l2h{home}')} += 1"),
@@ -469,9 +467,8 @@ class _GpmCodegen:
         else:
             out += [
                 _ind(3, "misses = None"),
-                _ind(3, "for trip in reads:"),
-                _ind(4, "line = trip[0]"),
-                _ind(4, "_cs = l1_sets[trip[1]]"),
+                _ind(3, "for line in reads:"),
+                _ind(4, f"_cs = l1_sets[line % {self.bind('_NL1', self.l1_n_sets)}]"),
                 _ind(4, "_d = _cs.pop(line, None)"),
                 _ind(4, "if _d is not None:"),
                 _ind(5, "c_l1h += 1"),
@@ -483,9 +480,9 @@ class _GpmCodegen:
                 _ind(6, "c_l1wb += 1"),
                 _ind(4, "_cs[line] = False"),
                 _ind(4, "if misses is None:"),
-                _ind(5, "misses = [trip]"),
+                _ind(5, "misses = [line]"),
                 _ind(4, "else:"),
-                _ind(5, "misses.append(trip)"),
+                _ind(5, "misses.append(line)"),
                 _ind(3, "if misses is None:"),
                 _ind(4, "mem_done = hit_time"),
                 _ind(3, "else:"),
@@ -494,9 +491,8 @@ class _GpmCodegen:
         out.append(_ind(miss_ind, f"base_time = hit_time + {self.xbar_lat!r}"))
         out.append(_ind(miss_ind, f"local_time = base_time + {self.local_extra!r}"))
         out.append(_ind(miss_ind, "local_fills = 0"))
-        out.append(_ind(miss_ind, f"for trip in {iterable}:"))
+        out.append(_ind(miss_ind, f"for line in {iterable}:"))
         body = miss_ind + 1
-        out.append(_ind(body, "line = trip[0]"))
         self._emit_dispatch(out, body, self._emit_local_read,
                             self._emit_remote_read)
         out.append(_ind(miss_ind, "if local_fills:"))
@@ -516,12 +512,11 @@ class _GpmCodegen:
         out.append(_ind(3, "local_fills = 0"))
         if not self.l1_n_sets:
             out.append(_ind(3, "c_l1byp += len(writes)"))
-        out.append(_ind(3, "for trip in writes:"))
-        out.append(_ind(4, "line = trip[0]"))
+        out.append(_ind(3, "for line in writes:"))
         if self.l1_n_sets:
             l1_insert = "True" if self.l1_track else "_d"
             out += [
-                _ind(4, "_cs = l1_sets[trip[1]]"),
+                _ind(4, f"_cs = l1_sets[line % {self.bind('_NL1', self.l1_n_sets)}]"),
                 _ind(4, "_d = _cs.pop(line, None)"),
                 _ind(4, "if _d is not None:"),
                 _ind(5, "c_l1h += 1"),
@@ -706,33 +701,23 @@ def build_walkers(memsys):
 
     * migrating placement, whose page copies interleave with line charges
       and whose homing does per-access work;
-    * the fully-connected fabric, by rule: its walkers would need one
-      more packed trace geometry per machine (about 18 MB, +15%, of peak
-      RSS on the fabric-paths bench), which waits for a cheaper pack;
     * a GPM whose SMs have non-uniform L1 shapes.
     """
     from .memsys import LINE_BYTES, REQUEST_HEADER_BYTES
 
     if memsys._migrating_policy is not None:
         raise UnsupportedWalk("migrating placement")
-    if memsys.system.config.topology == "fully_connected":
-        raise UnsupportedWalk("fully-connected fabric")
     gpms = memsys._gpms
     for gpm in gpms:
         if len({_l1_shape(sm) for sm in gpm.sms}) != 1:
             raise UnsupportedWalk(f"gpm {gpm.gpm_id}: non-uniform L1 shapes")
-
-    # Uniform L2/L1.5 set counts come from the geometry traces are packed
-    # against, so the walkers and the trace's set columns always agree.
-    geometry = memsys.walk_geometry()
 
     pipe_cells: dict = {}
     walkers = []
     flushes = memsys._walker_flushes
     for gpm in gpms:
         generator = _GpmCodegen(
-            memsys, gpm.gpm_id, pipe_cells, geometry.n_l2_sets, geometry.n_l15_sets,
-            LINE_BYTES, REQUEST_HEADER_BYTES,
+            memsys, gpm.gpm_id, pipe_cells, LINE_BYTES, REQUEST_HEADER_BYTES
         )
         factory, ctx, gc = generator.build()
         for sm in gpm.sms:

@@ -8,8 +8,8 @@ objects built straight from the stored columns — no pattern synthesis, no
 RNG — so ingested traces ride the array walkers exactly like synthetic
 ones.  Traces are materialized lazily and cached per trace set, and
 kernels sharing a trace set share the cached objects, preserving the
-cross-kernel locality (and the per-geometry ``fast_groups`` packs) that
-iterative workloads rely on.
+cross-kernel locality (and the records ``fast_groups`` builds once per
+trace and issue rate) that iterative workloads rely on.
 
 The workload digest is the document's content hash
 (``ingest:<name>|v1|sha256:<hash>``), so simulation results cached for an

@@ -52,10 +52,10 @@ class _CTA:
 class _WarpGroup:
     """One schedulable warp group walking its record list.
 
-    Records are ``(compute_cycles, issue_busy, reads, writes)`` tuples.
-    ``walk`` is the SM's generated walker, whose records carry packed
-    address quintuples, or ``None`` when the group's plain address tuples
-    take the per-line reference path.
+    Records are ``(compute_cycles, issue_busy, reads, writes)`` tuples
+    whose reads and writes are plain line addresses.  ``walk`` is the SM's
+    generated walker, or ``None`` when the group takes the per-line
+    reference path; both read the same records.
     """
 
     __slots__ = ("cta", "records", "position", "walk")
@@ -68,48 +68,27 @@ class _WarpGroup:
 
 
 def _pack_plain_trace(trace, geometry):
-    """Specialize a hand-built ``CTATrace`` for one :class:`WalkGeometry`.
+    """The engine's records for a hand-built ``CTATrace`` under ``geometry``.
 
     Synthetic workloads produce :class:`ColumnarCTATrace` objects that
-    derive (and cache) their fast records from numpy columns; plain
+    derive (and cache) their records from numpy columns; plain
     record-list traces (tests, ad-hoc workloads) are small enough to pack
-    per launch with scalar arithmetic instead.
+    per launch.  Only the issue busy time depends on the machine.
     """
     throughput = geometry.issue_throughput
-    packed = geometry.packed
-    n_l1_sets = geometry.n_l1_sets
-    line_interleaved = geometry.line_interleaved
-    n_partitions = geometry.n_partitions
-    lines_per_page = geometry.lines_per_page
-    n_l2_sets = geometry.n_l2_sets
-    n_l15_sets = geometry.n_l15_sets
-
-    def triples(lines):
-        return tuple(
+    return [
+        [
             (
-                line,
-                line % n_l1_sets if n_l1_sets else 0,
-                line % n_partitions if line_interleaved else line // lines_per_page,
-                line % n_l2_sets if n_l2_sets else 0,
-                line % n_l15_sets if n_l15_sets else 0,
+                record.compute_cycles,
+                (record.compute_cycles + len(record.reads) + len(record.writes))
+                / throughput,
+                record.reads,
+                record.writes,
             )
-            for line in lines
-        )
-
-    groups = []
-    for records in trace:
-        out = []
-        for record in records:
-            compute_cycles = record.compute_cycles
-            reads = record.reads
-            writes = record.writes
-            busy = (compute_cycles + len(reads) + len(writes)) / throughput
-            if packed:
-                out.append((compute_cycles, busy, triples(reads), triples(writes)))
-            else:
-                out.append((compute_cycles, busy, reads, writes))
-        groups.append(out)
-    return groups
+            for record in records
+        ]
+        for records in trace
+    ]
 
 
 class SimulationEngine:
@@ -131,9 +110,9 @@ class SimulationEngine:
         #: forcing the per-line reference path.  Both produce bit-identical
         #: results; the flag exists so the identity suite can diff them.
         self.batched = not _perline_requested()
-        # The geometry traces are specialized against and the per-SM
-        # walkers (None on the reference path).  ``_fast_cache`` holds the
-        # one-time (walkers, geometry) build for this system.
+        # The geometry traces' records are built for and the per-SM walkers
+        # (None on the reference path).  ``_fast_cache`` holds the one-time
+        # walker build for this system, in a 1-tuple (None is a result).
         self._geometry = None
         self._walkers = None
         self._fast_cache = None
@@ -160,18 +139,16 @@ class SimulationEngine:
         # object a walker binds (cache sets, stats, pipes, page maps,
         # routes) is reset in place by ``system.reset()``.  An attached
         # probe, ``batched`` off, or a system the walker generator rejects
-        # takes the per-line reference over unpacked records.
+        # takes the per-line reference over the same records.
         memsys = self.system.memsys
+        self._geometry = memsys.walk_geometry()
         if telemetry is None and self.batched:
             cached = self._fast_cache
             if cached is None:
-                walkers = memsys.make_walkers()
-                cached = (walkers, memsys.walk_geometry(packed=walkers is not None))
-                self._fast_cache = cached
-            self._walkers, self._geometry = cached
+                cached = self._fast_cache = (memsys.make_walkers(),)
+            self._walkers = cached[0]
         else:
             self._walkers = None
-            self._geometry = memsys.walk_geometry(packed=False)
 
         # Live invariant checking is opt-in and read-only: with no validator
         # attached the loop pays one `is not None` test per kernel, and an
@@ -344,8 +321,8 @@ class SimulationEngine:
                     f"kernel {kernel.label!r}: trace_fn returned {len(trace)} groups, "
                     f"expected {kernel.groups_per_cta}"
                 )
-            # Records specialized for the active geometry: derived and
-            # cached by columnar traces, packed per launch for plain lists.
+            # Records for the machine's issue rate: derived and cached by
+            # columnar traces, packed per launch for plain lists.
             fast_groups = getattr(trace, "fast_groups", None)
             if fast_groups is not None:
                 groups = fast_groups(self._geometry)

@@ -105,10 +105,10 @@ def line_array(addrs) -> np.ndarray:
 
     Every built-in pattern already emits int64 arrays; this is the
     boundary contract for the columnar trace core — third-party patterns
-    may return lists or narrower dtypes, and the downstream vectorized
-    set-index/homing arithmetic (``ColumnarCTATrace.fast_groups``) assumes
-    a flat int64 ndarray.  No copy is made when the input already
-    conforms.
+    may return lists or narrower dtypes, and the downstream whole-column
+    record building (``ColumnarCTATrace.from_flat`` and the records its
+    views cut from the addresses) assumes a flat int64 ndarray.  No copy
+    is made when the input already conforms.
     """
     return np.ascontiguousarray(addrs, dtype=np.int64).reshape(-1)
 

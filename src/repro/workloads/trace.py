@@ -45,83 +45,49 @@ CTATrace = List[List[TraceRecord]]
 
 
 class WalkGeometry(NamedTuple):
-    """The memory-system shape a columnar trace is specialized against.
+    """The machine property a columnar trace's fast records fold in.
 
-    The generated walkers' records carry, per line, every piece of
-    arithmetic that depends only on the address and the (immutable) system
-    geometry: the L1 set index (``line % n_l1_sets``), the homing key
-    (``line % n_partitions`` for fine-grain interleaving, ``line //
-    lines_per_page`` for paged policies), and — when the respective level
-    has the same set count in every GPM — the L2 and L1.5 set indices.
-    ``n_l2_sets``/``n_l15_sets`` are 0 when the level is absent, disabled,
-    or non-uniform across GPMs; walkers then derive the index themselves.
-    ``issue_throughput`` folds the per-record issue busy time into the same
-    derivation.  ``packed`` is False for the per-line reference path's
-    flavor, whose records keep plain address tuples.
+    Records carry plain line addresses, so the only machine-dependent
+    quantity in them is each record's issue busy time, which is divided by
+    the SM ``issue_throughput``.  Machines with the same issue rate share
+    one set of fast records per trace, however their caches and homing
+    differ: the generated walkers derive set indices and homes from the
+    line itself, with the constants resolved at build time.
     """
 
-    packed: bool
-    n_l1_sets: int
-    line_interleaved: bool
-    n_partitions: int
-    lines_per_page: int
     issue_throughput: float
-    n_l2_sets: int = 0
-    n_l15_sets: int = 0
-
-    def line_table_key(self) -> tuple:
-        """The fields a ``(line, l1_set, home_key, l2_set, l15_set)``
-        quintuple is derived from: machines that differ only in
-        ``issue_throughput`` or ``packed`` share one :class:`_LineTable`."""
-        return (
-            self.n_l1_sets,
-            self.line_interleaved,
-            self.n_partitions,
-            self.lines_per_page,
-            self.n_l2_sets,
-            self.n_l15_sets,
-        )
 
 
 class _LineTable:
-    """One geometry's ``{line: quintuple}`` table, shared by every trace.
+    """The ``{line: line}`` table that interns every trace's addresses.
 
-    Every packed record of the geometry takes its quintuples from here, so
-    a line that many traces touch is one immutable tuple, not one per
-    address.  ``quintuples`` stays an exact ``dict`` (``set.difference``
-    takes its fast path only on one), and a dict cannot be weakly
-    referenced, hence this holder.  :data:`_LINE_TABLES` holds a table
-    weakly and each trace packed against it holds it strongly (through
-    its :class:`_TablePins`), so a table lives exactly as long as some
-    trace that used it: a process-wide table would keep every geometry's
-    lines for the life of a pool worker.
+    Each record's read and write tuples take their ints from here, so a
+    line that many CTAs and workloads touch is one int object, not one per
+    address.  A dict cannot be weakly referenced, hence this holder.
+    :data:`_LINE_TABLE` refers to the live table weakly and every trace
+    built from it holds it strongly, so the table lives exactly as long as
+    some such trace: a strong process-wide table would keep every line a
+    pool worker ever saw for the worker's whole life.
     """
 
-    __slots__ = ("quintuples", "__weakref__")
+    __slots__ = ("ints", "__weakref__")
 
     def __init__(self) -> None:
-        self.quintuples: dict = {}
+        self.ints: dict = {}
 
 
-class _TablePins:
-    """The tables a trace was packed against, in packing order.
-
-    Traces that used the same tables in the same order share one instance
-    (interned in :data:`_TABLE_PINS` by ``keys``), so pinning adds no
-    per-trace container the cyclic collector would have to keep tracking.
-    """
-
-    __slots__ = ("keys", "tables", "__weakref__")
-
-    def __init__(self, keys: tuple, tables: tuple) -> None:
-        self.keys = keys
-        self.tables = tables
+#: Weak reference to the live :class:`_LineTable` (None before the first).
+_LINE_TABLE = None
 
 
-#: Live line tables by :meth:`WalkGeometry.line_table_key`.
-_LINE_TABLES: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
-#: Live pin sets by their tuple of table keys.
-_TABLE_PINS: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+def _line_table() -> _LineTable:
+    """The live line table, made anew once no trace holds the last one."""
+    global _LINE_TABLE
+    table = _LINE_TABLE() if _LINE_TABLE is not None else None
+    if table is None:
+        table = _LineTable()
+        _LINE_TABLE = weakref.ref(table)
+    return table
 
 
 class _RecordLayout:
@@ -191,6 +157,8 @@ def _flat_layout(per_group: int, write_period: int, accesses_per_record: int) ->
 
 _READS = itemgetter(1)
 _WRITES = itemgetter(2)
+_FAST_READS = itemgetter(2)
+_FAST_WRITES = itemgetter(3)
 
 
 class ColumnarCTATrace:
@@ -206,30 +174,26 @@ class ColumnarCTATrace:
       within each record; ``is_write`` marks the store positions and is
       shared by all groups, whose record structure is identical).
     * :meth:`base_groups` — classic ``List[List[TraceRecord]]`` records
-      for the reference per-line path and any external consumer (cached).
-    * :meth:`fast_groups` — records specialized for one
-      :class:`WalkGeometry`: ``(compute_cycles, issue_busy, reads,
-      writes)`` tuples whose read/write entries are ``(line, l1_set,
-      home_key, l2_set, l15_set)`` quintuples.  Cached per geometry
-      (benchmark harnesses interleave several configurations over the
-      same memoized traces, so a one-slot cache would thrash and repack on
-      every config switch).
+      for external consumers (cached).
+    * :meth:`fast_groups` — the engine's ``(compute_cycles, issue_busy,
+      reads, writes)`` records for one :class:`WalkGeometry`, i.e. one
+      issue rate.  Cached per issue rate (benchmark harnesses interleave
+      several configurations over the same memoized traces, so a one-slot
+      cache would thrash and rebuild on every config switch).
 
-    Quintuples come from one :class:`_LineTable` per geometry shape, shared
-    by every trace packed against it: a line that many CTAs and workloads
-    touch is one tuple, not one per address, and only lines the table has
-    not seen go through the whole-column array ops.  The trace pins each
-    table it used, so a table is freed with the last such trace.
+    Both views hold the same read and write tuples of plain line ints,
+    built once per trace: the first view interns the addresses through the
+    live :class:`_LineTable` (which the trace then pins), so a line that
+    many CTAs and workloads touch is one int, and a later view takes the
+    tuples from the earlier one's records.
 
-    Both views are built with a few C-level passes per group: a row's
-    entries (its addresses, or the quintuples one ``map`` fetches from the
-    line table) are cut into records by ``map``/``zip`` over the layout's
-    slice tables.  Fast groups, records and quintuples are plain
-    tuples of numbers, built one tree level at a time, so the cyclic
-    collector stops tracking a packed trace within the first passes that
-    see it (about one level per pass) and never rescans it in later full
-    collections; with list groups every packed trace stayed tracked for
-    its whole life.
+    Records are built with a few C-level passes per group: a row's ints
+    are cut into records by ``map``/``zip`` over the layout's slice
+    tables.  Fast groups and records are plain tuples of numbers, built one
+    tree level at a time, so the cyclic collector stops tracking a trace's
+    records within the first passes that see them (about one level per
+    pass) and never rescans them in later full collections; with list
+    groups every trace stayed tracked for its whole life.
     """
 
     __slots__ = (
@@ -240,7 +204,7 @@ class ColumnarCTATrace:
         "_layout",
         "_base",
         "_fast",
-        "_pins",
+        "_table",
     )
 
     def __init__(
@@ -262,7 +226,7 @@ class ColumnarCTATrace:
         self._layout = layout
         self._base: list = None
         self._fast: dict = None
-        self._pins: _TablePins = None
+        self._table: _LineTable = None
 
     @classmethod
     def from_flat(
@@ -325,13 +289,24 @@ class ColumnarCTATrace:
     def __getitem__(self, index):
         return self.base_groups()[index]
 
-    def _fields(self, flat: tuple) -> Tuple[list, list]:
+    def _fields(self) -> Tuple[list, list]:
         """Every record's read tuple and write tuple, group-major.
 
-        ``flat`` holds one entry per address, row-major; each group's row
-        is one tuple slice of it, cut into records by the layout's slice
-        tables (a tuple's slice is again a tuple).
+        Taken from a view built earlier when there is one, so every view
+        shares one set of tuples.  Otherwise each address is interned
+        through the live line table, and each group's row (a tuple slice
+        of the interned addresses) is cut into records by the layout's
+        slice tables (a tuple's slice is again a tuple).
         """
+        if self._base is not None:
+            records = list(chain.from_iterable(self._base))
+            return list(map(_READS, records)), list(map(_WRITES, records))
+        if self._fast:
+            records = list(chain.from_iterable(next(iter(self._fast.values()))))
+            return list(map(_FAST_READS, records)), list(map(_FAST_WRITES, records))
+        self._table = table = _line_table()
+        lines = self.addrs.ravel().tolist()
+        flat = tuple(map(table.ints.setdefault, lines, lines))
         read_slices, write_slices = self._layout.slices()
         per_group = self.addrs.shape[1]
         reads: list = []
@@ -354,7 +329,7 @@ class ColumnarCTATrace:
         """The classic ``TraceRecord`` view (cached after first use)."""
         base = self._base
         if base is None:
-            reads, writes = self._fields(tuple(self.addrs.ravel().tolist()))
+            reads, writes = self._fields()
             # ``tuple.__new__(TraceRecord, fields)`` is what the named
             # tuple's own constructor calls, minus a Python frame.
             records = list(
@@ -368,101 +343,41 @@ class ColumnarCTATrace:
         return base
 
     def fast_groups(self, geometry: WalkGeometry):
-        """Records specialized for ``geometry`` (cached per geometry).
+        """The engine's records for ``geometry``'s issue rate (cached per rate).
 
-        Packed records are ``(compute_cycles, issue_busy, reads, writes)``
-        with ``(line, l1_set, home_key, l2_set, l15_set)`` quintuples, the
-        same tuple object for a line wherever the geometry's line table
-        hands it out (machines that differ only in ``issue_throughput``
-        share the table); the unpacked flavor keeps plain address tuples
-        (shared with :meth:`base_groups`).  ``issue_busy`` is accumulated
-        with the same left-to-right float arithmetic as
-        ``SM.charge_issue`` so the engine's timing is bit-identical.
-        Groups and records are tuples.
+        Records are ``(compute_cycles, issue_busy, reads, writes)`` with
+        the plain line tuples :meth:`base_groups` shares, so every machine
+        with the same ``issue_throughput`` gets the same groups object.
+        ``issue_busy`` is accumulated with the same left-to-right float
+        arithmetic as ``SM.charge_issue`` so the engine's timing is
+        bit-identical.  Groups and records are tuples.
         """
+        throughput = geometry.issue_throughput
         cache = self._fast
         if cache is None:
             cache = self._fast = {}
         else:
-            cached = cache.get(geometry)
+            cached = cache.get(throughput)
             if cached is not None:
                 return cached
+        reads, writes = self._fields()
         compute_cycles = self.compute_cycles
-        throughput = geometry.issue_throughput
         busys = [
             (compute_cycles + (mid - start) + (end - mid)) / throughput
             for start, mid, end in self._layout.spans
         ]
         # Each level of the tree is finished before the next one starts
-        # (quintuples, then read/write tuples, then records, then groups),
-        # so a young collection mostly finds children in an older
-        # generation, already untracked, and untracks the parents it scans.
-        if geometry.packed:
-            quintuples = self._line_table(geometry).quintuples
-            lines = self.addrs.ravel().tolist()
-            missing = set(lines).difference(quintuples)
-            if missing:
-                columns = _geometry_columns(
-                    np.fromiter(missing, dtype=np.int64, count=len(missing)), geometry
-                )
-                quintuples.update(zip(columns[0], zip(*columns)))
-            reads, writes = self._fields(tuple(map(quintuples.__getitem__, lines)))
-        else:
-            base = list(chain.from_iterable(self.base_groups()))
-            reads = list(map(_READS, base))
-            writes = list(map(_WRITES, base))
-        # A tuple copied from a finished list is allocated after its items;
+        # (read/write tuples, then records, then groups), so a young
+        # collection mostly finds children in an older generation, already
+        # untracked, and untracks the parents it scans.  A tuple copied
+        # from a finished list is allocated after its items;
         # ``tuple(zip(...))`` would allocate it first and grow it.
         records = tuple(
             list(zip(repeat(compute_cycles), busys * self.n_groups, reads, writes))
         )
         groups = tuple(self._split(records))
-        # Keyed by a plain tuple equal to ``geometry`` (lookups by the named
-        # tuple still hit): with no tracked key or value left, a full
-        # collection stops tracking the cache dict as well.
-        cache[tuple(geometry)] = groups
+        cache[throughput] = groups
         return groups
-
-    def _line_table(self, geometry: WalkGeometry) -> _LineTable:
-        """``geometry``'s live line table, pinned by this trace."""
-        key = geometry.line_table_key()
-        table = _LINE_TABLES.get(key)
-        if table is None:
-            table = _LINE_TABLES[key] = _LineTable()
-        pins = self._pins
-        if pins is None:
-            keys, tables = (key,), (table,)
-        elif table in pins.tables:  # identity: a table defines no ``__eq__``
-            return table
-        else:
-            keys, tables = pins.keys + (key,), pins.tables + (table,)
-        pinned = _TABLE_PINS.get(keys)
-        if pinned is None:
-            pinned = _TABLE_PINS[keys] = _TablePins(keys, tables)
-        self._pins = pinned
-        return table
-
-
-def _geometry_columns(lines: "np.ndarray", geometry: WalkGeometry) -> list:
-    """The five quintuple columns of the 1-D ``lines`` under ``geometry``.
-
-    Each is a list of Python ints in ``lines`` order; an index a walker
-    derives itself (its level absent or non-uniform) is a constant 0.
-    """
-    n_l1_sets = geometry.n_l1_sets
-    n_l2_sets = geometry.n_l2_sets
-    n_l15_sets = geometry.n_l15_sets
-    if geometry.line_interleaved:
-        home_keys = lines % geometry.n_partitions
-    else:
-        home_keys = lines // geometry.lines_per_page
-    return [
-        lines.tolist(),
-        (lines % n_l1_sets).tolist() if n_l1_sets else repeat(0),
-        home_keys.tolist(),
-        (lines % n_l2_sets).tolist() if n_l2_sets else repeat(0),
-        (lines % n_l15_sets).tolist() if n_l15_sets else repeat(0),
-    ]
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ Four contracts:
    (``engine.batched = False`` / the ``REPRO_SIM_PERLINE`` env knob), on
    ring, monolithic, multi-GPU, mesh, torus, hierarchical and
    fully-connected fabrics, under migrating placement, and with a probe.
-2. **Dispatch** — ring, mesh, torus and hierarchical machines take the
-   walkers; fully-connected, migrating and probed machines take the
+2. **Dispatch** — ring, mesh, torus, hierarchical and fully-connected
+   machines take the walkers; migrating and probed machines take the
    reference, as does any system ``build_walkers`` rejects.
 3. **Trace memoization** — materialized CTA traces are reused across
    kernel iterations and across runs (``materializations`` stays flat),
@@ -192,9 +192,14 @@ def walkers_for(config):
 
 
 class TestEnginePathDispatch:
-    @pytest.mark.parametrize("topology", ["ring", "mesh", "torus", "hierarchical"])
-    def test_routed_fabrics_take_walkers(self, topology):
-        config = on_fabric(topology, 8)
+    @pytest.mark.parametrize(
+        "topology, n_gpms",
+        [("ring", 8), ("mesh", 8), ("torus", 8), ("hierarchical", 8),
+         ("fully_connected", 4)],
+        ids=["ring", "mesh", "torus", "hierarchical", "fully_connected"],
+    )
+    def test_routed_fabrics_take_walkers(self, topology, n_gpms):
+        config = on_fabric(topology, n_gpms)
         walkers = walkers_for(config)
         assert walkers is not None
         # One walker per SM, indexed by sm_id, each a plain callable.
@@ -206,11 +211,8 @@ class TestEnginePathDispatch:
 
     @pytest.mark.parametrize(
         "make_config, reason",
-        [
-            (lambda: on_fabric("fully_connected", 4), "fully-connected fabric"),
-            (migrating, "migrating placement"),
-        ],
-        ids=["fc-4", "migrating"],
+        [(migrating, "migrating placement")],
+        ids=["migrating"],
     )
     def test_unsupported_machines_take_reference(self, make_config, reason):
         config = make_config()

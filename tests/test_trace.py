@@ -1,8 +1,12 @@
 """Unit tests for trace records and packing helpers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.gpu import build_system
+from repro.core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
 from repro.workloads.trace import (
     ColumnarCTATrace,
     KernelLaunch,
@@ -104,18 +108,13 @@ class TestColumnarCTATrace:
             ColumnarCTATrace.from_flat(lines, 3, 0, 4, 1.0)
 
 
-PACKED_INTERLEAVED = WalkGeometry(
-    packed=True,
-    n_l1_sets=8,
-    line_interleaved=True,
-    n_partitions=4,
-    lines_per_page=16,
-    issue_throughput=4.0,
-    n_l2_sets=16,
-    n_l15_sets=0,
-)
-PACKED_PAGED = PACKED_INTERLEAVED._replace(line_interleaved=False, n_l15_sets=32)
-UNPACKED = PACKED_INTERLEAVED._replace(packed=False)
+GEOMETRY = WalkGeometry(issue_throughput=4.0)
+
+
+def _memsys(config):
+    system = build_system(config)
+    system.reset()
+    return system.memsys
 
 
 class TestFastGroups:
@@ -126,37 +125,67 @@ class TestFastGroups:
             compute_cycles=3.0,
         )
 
-    def test_packed_quintuples_carry_geometry_indices(self):
+    def test_records_carry_plain_line_addresses(self):
         trace = self._trace()
-        groups = trace.fast_groups(PACKED_INTERLEAVED)
+        groups = trace.fast_groups(GEOMETRY)
         base = trace.base_groups()
         for group, records in zip(groups, base):
-            for packed, record in zip(group, records):
-                compute_cycles, busy, reads, writes = packed
+            for fast, record in zip(group, records):
+                compute_cycles, busy, reads, writes = fast
                 assert compute_cycles == record.compute_cycles
                 assert busy == (
                     3.0 + len(record.reads) + len(record.writes)
                 ) / 4.0
-                assert tuple(t[0] for t in reads) == record.reads
-                assert tuple(t[0] for t in writes) == record.writes
-                for line, l1_set, home, l2_set, l15_set in reads + writes:
-                    assert l1_set == line % 8
-                    assert home == line % 4  # fine-grain interleaving
-                    assert l2_set == line % 16
-                    assert l15_set == 0  # level absent -> placeholder column
+                # The base view's own tuples of plain ints, not copies.
+                assert reads is record.reads
+                assert writes is record.writes
+                assert all(type(line) is int for line in reads + writes)
 
-    def test_paged_homing_uses_page_index(self):
+    def test_machines_sharing_an_issue_rate_share_groups(self):
+        # Every cache and homing field differs: L1, L2 and L1.5 set
+        # counts, interleaved against paged homing, partition count and
+        # page size.  Only the issue rate is shared.
+        first = _memsys(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
+        base = mcm_gpu_with_l15(
+            8, remote_only=False, placement="first_touch", n_gpms=2, sms_per_gpm=2
+        )
+        sm = base.gpm.sm
+        second = _memsys(
+            replace(
+                base,
+                page_bytes=4 * base.page_bytes,
+                gpm=replace(
+                    base.gpm,
+                    sm=replace(sm, l1=replace(sm.l1, ways=2)),
+                    l2=replace(base.gpm.l2, ways=4),
+                ),
+            )
+        )
+        gpm_a, gpm_b = first._gpms[0], second._gpms[0]
+        assert gpm_a.sms[0].l1.n_sets != gpm_b.sms[0].l1.n_sets
+        assert gpm_a.l2.n_sets != gpm_b.l2.n_sets
+        assert not gpm_a.has_l15 and gpm_b.has_l15
+        assert first._page_table._line_interleaved
+        assert not second._page_table._line_interleaved
+        assert len(first._gpms) != len(second._gpms)
+        assert (
+            first._page_table.address_map.lines_per_page
+            != second._page_table.address_map.lines_per_page
+        )
+
         trace = self._trace()
-        groups = trace.fast_groups(PACKED_PAGED)
-        for group in groups:
-            for _, _, reads, writes in group:
-                for line, _, home, _, l15_set in reads + writes:
-                    assert home == line // 16
-                    assert l15_set == line % 32
+        assert first.walk_geometry() == second.walk_geometry()
+        assert trace.fast_groups(first.walk_geometry()) is trace.fast_groups(
+            second.walk_geometry()
+        )
 
     def test_unpacked_flavor_keeps_plain_addresses(self):
+        # ``packed`` is accepted and ignored: the reference path asks for
+        # the same records the walkers read.
+        memsys = _memsys(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
         trace = self._trace()
-        groups = trace.fast_groups(UNPACKED)
+        groups = trace.fast_groups(memsys.walk_geometry(packed=False))
+        assert groups is trace.fast_groups(memsys.walk_geometry(packed=True))
         for group, records in zip(groups, trace.base_groups()):
             for (compute_cycles, busy, reads, writes), record in zip(
                 group, records
@@ -166,10 +195,17 @@ class TestFastGroups:
 
     def test_cache_is_per_geometry_and_stable(self):
         trace = self._trace()
-        first_a = trace.fast_groups(PACKED_INTERLEAVED)
-        first_b = trace.fast_groups(PACKED_PAGED)
-        # Interleaving geometries (a benchmark sweeping configs over one
-        # memoized trace) must not repack: each geometry keeps its slot.
-        assert trace.fast_groups(PACKED_INTERLEAVED) is first_a
-        assert trace.fast_groups(PACKED_PAGED) is first_b
+        slower = GEOMETRY._replace(issue_throughput=2.0)
+        first_a = trace.fast_groups(GEOMETRY)
+        first_b = trace.fast_groups(slower)
+        # Interleaving issue rates (a benchmark sweeping configs over one
+        # memoized trace) must not rebuild: each rate keeps its slot.
+        assert trace.fast_groups(GEOMETRY) is first_a
+        assert trace.fast_groups(slower) is first_b
         assert first_a is not first_b
+        # Only the busy time differs; the line tuples are shared.
+        for group_a, group_b in zip(first_a, first_b):
+            for record_a, record_b in zip(group_a, group_b):
+                assert 2 * record_a[1] == record_b[1]
+                assert record_a[2] is record_b[2]
+                assert record_a[3] is record_b[3]

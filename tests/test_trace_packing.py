@@ -1,27 +1,30 @@
 """Differential tests: the columnar trace packers against a per-record oracle.
 
 ``ColumnarCTATrace.base_groups`` and ``fast_groups`` build their records
-with a few C-level passes over a memoised record layout, taking packed
-quintuples from one shared line table per geometry.  The oracle below is
-the straightforward per-record packer they replaced; every drawn trace and
-geometry must produce the same records, element for element.
+with a few C-level passes over a memoised record layout, sharing one set
+of read/write tuples of plain line ints interned through one live line
+table.  The oracles below are the straightforward per-record packers they
+replaced; every drawn trace and issue rate must produce the same records,
+element for element.
 
 Example counts scale with the loaded Hypothesis profile
 (``HYPOTHESIS_PROFILE=deep``, see ``tests/conftest.py``).
 """
 
 import gc
-import weakref
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 from repro.workloads.trace import (
-    _LINE_TABLES,
-    _TABLE_PINS,
     ColumnarCTATrace,
     TraceRecord,
     WalkGeometry,
@@ -52,51 +55,29 @@ def oracle_base_groups(trace):
     return groups
 
 
-def oracle_fast_groups(trace, geometry):
-    """Fast records for ``geometry``, one record (and quintuple) at a time."""
-    compute_cycles = trace.compute_cycles
-    spans = trace.spans
-    busys = [
-        (compute_cycles + (mid - start) + (end - mid)) / geometry.issue_throughput
-        for start, mid, end in spans
-    ]
-    if not geometry.packed:
-        return [
-            [
-                (record.compute_cycles, busy, record.reads, record.writes)
-                for record, busy in zip(records, busys)
-            ]
-            for records in oracle_base_groups(trace)
+def with_busy(base, geometry):
+    """Engine records: each ``TraceRecord`` plus its issue busy time.
+
+    The busy time is ``SM.charge_issue``'s left-to-right arithmetic.
+    """
+    return [
+        [
+            (
+                record.compute_cycles,
+                (record.compute_cycles + len(record.reads) + len(record.writes))
+                / geometry.issue_throughput,
+                record.reads,
+                record.writes,
+            )
+            for record in records
         ]
+        for records in base
+    ]
 
-    def quintuple(line):
-        if geometry.line_interleaved:
-            home = line % geometry.n_partitions
-        else:
-            home = line // geometry.lines_per_page
-        return (
-            line,
-            line % geometry.n_l1_sets if geometry.n_l1_sets else 0,
-            home,
-            line % geometry.n_l2_sets if geometry.n_l2_sets else 0,
-            line % geometry.n_l15_sets if geometry.n_l15_sets else 0,
-        )
 
-    groups = []
-    for row in trace.addrs:
-        row_list = row.tolist()
-        groups.append(
-            [
-                (
-                    compute_cycles,
-                    busy,
-                    tuple(quintuple(line) for line in row_list[start:mid]),
-                    tuple(quintuple(line) for line in row_list[mid:end]),
-                )
-                for (start, mid, end), busy in zip(spans, busys)
-            ]
-        )
-    return groups
+def oracle_fast_groups(trace, geometry):
+    """Fast records for ``geometry``, one record at a time."""
+    return with_busy(oracle_base_groups(trace), geometry)
 
 
 def assert_same_records(actual, expected):
@@ -113,13 +94,17 @@ def assert_same_records(actual, expected):
 compute_cycles = st.floats(min_value=0.0, max_value=64.0, allow_nan=False)
 addresses = st.integers(min_value=0, max_value=(1 << 40) - 1)
 # Sparse addresses mixed with a small shared range, so that traces drawn
-# together touch some of the same lines.
-overlapping_addresses = st.one_of(st.integers(min_value=0, max_value=63), addresses)
+# together touch some of the same lines.  The range sits above the small
+# ints the interpreter caches, so one object per line has to come from the
+# line table.
+overlapping_addresses = st.one_of(
+    st.integers(min_value=1 << 20, max_value=(1 << 20) + 63), addresses
+)
 
 
 @st.composite
-def flat_traces(draw, lines=addresses):
-    """``from_flat`` traces: write period 0, 1 or N; partial tails; one group."""
+def flat_sources(draw, lines=addresses):
+    """``from_flat`` arguments: write period 0, 1 or N; partial tails; one group."""
     n_groups = draw(st.integers(min_value=1, max_value=4))
     per_group = draw(st.integers(min_value=0, max_value=40))
     write_period = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 9)))
@@ -127,13 +112,18 @@ def flat_traces(draw, lines=addresses):
     drawn = draw(
         st.lists(lines, min_size=n_groups * per_group, max_size=n_groups * per_group)
     )
-    return ColumnarCTATrace.from_flat(
+    return (
         np.array(drawn, dtype=np.int64),
         n_groups,
         write_period,
         accesses_per_record,
         draw(compute_cycles),
     )
+
+
+def flat_traces(lines=addresses):
+    """``from_flat`` traces of :func:`flat_sources`."""
+    return flat_sources(lines).map(lambda source: ColumnarCTATrace.from_flat(*source))
 
 
 @st.composite
@@ -166,19 +156,8 @@ def span_traces(draw, lines=addresses):
 
 traces = st.one_of(flat_traces(), span_traces())
 
-set_counts = st.one_of(st.just(0), st.integers(min_value=1, max_value=96))
-
-geometries = st.builds(
-    WalkGeometry,
-    packed=st.booleans(),
-    n_l1_sets=set_counts,
-    line_interleaved=st.booleans(),
-    n_partitions=st.integers(min_value=1, max_value=16),
-    lines_per_page=st.integers(min_value=1, max_value=64),
-    issue_throughput=st.floats(min_value=0.25, max_value=8.0, allow_nan=False),
-    n_l2_sets=set_counts,
-    n_l15_sets=set_counts,
-)
+issue_rates = st.floats(min_value=0.25, max_value=8.0, allow_nan=False)
+geometries = st.builds(WalkGeometry, issue_throughput=issue_rates)
 
 
 class TestAgainstOracle:
@@ -195,6 +174,28 @@ class TestAgainstOracle:
             assert_same_records(
                 trace.fast_groups(geometry), oracle_fast_groups(trace, geometry)
             )
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(source=flat_sources(), geometry=geometries, base_first=st.booleans())
+    def test_fast_groups_match_records_from_arrays(self, source, geometry, base_first):
+        lines, n_groups, write_period, accesses_per_record, cycles = source
+        trace = ColumnarCTATrace.from_flat(*source)
+        if base_first:
+            trace.base_groups()
+        per_group = len(lines) // n_groups
+        expected = with_busy(
+            [
+                records_from_arrays(
+                    lines[group * per_group : (group + 1) * per_group].tolist(),
+                    write_period,
+                    accesses_per_record,
+                    cycles,
+                )
+                for group in range(n_groups)
+            ],
+            geometry,
+        )
+        assert_same_records(trace.fast_groups(geometry), expected)
 
     @settings(max_examples=examples(100), deadline=None)
     @given(trace=traces)
@@ -227,16 +228,7 @@ class TestAgainstOracle:
             )
 
 
-PACKED = WalkGeometry(
-    packed=True,
-    n_l1_sets=8,
-    line_interleaved=False,
-    n_partitions=4,
-    lines_per_page=16,
-    issue_throughput=2.0,
-    n_l2_sets=32,
-    n_l15_sets=16,
-)
+GEOMETRY = WalkGeometry(issue_throughput=2.0)
 
 
 class TestSharedLayout:
@@ -264,12 +256,12 @@ class TestSharedLayout:
 
     def test_traces_sharing_a_layout_cannot_change_each_other(self):
         first, second = self._pair()
-        expected = oracle_fast_groups(second, PACKED)
+        expected = oracle_fast_groups(second, GEOMETRY)
         expected_base = oracle_base_groups(second)
-        first.fast_groups(PACKED)
-        first.fast_groups(PACKED._replace(packed=False))
+        first.fast_groups(GEOMETRY)
+        first.base_groups()
         first.addrs[:] = 0
-        assert_same_records(second.fast_groups(PACKED), expected)
+        assert_same_records(second.fast_groups(GEOMETRY), expected)
         assert second.base_groups() == expected_base
 
     def test_each_shape_keeps_its_own_layout(self):
@@ -279,17 +271,19 @@ class TestSharedLayout:
         assert other.spans != first.spans
 
 
-def _quintuples(groups):
-    """Every packed read and write quintuple of ``groups``, in record order."""
+def _lines(groups):
+    """Every read and write line of ``groups``, in record order."""
     for group in groups:
         for _, _, reads, writes in group:
             yield from reads
             yield from writes
 
 
-def _first_trace(workload):
-    """CTA 0 of ``workload``'s first kernel."""
-    return next(iter(workload.kernels())).trace_fn(0)
+def _kernel_lines(workload, geometry):
+    """Every record line of ``workload``'s first kernel, CTA by CTA."""
+    kernel = next(iter(workload.kernels()))
+    for cta in range(kernel.n_ctas):
+        yield from _lines(kernel.trace_fn(cta).fast_groups(geometry))
 
 
 def _workload(name, pattern):
@@ -303,13 +297,49 @@ def _workload(name, pattern):
             records_per_group=4,
             accesses_per_record=4,
             kernel_iterations=1,
-            footprint_bytes=64 * 1024,
+            footprint_bytes=256 * 1024,
         )
     )
 
 
+#: Checks a table's lifetime in a fresh interpreter: in the test process,
+#: traces other tests keep alive would pin the one live table.
+LIFETIME_SCRIPT = textwrap.dedent(
+    """
+    import gc
+    import weakref
+
+    import numpy as np
+
+    from repro.workloads import trace as t
+
+    traces = [
+        t.ColumnarCTATrace.from_flat(np.arange(60, dtype=np.int64) * stride, 3, 4, 6, 1.0)
+        for stride in (1, 7, 4099)
+    ]
+    for each in traces:
+        each.fast_groups(t.WalkGeometry(2.0))
+    traces[1].base_groups()
+    table = weakref.ref(traces[0]._table)
+    assert all(each._table is table() for each in traces)
+    assert t._line_table() is table()
+
+    survivor = traces[-1]
+    del each, traces
+    gc.collect()
+    assert table() is not None
+    assert t._line_table() is survivor._table
+    del survivor
+    gc.collect()
+    assert table() is None
+    assert t._LINE_TABLE() is None
+    print("table freed")
+    """
+)
+
+
 class TestSharedLineTables:
-    """Packed records share one quintuple per (geometry, line)."""
+    """Records hold one int object per line, from one live line table."""
 
     @settings(max_examples=examples(100), deadline=None)
     @given(
@@ -321,77 +351,71 @@ class TestSharedLineTables:
             min_size=2,
             max_size=5,
         ),
-        geometries=st.lists(geometries, min_size=2, max_size=3),
-        throughput=st.floats(min_value=0.25, max_value=8.0, allow_nan=False),
+        views=st.lists(st.one_of(st.none(), geometries), min_size=2, max_size=3),
         data=st.data(),
     )
-    def test_interleaved_traces_share_quintuples_and_match(
-        self, drawn, geometries, throughput, data
-    ):
-        # One more geometry that differs from the first only in issue rate.
-        geometries = geometries + [geometries[0]._replace(issue_throughput=throughput)]
+    def test_interleaved_traces_share_line_ints_and_match(self, drawn, views, data):
+        # ``None`` stands for the base view.
         order = data.draw(
-            st.permutations(
-                [(trace, geometry) for trace in drawn for geometry in geometries]
-            )
+            st.permutations([(trace, view) for trace in drawn for view in views])
         )
         shared = {}
-        for trace, geometry in order:
-            groups = trace.fast_groups(geometry)
-            assert_same_records(groups, oracle_fast_groups(trace, geometry))
-            if geometry.packed:
-                key = geometry.line_table_key()
-                for quintuple in _quintuples(groups):
-                    assert shared.setdefault((key, quintuple[0]), quintuple) is quintuple
+        for trace, view in order:
+            if view is None:
+                groups = trace.base_groups()
+                assert groups == oracle_base_groups(trace)
+                lines = [
+                    line
+                    for records in groups
+                    for record in records
+                    for line in record.reads + record.writes
+                ]
+            else:
+                groups = trace.fast_groups(view)
+                assert_same_records(groups, oracle_fast_groups(trace, view))
+                lines = list(_lines(groups))
+            for line in lines:
+                assert type(line) is int
+                assert shared.setdefault(line, line) is line
 
-    def test_one_quintuple_per_line_across_workloads(self):
-        first = _first_trace(_workload("share-a", "streaming"))
-        second = _first_trace(_workload("share-b", "hotset"))
-        by_line = {q[0]: q for q in _quintuples(first.fast_groups(PACKED))}
-        common = [q for q in _quintuples(second.fast_groups(PACKED)) if q[0] in by_line]
+    def test_one_int_per_line_across_workloads(self):
+        first = _workload("share-a", "streaming")
+        second = _workload("share-b", "hotset")
+        by_line = {line: line for line in _kernel_lines(first, GEOMETRY)}
+        # Ints above 256 are not cached by the interpreter, so identity
+        # there comes from the line table alone.
+        slower = GEOMETRY._replace(issue_throughput=0.5)
+        common = [
+            line
+            for line in _kernel_lines(second, slower)
+            if line > 256 and line in by_line
+        ]
         assert common
-        assert all(by_line[q[0]] is q for q in common)
+        assert all(by_line[line] is line for line in common)
 
     def test_issue_rate_does_not_split_a_table(self):
         first, second = (
-            ColumnarCTATrace.from_flat(np.arange(48, dtype=np.int64) * 5, 2, 3, 4, 1.0)
+            ColumnarCTATrace.from_flat(np.arange(48, dtype=np.int64) * 500, 2, 3, 4, 1.0)
             for _ in range(2)
         )
-        slower = PACKED._replace(issue_throughput=0.5)
-        assert slower.line_table_key() == PACKED.line_table_key()
-        pairs = zip(_quintuples(first.fast_groups(PACKED)), _quintuples(second.fast_groups(slower)))
+        slower = GEOMETRY._replace(issue_throughput=0.5)
+        pairs = list(zip(_lines(first.fast_groups(GEOMETRY)), _lines(second.fast_groups(slower))))
+        assert pairs
         assert all(a is b for a, b in pairs)
-        assert first._line_table(PACKED) is second._line_table(slower)
-        assert first.fast_groups(PACKED) != second.fast_groups(slower)  # busy differs
+        assert first._table is second._table
+        assert first.fast_groups(GEOMETRY) != second.fast_groups(slower)  # busy differs
 
     def test_a_table_lives_exactly_as_long_as_its_traces(self):
-        # Page sizes no other test uses, so no other live trace pins these.
-        pages = (4099, 8197, 16411)
-        geometries = [PACKED._replace(lines_per_page=page) for page in pages]
-        keys = [geometry.line_table_key() for geometry in geometries]
-        traces = [
-            ColumnarCTATrace.from_flat(np.arange(60, dtype=np.int64) * stride, 3, 4, 6, 1.0)
-            for stride in (1, 7, 4099)
-        ]
-        for geometry in geometries:
-            for trace in traces:
-                trace.fast_groups(geometry)
-        tables = [weakref.ref(_LINE_TABLES[key]) for key in keys]
-        pins = weakref.ref(traces[0]._pins)
-        assert pins().keys == tuple(keys)
-        assert all(trace._pins is pins() for trace in traces)
-
-        survivor = traces[-1]
-        del trace, traces
-        gc.collect()
-        assert all(table() is not None for table in tables)
-        assert survivor._pins is pins()
-        del survivor
-        gc.collect()
-        assert all(table() is None for table in tables)
-        assert pins() is None
-        assert not any(key in _LINE_TABLES for key in keys)
-        assert not any(set(keys) & set(pinned) for pinned in _TABLE_PINS.keys())
+        env = {"PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", LIFETIME_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "table freed"
 
 
 def _tracked(value) -> int:
@@ -402,22 +426,24 @@ def _tracked(value) -> int:
 
 
 class TestCollectorShape:
-    """Packed records hold no tracked object once the collector has seen them.
+    """Fast records hold no tracked object once the collector has seen them.
 
-    Groups, records and quintuples are plain tuples of numbers, so the
-    cyclic collector stops tracking a packed trace (one tree level per
-    pass) instead of rescanning it in every later full collection.
+    Groups, records and their line tuples are plain tuples of numbers, so
+    the cyclic collector stops tracking a trace's records (one tree level
+    per pass) instead of rescanning them in every later full collection,
+    whether they were built first or taken from the base view.
     """
 
-    @pytest.mark.parametrize("packed", [True, False])
-    def test_packed_trace_becomes_untracked(self, packed):
+    @pytest.mark.parametrize("base_first", [True, False])
+    def test_packed_trace_becomes_untracked(self, base_first):
         trace = ColumnarCTATrace.from_flat(
             (np.arange(400, dtype=np.int64) * 7) % 1013, 4, 3, 7, 2.0
         )
-        geometry = PACKED._replace(packed=packed)
-        groups = trace.fast_groups(geometry)
+        if base_first:
+            trace.base_groups()
+        groups = trace.fast_groups(GEOMETRY)
         for _ in range(6):
             gc.collect()
         assert _tracked(groups) == 0
         assert not gc.is_tracked(trace._fast)
-        assert trace.fast_groups(geometry) is groups
+        assert trace.fast_groups(GEOMETRY) is groups
