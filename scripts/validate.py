@@ -12,8 +12,9 @@ Usage:
 
 Tiers are ordered by cost: ``quick`` simulates a few shrunken workloads
 with the live validator attached (seconds); ``properties`` sweeps ~10
-small configs (tens of seconds); ``fidelity`` reruns the paper's headline
-design points over the full suite (minutes cold, seconds cached);
+small configs (tens of seconds); ``fidelity``, ``ml`` and ``topology``
+run the experiments their claims in ``repro.validate.claims`` name and
+check the claims' bands (minutes cold, seconds cached);
 ``golden`` reruns the pinned golden matrix and diffs it against
 ``golden/metrics.json``.  Exit status is non-zero if any requested tier
 fails.
@@ -23,6 +24,7 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
 TIERS = ("quick", "properties", "fidelity", "ml", "topology", "golden")
 
@@ -66,29 +68,11 @@ def run_properties_tier(opts) -> bool:
     return failed == 0
 
 
-def run_fidelity_tier(opts) -> bool:
-    """Two-sided bands on the paper's headline figures."""
-    from repro.validate.fidelity import run_and_report
+def run_claims_tier(tier: str, opts) -> bool:
+    """Evaluate one tier of the paper-claim table (fidelity, ml, topology)."""
+    from repro.validate.claims import report, run_tier
 
-    passed, text = run_and_report(fast=opts.fast)
-    print(text)
-    return passed
-
-
-def run_ml_tier(opts) -> bool:
-    """Banded checks over the ML-era workload suite."""
-    from repro.validate.fidelity import report, run_ml_fidelity
-
-    checks = run_ml_fidelity(fast=opts.fast)
-    print(report(checks))
-    return all(check.passed for check in checks)
-
-
-def run_topology_tier(opts) -> bool:
-    """Cross-topology hop-ratio bands at 8 GPMs."""
-    from repro.validate.fidelity import report, run_topology_fidelity
-
-    checks = run_topology_fidelity(fast=opts.fast)
+    checks = run_tier(tier, fast=opts.fast)
     print(report(checks))
     return all(check.passed for check in checks)
 
@@ -116,9 +100,9 @@ def run_golden_tier(opts) -> bool:
 RUNNERS = {
     "quick": run_quick,
     "properties": run_properties_tier,
-    "fidelity": run_fidelity_tier,
-    "ml": run_ml_tier,
-    "topology": run_topology_tier,
+    "fidelity": partial(run_claims_tier, "fidelity"),
+    "ml": partial(run_claims_tier, "ml"),
+    "topology": partial(run_claims_tier, "topology"),
     "golden": run_golden_tier,
 }
 
@@ -147,7 +131,7 @@ def main() -> int:
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="fidelity/ml tiers: shrunken workloads and widened bands",
+        help="fidelity/ml/topology tiers: shrunken workloads and widened bands",
     )
     parser.add_argument(
         "--micro",

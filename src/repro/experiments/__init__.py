@@ -2,14 +2,15 @@
 
 Each module exposes ``run_<exp>()`` returning structured results and
 ``report(...)`` rendering the paper-layout table.  The mapping from paper
-artifact to module lives in DESIGN.md's per-experiment index; benchmarks
-under ``benchmarks/`` drive these and assert the paper's shape headlines.
+artifact to module lives in DESIGN.md's per-experiment index; the claims
+on each output live in :data:`repro.validate.claims.CLAIMS`, keyed by id.
 """
 
 from . import (
     ablation_migration,
     ablation_page_size,
     ablation_scheduler,
+    fabric_hops,
     fig2_scaling,
     fig4_bandwidth,
     fig6_l15,
@@ -57,6 +58,7 @@ EXPERIMENTS = {
     "sched-ablation": (ablation_scheduler, "run_scheduler_ablation"),
     "page-ablation": (ablation_page_size, "run_page_size_ablation"),
     "migration-ablation": (ablation_migration, "run_migration_ablation"),
+    "fabric-hops": (fabric_hops, "run_fabric_hops"),
 }
 
 __all__ = [

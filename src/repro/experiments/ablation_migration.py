@@ -17,8 +17,7 @@ from typing import Dict
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup, speedups
 from ..core.presets import optimized_mcm_gpu
-from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import category_geomeans, run_suites
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,10 @@ def run_migration_ablation() -> MigrationAblation:
     static, migrating = run_suites([optimized_mcm_gpu(), migrating_cfg])
     per_workload = speedups(migrating, static)
     ordered = sorted(per_workload.items(), key=lambda item: item[1])
-    per_category = {}
-    for category in Category:
-        names = names_in_category(category)
-        per_category[category.value] = geomean_speedup(
-            filter_names(migrating, names), filter_names(static, names)
-        )
+    per_category = {
+        category.value: value
+        for category, value in category_geomeans(migrating, static).items()
+    }
     return MigrationAblation(
         overall_speedup=geomean_speedup(migrating, static),
         per_category=per_category,

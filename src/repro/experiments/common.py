@@ -30,6 +30,7 @@ try:  # advisory file locking; absent on some exotic platforms
 except ImportError:  # pragma: no cover - POSIX always has fcntl
     fcntl = None  # type: ignore[assignment]
 
+from ..analysis.speedup import geomean_speedup
 from ..core.config import MODEL_REV, SystemConfig
 from ..sim.result import RESULT_SCHEMA, SimResult
 from ..sim.simulator import Simulator
@@ -444,6 +445,10 @@ def run_suites(
     result)`` after each simulated pair; ``total`` counts the batch's
     unique pairs to simulate, excluding cache hits.
 
+    Every result, simulated or cache-served, must pass
+    :func:`repro.validate.invariants.check_result` against its config;
+    the first violation raises :class:`AssertionError`.
+
     ``metrics``, when given, is a private
     :class:`~repro.parallel.metrics.SuiteMetrics` sink that receives the
     same batch/sim records as the process-wide ``GLOBAL_METRICS`` — it
@@ -451,8 +456,10 @@ def run_suites(
     deltas to its own runs, immune to concurrent suite activity.
     """
     from ..parallel.runner import run_suite_parallel
+    # Lazy: repro.validate imports this module.
+    from ..validate.invariants import check_result
 
-    return run_suite_parallel(
+    per_config = run_suite_parallel(
         configs,
         workloads=workloads,
         max_workers=max_workers,
@@ -460,11 +467,15 @@ def run_suites(
         progress=progress,
         metrics=metrics,
     )
-
-
-def category_of(workloads: Iterable[SyntheticWorkload]) -> Dict[str, Category]:
-    """Workload-name -> category mapping for grouping report rows."""
-    return {workload.name: workload.category for workload in workloads}
+    for config, suite in zip(configs, per_config):
+        for result in suite.values():
+            violations = check_result(result, config=config)
+            if violations:
+                raise AssertionError(
+                    f"invariant violation ({result.workload_name} on "
+                    f"{config.name}): {violations[0]}"
+                )
+    return per_config
 
 
 def names_in_category(category: Category) -> List[str]:
@@ -475,6 +486,28 @@ def names_in_category(category: Category) -> List[str]:
 def filter_names(results: Mapping[str, SimResult], names: Iterable[str]) -> Dict[str, SimResult]:
     """Subset of ``results`` restricted to ``names`` (order preserved)."""
     return {name: results[name] for name in names if name in results}
+
+
+def category_geomeans(
+    results: Mapping[str, SimResult],
+    baseline: Mapping[str, SimResult],
+    workloads: Optional[Iterable[SyntheticWorkload]] = None,
+) -> Dict[Category, float]:
+    """Geomean speedup of ``results`` over ``baseline`` per category.
+
+    Categories come from ``workloads`` (default: the 48-workload suite);
+    one with no workload in ``results`` is left out.
+    """
+    names: Dict[Category, List[str]] = {}
+    for workload in suite_workloads() if workloads is None else workloads:
+        if workload.name in results:
+            names.setdefault(workload.category, []).append(workload.name)
+    return {
+        category: geomean_speedup(
+            filter_names(results, members), filter_names(baseline, members)
+        )
+        for category, members in names.items()
+    }
 
 
 # Materialize the default so ``from repro.experiments import DEFAULT_CACHE``

@@ -12,13 +12,14 @@ the baseline and beats the 16 MB split.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..analysis.report import format_table
-from ..analysis.speedup import geomean_speedup, speedups
-from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
+from ..analysis.speedup import speedups
+from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
+from ..workloads.suite import suite_workloads
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import category_geomeans, filter_names, names_in_category, run_suites
 
 
 @dataclass(frozen=True)
@@ -32,38 +33,30 @@ class FTVariant:
     limited_geomean: float
 
 
-def run_fig13() -> Dict[int, FTVariant]:
-    """Simulate the 16 MB and 8 MB splits with all three optimizations."""
+def run_fig13(fast_factor: Optional[float] = None) -> Dict[int, FTVariant]:
+    """Simulate the 16 MB and 8 MB splits with all three optimizations.
+
+    ``fast_factor`` shrinks every workload.
+    """
     splits = (16, 8)
     configs = [baseline_mcm_gpu()] + [
-        mcm_gpu_with_l15(
-            l15_mb,
-            remote_only=True,
-            scheduler="distributed",
-            placement="first_touch",
-        )
-        for l15_mb in splits
+        optimized_mcm_gpu(l15_total_mb=l15_mb) for l15_mb in splits
     ]
-    baseline, *split_results = run_suites(configs)
+    baseline, *split_results = run_suites(
+        configs, workloads=suite_workloads(fast_factor=fast_factor)
+    )
     m_names = names_in_category(Category.M_INTENSIVE)
-    c_names = names_in_category(Category.C_INTENSIVE)
-    l_names = names_in_category(Category.LIMITED_PARALLELISM)
     out: Dict[int, FTVariant] = {}
     for l15_mb, results in zip(splits, split_results):
+        geomeans = category_geomeans(results, baseline)
         out[l15_mb] = FTVariant(
             l15_mb=l15_mb,
             per_workload_m=speedups(
                 filter_names(results, m_names), filter_names(baseline, m_names)
             ),
-            m_geomean=geomean_speedup(
-                filter_names(results, m_names), filter_names(baseline, m_names)
-            ),
-            c_geomean=geomean_speedup(
-                filter_names(results, c_names), filter_names(baseline, c_names)
-            ),
-            limited_geomean=geomean_speedup(
-                filter_names(results, l_names), filter_names(baseline, l_names)
-            ),
+            m_geomean=geomeans[Category.M_INTENSIVE],
+            c_geomean=geomeans[Category.C_INTENSIVE],
+            limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
         )
     return out
 

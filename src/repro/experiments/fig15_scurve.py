@@ -9,11 +9,12 @@ shrunken write-back L2 on write-heavy ones (Streamcluster -25.3%).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..analysis.report import format_series
 from ..analysis.speedup import sorted_speedup_curve, speedups
 from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
+from ..workloads.suite import suite_workloads
 from .common import run_suites
 
 
@@ -45,9 +46,13 @@ class SCurve:
         return dict(picked)
 
 
-def run_fig15() -> SCurve:
-    """Simulate optimized vs baseline over the whole suite."""
-    baseline, optimized = run_suites([baseline_mcm_gpu(), optimized_mcm_gpu()])
+def run_fig15(fast_factor: Optional[float] = None) -> SCurve:
+    """Simulate optimized vs baseline over the whole suite.
+
+    ``fast_factor`` shrinks every workload.
+    """
+    workloads = suite_workloads(fast_factor=fast_factor)
+    baseline, optimized = run_suites([baseline_mcm_gpu(), optimized_mcm_gpu()], workloads=workloads)
     return SCurve(per_workload=speedups(optimized, baseline))
 
 

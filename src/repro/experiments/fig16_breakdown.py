@@ -13,7 +13,7 @@ together +22.8%; the optimized design comes within ~10% of the monolithic
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup
@@ -23,6 +23,7 @@ from ..core.presets import (
     monolithic_gpu,
     optimized_mcm_gpu,
 )
+from ..workloads.suite import suite_workloads
 from .common import run_suites
 
 
@@ -37,8 +38,11 @@ class Breakdown:
         return self.speedups["monolithic-256"] / self.speedups["optimized"]
 
 
-def run_fig16() -> Breakdown:
-    """Simulate every Figure 16 design point."""
+def run_fig16(fast_factor: Optional[float] = None) -> Breakdown:
+    """Simulate every Figure 16 design point.
+
+    ``fast_factor`` shrinks every workload.
+    """
     baseline_cfg = baseline_mcm_gpu()
     points = {
         "l15-alone": mcm_gpu_with_l15(16, remote_only=True),
@@ -48,7 +52,8 @@ def run_fig16() -> Breakdown:
         "mcm-6tbs": baseline_mcm_gpu(link_bandwidth=6144.0),
         "monolithic-256": monolithic_gpu(256),
     }
-    baseline, *point_results = run_suites([baseline_cfg] + list(points.values()))
+    workloads = suite_workloads(fast_factor=fast_factor)
+    baseline, *point_results = run_suites([baseline_cfg] + list(points.values()), workloads=workloads)
     result: Dict[str, float] = {
         label: geomean_speedup(results, baseline)
         for label, results in zip(points, point_results)

@@ -15,7 +15,7 @@ Paper headlines: optimized multi-GPU +25.1%; optimized MCM-GPU +51.9%
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup
@@ -25,6 +25,7 @@ from ..core.presets import (
     multi_gpu,
     optimized_mcm_gpu,
 )
+from ..workloads.suite import suite_workloads
 from .common import run_suites
 
 
@@ -39,15 +40,21 @@ class MultiGPUComparison:
         return self.speedups["mcm-optimized"] / self.speedups["multi-gpu-optimized"]
 
 
-def run_fig17() -> MultiGPUComparison:
-    """Simulate every Figure 17 system."""
+def run_fig17(fast_factor: Optional[float] = None) -> MultiGPUComparison:
+    """Simulate every Figure 17 system.
+
+    ``fast_factor`` shrinks every workload.
+    """
     points = {
         "multi-gpu-optimized": multi_gpu(optimized=True),
         "mcm-optimized": optimized_mcm_gpu(),
         "mcm-6tbs": baseline_mcm_gpu(link_bandwidth=6144.0),
         "monolithic-256": monolithic_gpu(256),
     }
-    baseline, *point_results = run_suites([multi_gpu(optimized=False)] + list(points.values()))
+    baseline, *point_results = run_suites(
+        [multi_gpu(optimized=False)] + list(points.values()),
+        workloads=suite_workloads(fast_factor=fast_factor),
+    )
     out: Dict[str, float] = {
         label: geomean_speedup(results, baseline)
         for label, results in zip(points, point_results)

@@ -13,13 +13,12 @@ queuing delays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..analysis.report import format_table
-from ..analysis.speedup import geomean_speedup
 from ..core.presets import baseline_mcm_gpu
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import category_geomeans, run_suites
 
 #: Link bandwidth settings swept by the paper, GB/s per link.
 DEFAULT_BANDWIDTHS: Tuple[float, ...] = (6144.0, 3072.0, 1536.0, 768.0, 384.0)
@@ -43,25 +42,15 @@ def run_fig4(bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS) -> List[Bandwidth
         baseline_mcm_gpu(link_bandwidth=bandwidth) for bandwidth in bandwidths
     ]
     reference, *swept = run_suites(configs)
-    categories = {
-        "m": names_in_category(Category.M_INTENSIVE),
-        "c": names_in_category(Category.C_INTENSIVE),
-        "l": names_in_category(Category.LIMITED_PARALLELISM),
-    }
     points: List[BandwidthPoint] = []
     for bandwidth, results in zip(bandwidths, swept):
-        relative: Dict[str, float] = {
-            key: geomean_speedup(
-                filter_names(results, names), filter_names(reference, names)
-            )
-            for key, names in categories.items()
-        }
+        relative = category_geomeans(results, reference)
         points.append(
             BandwidthPoint(
                 link_bandwidth=bandwidth,
-                m_intensive=relative["m"],
-                c_intensive=relative["c"],
-                limited=relative["l"],
+                m_intensive=relative[Category.M_INTENSIVE],
+                c_intensive=relative[Category.C_INTENSIVE],
+                limited=relative[Category.LIMITED_PARALLELISM],
             )
         )
     return points

@@ -13,13 +13,14 @@ workloads and +3.5% on limited-parallelism workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.report import format_table
-from ..analysis.speedup import geomean_speedup, speedups
+from ..analysis.speedup import speedups
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
+from ..workloads.suite import suite_workloads
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import category_geomeans, filter_names, names_in_category, run_suites
 
 #: Design points: (capacity MB, remote_only).
 DEFAULT_VARIANTS: Tuple[Tuple[int, bool], ...] = (
@@ -50,18 +51,25 @@ class L15Variant:
         return f"{self.capacity_mb}MB {policy}"
 
 
-def run_fig6(variants: Tuple[Tuple[int, bool], ...] = DEFAULT_VARIANTS) -> List[L15Variant]:
-    """Simulate every design point against the no-L1.5 baseline."""
+def run_fig6(
+    variants: Tuple[Tuple[int, bool], ...] = DEFAULT_VARIANTS,
+    fast_factor: Optional[float] = None,
+) -> List[L15Variant]:
+    """Simulate every design point against the no-L1.5 baseline.
+
+    ``fast_factor`` shrinks every workload.
+    """
     configs = [baseline_mcm_gpu()] + [
         mcm_gpu_with_l15(capacity_mb, remote_only=remote_only)
         for capacity_mb, remote_only in variants
     ]
-    baseline, *variant_results = run_suites(configs)
+    baseline, *variant_results = run_suites(
+        configs, workloads=suite_workloads(fast_factor=fast_factor)
+    )
     m_names = names_in_category(Category.M_INTENSIVE)
-    c_names = names_in_category(Category.C_INTENSIVE)
-    l_names = names_in_category(Category.LIMITED_PARALLELISM)
     out: List[L15Variant] = []
     for (capacity_mb, remote_only), results in zip(variants, variant_results):
+        geomeans = category_geomeans(results, baseline)
         out.append(
             L15Variant(
                 capacity_mb=capacity_mb,
@@ -69,15 +77,9 @@ def run_fig6(variants: Tuple[Tuple[int, bool], ...] = DEFAULT_VARIANTS) -> List[
                 per_workload=speedups(
                     filter_names(results, m_names), filter_names(baseline, m_names)
                 ),
-                m_intensive_geomean=geomean_speedup(
-                    filter_names(results, m_names), filter_names(baseline, m_names)
-                ),
-                c_intensive_geomean=geomean_speedup(
-                    filter_names(results, c_names), filter_names(baseline, c_names)
-                ),
-                limited_geomean=geomean_speedup(
-                    filter_names(results, l_names), filter_names(baseline, l_names)
-                ),
+                m_intensive_geomean=geomeans[Category.M_INTENSIVE],
+                c_intensive_geomean=geomeans[Category.C_INTENSIVE],
+                limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
             )
         )
     return out

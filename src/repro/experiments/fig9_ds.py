@@ -11,13 +11,14 @@ scheduling is combined with the L1.5 (inter-CTA reuse becomes capturable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..analysis.report import format_table
-from ..analysis.speedup import geomean_speedup, speedups
+from ..analysis.speedup import speedups
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
+from ..workloads.suite import suite_workloads
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import category_geomeans, filter_names, names_in_category, run_suites
 
 
 @dataclass(frozen=True)
@@ -28,32 +29,33 @@ class DSResult:
     m_geomean: float
     c_geomean: float
     limited_geomean: float
+    #: The same L1.5 under the centralized scheduler (Figure 6's point).
+    l15_m_geomean: float
 
 
-def run_fig9(l15_mb: int = 16) -> DSResult:
-    """Simulate L1.5 + DS against the baseline."""
-    baseline, results = run_suites(
+def run_fig9(l15_mb: int = 16, fast_factor: Optional[float] = None) -> DSResult:
+    """Simulate L1.5 + DS (and the L1.5 alone) against the baseline.
+
+    ``fast_factor`` shrinks every workload.
+    """
+    baseline, l15_alone, results = run_suites(
         [
             baseline_mcm_gpu(),
+            mcm_gpu_with_l15(l15_mb, remote_only=True),
             mcm_gpu_with_l15(l15_mb, remote_only=True, scheduler="distributed"),
-        ]
+        ],
+        workloads=suite_workloads(fast_factor=fast_factor),
     )
     m_names = names_in_category(Category.M_INTENSIVE)
-    c_names = names_in_category(Category.C_INTENSIVE)
-    l_names = names_in_category(Category.LIMITED_PARALLELISM)
+    geomeans = category_geomeans(results, baseline)
     return DSResult(
         per_workload_m=speedups(
             filter_names(results, m_names), filter_names(baseline, m_names)
         ),
-        m_geomean=geomean_speedup(
-            filter_names(results, m_names), filter_names(baseline, m_names)
-        ),
-        c_geomean=geomean_speedup(
-            filter_names(results, c_names), filter_names(baseline, c_names)
-        ),
-        limited_geomean=geomean_speedup(
-            filter_names(results, l_names), filter_names(baseline, l_names)
-        ),
+        m_geomean=geomeans[Category.M_INTENSIVE],
+        c_geomean=geomeans[Category.C_INTENSIVE],
+        limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
+        l15_m_geomean=category_geomeans(l15_alone, baseline)[Category.M_INTENSIVE],
     )
 
 

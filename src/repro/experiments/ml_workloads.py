@@ -29,9 +29,9 @@ from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup, speedups
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15, optimized_mcm_gpu
 from ..workloads.characterize import cached_profile
-from ..workloads.suite import ml_workloads
+from ..workloads.suite import ml_workloads, suite_workloads
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import category_geomeans, run_suites
 
 #: A conclusion "holds" on ML traffic when the ML-suite figure reaches at
 #: least this fraction of the 2017-suite figure (for geomean gains) —
@@ -64,6 +64,9 @@ class MLStudy:
     ml_improved: int
     ml_degraded: int
     ml_total: int
+    #: Baseline inter-GPM link bytes per trace record of AllReduce-Ring
+    #: (0.0 when the suite lacks it): the ring exchange's traffic signature.
+    allreduce_link_per_record: float
 
 
 def _gain(geomean: float) -> float:
@@ -84,24 +87,12 @@ def run_ml_workloads(fast_factor=None) -> MLStudy:
         optimized_mcm_gpu(),
     ]
     ml_suite = ml_workloads(fast_factor=fast_factor)
-    suite_2017 = None
-    if fast_factor is not None:
-        from ..workloads.suite import suite_workloads
-
-        suite_2017 = suite_workloads(fast_factor=fast_factor)
-    base17, l15_17, opt17 = run_suites(configs, workloads=suite_2017)
+    base17, l15_17, opt17 = run_suites(configs, workloads=suite_workloads(fast_factor=fast_factor))
     base_ml, l15_ml, opt_ml = run_suites(configs, workloads=ml_suite)
 
-    m_names = names_in_category(Category.M_INTENSIVE)
-    ml_m_names = [w.name for w in ml_suite if w.category is Category.M_INTENSIVE]
-
-    l15_gain_17 = _gain(
-        geomean_speedup(filter_names(l15_17, m_names), filter_names(base17, m_names))
-    )
+    l15_gain_17 = _gain(category_geomeans(l15_17, base17)[Category.M_INTENSIVE])
     l15_gain_ml = _gain(
-        geomean_speedup(
-            filter_names(l15_ml, ml_m_names), filter_names(base_ml, ml_m_names)
-        )
+        category_geomeans(l15_ml, base_ml, ml_suite)[Category.M_INTENSIVE]
     )
     opt_gain_17 = _gain(geomean_speedup(opt17, base17))
     opt_gain_ml = _gain(geomean_speedup(opt_ml, base_ml))
@@ -146,6 +137,7 @@ def run_ml_workloads(fast_factor=None) -> MLStudy:
         name: (l15_per.get(name, float("nan")), opt_speedups_ml.get(name, float("nan")))
         for name in (w.name for w in ml_suite)
     }
+    allreduce = base_ml.get("AllReduce-Ring")
     characterization = {}
     for workload in ml_suite:
         profile = cached_profile(workload)
@@ -161,6 +153,9 @@ def run_ml_workloads(fast_factor=None) -> MLStudy:
         ml_improved=improved_ml,
         ml_degraded=degraded_ml,
         ml_total=len(opt_speedups_ml),
+        allreduce_link_per_record=(
+            allreduce.link_bytes / max(allreduce.records, 1) if allreduce else 0.0
+        ),
     )
 
 

@@ -23,7 +23,7 @@ from ..analysis.speedup import geomean_speedup
 from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
 from ..interconnect.topology import iso_budget_link_bandwidth
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import category_geomeans, run_suites
 
 
 @dataclass(frozen=True)
@@ -37,25 +37,19 @@ class TopologyPoint:
     overall: float
 
 
-def _categories(results, baselines) -> Dict[str, float]:
-    out = {}
-    for key, category in (
-        ("m", Category.M_INTENSIVE),
-        ("c", Category.C_INTENSIVE),
-        ("l", Category.LIMITED_PARALLELISM),
-    ):
-        names = names_in_category(category)
-        out[key] = geomean_speedup(
-            filter_names(results, names), filter_names(baselines, names)
-        )
-    out["all"] = geomean_speedup(results, baselines)
-    return out
+def _point(label: str, results, baselines) -> TopologyPoint:
+    categories = category_geomeans(results, baselines)
+    return TopologyPoint(
+        label=label,
+        m_intensive=categories[Category.M_INTENSIVE],
+        c_intensive=categories[Category.C_INTENSIVE],
+        limited=categories[Category.LIMITED_PARALLELISM],
+        overall=geomean_speedup(results, baselines),
+    )
 
 
 def run_topology_study(link_setting: float = 768.0) -> Dict[str, TopologyPoint]:
     """Compare topologies on the baseline and optimized machines."""
-    points: Dict[str, TopologyPoint] = {}
-
     fc_bandwidth = iso_budget_link_bandwidth(link_setting, 4)
     fc_base_cfg = replace(
         baseline_mcm_gpu(link_bandwidth=fc_bandwidth, name=f"mcm-fc-{int(link_setting)}"),
@@ -75,24 +69,12 @@ def run_topology_study(link_setting: float = 768.0) -> Dict[str, TopologyPoint]:
             fc_opt_cfg,
         ]
     )
-    cats = _categories(fc_base, ring_base)
-    points["baseline"] = TopologyPoint(
-        label=f"all-to-all vs ring @ {link_setting:.0f} GB/s budget",
-        m_intensive=cats["m"],
-        c_intensive=cats["c"],
-        limited=cats["l"],
-        overall=cats["all"],
-    )
-
-    cats = _categories(fc_opt, ring_opt)
-    points["optimized"] = TopologyPoint(
-        label="all-to-all vs ring, optimized machine",
-        m_intensive=cats["m"],
-        c_intensive=cats["c"],
-        limited=cats["l"],
-        overall=cats["all"],
-    )
-    return points
+    return {
+        "baseline": _point(
+            f"all-to-all vs ring @ {link_setting:.0f} GB/s budget", fc_base, ring_base
+        ),
+        "optimized": _point("all-to-all vs ring, optimized machine", fc_opt, ring_opt),
+    }
 
 
 def report(points: Dict[str, TopologyPoint]) -> str:

@@ -9,8 +9,10 @@ tiers):
 2. :mod:`~repro.validate.properties` — metamorphic properties across
    config sweeps (more bandwidth never hurts, bigger caches never add
    link traffic, one GPM never goes remote, reruns are bit-identical).
-3. :mod:`~repro.validate.fidelity` — the paper's headline orderings and
-   effect sizes (Figures 6/9/13/15/16/17) as two-sided tolerance bands.
+3. :mod:`~repro.validate.claims` — every paper claim declared once, as a
+   band on one experiment's output; the fidelity tier holds the headline
+   orderings and effect sizes (Figures 6/9/13/15/16/17) as two-sided
+   tolerance bands, and ``benchmarks/`` asserts every claim.
 4. :mod:`~repro.validate.golden` — exact golden-metrics snapshots with a
    bless/compare workflow and per-metric drift reports.
 """
@@ -23,7 +25,7 @@ from .analytical import (
     golden_prediction_rows,
     load_calibration,
 )
-from .fidelity import FidelityCheck, evaluate_checks, run_fidelity
+from .claims import FidelityCheck
 from .golden import DriftReport, GoldenStore, bless, compare, run_golden_matrix
 from .invariants import (
     InvariantError,
@@ -50,12 +52,10 @@ __all__ = [
     "check_live_system",
     "check_result",
     "compare",
-    "evaluate_checks",
     "fit_calibration",
     "golden_prediction_rows",
     "load_calibration",
     "micro_suite",
-    "run_fidelity",
     "run_golden_matrix",
     "run_properties",
     "validated_run",

@@ -1,0 +1,381 @@
+"""The paper's claims, each declared once, and the banded checks they become.
+
+A :class:`Claim` names a paper reference, the experiment (a key of
+:data:`repro.experiments.EXPERIMENTS`) whose output it reads, an accessor
+for the measured value, and an inclusive band ``lo <= value <= hi``; a
+strict ``value > edge`` is stored as ``lo=over(edge)``, the next float past
+the edge, and an ordering ``a > b`` as ``a - b > 0``.  The tiers of
+``scripts/validate.py`` evaluate their claims (:func:`run_tier`),
+``benchmarks/`` asserts every claim, and EXPERIMENTS.md prints them all.
+
+Tier bands are two-sided: failing low means a mechanism stopped working,
+failing high that the model over-rewards it.  Lower edges sit just below
+the value measured at MODEL_REV 8, upper edges allow about double the
+paper's effect.  Claims with ``tier=None`` keep the paper's own
+thresholds; where the model undershoots the paper (Figure 9: +8.6% against
++23.4%; Figure 13: +20.2% against +51%) they fail on purpose, as the record
+of the gap, while their tier twins track the measured values.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from math import inf, nextafter
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+
+from ..analysis.report import format_table
+from ..analysis.speedup import geomean
+from ..core.analytical import average_hops
+from ..experiments import (
+    EXPERIMENTS,
+    fabric_hops,
+    table1_history,
+    table2_domains,
+    table3_baseline,
+    table4_workloads,
+)
+from ..workloads.synthetic import Category
+
+#: CTA scale factor for the fast gate.
+FAST_FACTOR = 0.25
+#: Multiplicative band widening for the fast gate (bands move away from
+#: the value by this fraction on each side): shrunken workloads keep the
+#: qualitative shape but shift the magnitudes, so the fast gate only
+#: catches gross breakage.
+FAST_SLACK = 0.30
+
+
+@dataclass(frozen=True)
+class FidelityCheck:
+    """One banded headline quantity: pass iff ``lo <= value <= hi``."""
+
+    name: str
+    paper_ref: str
+    lo: float
+    hi: float
+    value: float
+
+    @property
+    def passed(self) -> bool:
+        return self.lo <= self.value <= self.hi
+
+    def widened(self, slack: float) -> "FidelityCheck":
+        """Copy with both band edges moved outward by ``slack`` (fractional).
+
+        Each edge moves by ``slack`` times its own magnitude, floored at
+        ``slack * 0.1`` in absolute terms — ordering checks have a lower
+        edge of exactly 0, and a purely multiplicative widening would
+        leave them with no slack at all.
+        """
+        lo = self.lo - slack * max(abs(self.lo), 0.1)
+        hi = self.hi + slack * max(abs(self.hi), 0.1)
+        return FidelityCheck(self.name, self.paper_ref, lo, hi, self.value)
+
+
+def _edge(value: float) -> str:
+    # The strict edge "> 0" is stored as the smallest positive float.
+    return "0+" if 0.0 < value < 1e-300 else format(value, ".3g")
+
+
+def report(checks: Sequence[FidelityCheck]) -> str:
+    """Human-readable pass/fail table for a fidelity run."""
+    rows = [
+        [
+            check.name,
+            check.paper_ref,
+            f"[{_edge(check.lo)}, {_edge(check.hi)}]",
+            check.value,
+            "ok" if check.passed else "FAIL",
+        ]
+        for check in checks
+    ]
+    failed = sum(1 for check in checks if not check.passed)
+    table = format_table(["Check", "Paper", "Band", "Value", "Verdict"], rows)
+    verdict = f"{failed}/{len(checks)} checks FAILED" if failed else f"{len(checks)} checks, all passed"
+    return f"{table}\n{verdict}"
+
+
+#: The validation tiers that evaluate claims (``scripts/validate.py``).
+TIERS = ("fidelity", "ml", "topology")
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim: ``lo <= measure(output of experiment) <= hi``."""
+
+    id: str
+    paper: str
+    experiment: str
+    measure: Callable[[Any], float]
+    lo: float
+    hi: float = inf
+    tier: Optional[str] = None
+
+
+def over(edge: float) -> float:
+    """Inclusive lower edge for the strict claim ``value > edge``."""
+    return nextafter(edge, inf)
+
+
+def under(edge: float) -> float:
+    """Inclusive upper edge for the strict claim ``value < edge``."""
+    return nextafter(edge, -inf)
+
+
+def _at(points, **fields):
+    """The point of a sweep whose fields equal ``fields``."""
+    return next(p for p in points if all(getattr(p, k) == v for k, v in fields.items()))
+
+
+def _fig6_m(variants, capacity_mb: int) -> float:
+    """M-intensive geomean of the remote-only L1.5 at ``capacity_mb``."""
+    return _at(variants, capacity_mb=capacity_mb, remote_only=True).m_intensive_geomean
+
+
+def _remote_only_margin(variants) -> float:
+    """Best remote-only minus best all-allocation iso-transistor M geomean."""
+    iso = [v for v in variants if v.capacity_mb in (8, 16)]
+    return max(v.m_intensive_geomean for v in iso if v.remote_only) - max(
+        v.m_intensive_geomean for v in iso if not v.remote_only
+    )
+
+
+#: ML-era workloads whose behaviour leans on a hot reuse set (embedding
+#: rows, expert tables, KV sinks): the regime the remote-only L1.5 is
+#: built for, so these carry their own band.
+ML_HOT_WORKLOADS = ("DLRM-Embed", "MoE-Gate", "Attn-Decode")
+
+
+def _ml(study, column: int) -> float:
+    """Suite geomean of the L1.5 (column 0) or optimized (1) speedups."""
+    return geomean(pair[column] for pair in study.per_workload.values())
+
+
+def _ml_hot(study) -> float:
+    hot = [name for name in ML_HOT_WORKLOADS if name in study.per_workload]
+    return geomean(study.per_workload[name][0] for name in hot) if hot else 0.0
+
+
+#: Relative slack on the hop-ratio bands.  Interleaved placement spreads
+#: traffic near-uniformly over ordered GPM pairs, so measured link bytes
+#: track ``remote_volume x average_hops`` closely but not exactly (CTA
+#: inhomogeneity, shared lines); r8 measures within ~2% of the hop math
+#: on every topology, so +-15% flags real routing regressions without
+#: tripping on workload mix.
+TOPOLOGY_HOP_SLACK = 0.15
+
+
+_ALONE = ("l15-alone", "ds-alone", "ft-alone")
+_M, _C, _L = (category.value for category in Category)
+_FT = "fidelity"
+
+# Fields: id, paper reference, experiment, measure, lo, hi, tier.
+CLAIMS: Sequence[Claim] = (
+    # Tables 1-4: the trends the paper's motivation rests on, the baseline
+    # preset, and the suite's composition and footprints.
+    Claim("table1-generations", "Table 1 (4 GPUs)", "table1", len, 4, 4),
+    Claim("table1-sm-growth", "Table 1 (SMs 16 -> 56)", "table1", lambda r: r[-1].sms - r[0].sms, over(0)),
+    Claim("table1-transistors-grow", "Table 1 (3.0B -> 15.3B)", "table1",
+          lambda r: min(b.transistors_billion - a.transistors_billion for a, b in zip(r, r[1:])), 0.0),
+    Claim("table1-reticle-headroom", "Table 1 (610 of 800 mm2)", "table1",
+          lambda r: table1_history.die_size_headroom(), over(0.7)),
+    Claim("table2-domains", "Table 2 (4 domains)", "table2", len, 4, 4),
+    Claim("table2-bandwidth-falls", "Table 2 ordering", "table2",
+          lambda r: int(table2_domains.bandwidth_monotone_decreasing()), 1, 1),
+    Claim("table2-energy-rises", "Table 2 ordering", "table2",
+          lambda r: int(table2_domains.energy_monotone_increasing()), 1, 1),
+    Claim("table2-board-over-package", "Table 2 (20x)", "table2",
+          lambda r: table2_domains.package_advantage_over_board(), 10.0),
+    Claim("table3-rows", "Table 3 (9 parameters)", "table3", len, 8),
+    Claim("table3-matches-paper", "Table 3", "table3", lambda r: int(table3_baseline.matches_paper()), 1, 1),
+    Claim("table4-m-rows", "Table 4 (17 workloads)", "table4", len, 17, 17),
+    Claim("table4-suite-size", "Section 4 (48 workloads)", "table4",
+          lambda r: table4_workloads.suite_composition()["total"], 48, 48),
+    Claim("table4-m-count", "Section 4 (17 M-intensive)", "table4",
+          lambda r: table4_workloads.suite_composition()[Category.M_INTENSIVE], 17, 17),
+    Claim("table4-min-footprint", "Table 4 (25 MB)", "table4", lambda r: min(x[3] for x in r), -inf, 40),
+    Claim("table4-max-footprint", "Table 4 (5.4 GB)", "table4", lambda r: max(x[3] for x in r), 5000),
+    # Figure 2: high-parallelism workloads keep scaling to 256 SMs;
+    # limited-parallelism workloads plateau.
+    Claim("fig2-efficiency-256", "Fig 2 (87.8% of linear)", "fig2",
+          lambda p: _at(p, n_sms=256).efficiency, over(0.6)),
+    Claim("fig2-high-256", "Fig 2 (high parallelism scales)", "fig2",
+          lambda p: _at(p, n_sms=256).high_parallelism, over(4.0)),
+    Claim("fig2-limited-plateau", "Fig 2 (limited plateau)", "fig2",
+          lambda p: _at(p, n_sms=256).limited_parallelism / _at(p, n_sms=256).linear, -inf, under(0.62)),
+    Claim("fig2-high-monotone", "Fig 2 (monotone growth)", "fig2",
+          lambda p: min(b.high_parallelism / a.high_parallelism for a, b in zip(p, p[1:])), 0.98),
+    Claim("fig2-limited-last-doubling", "Fig 2 (limited flattens)", "fig2",
+          lambda p: _at(p, n_sms=256).limited_parallelism / _at(p, n_sms=128).limited_parallelism,
+          -inf, under(1.4)),
+    # Figure 4: link bandwidth sensitivity, relative to 6 TB/s.
+    Claim("fig4-3tbs-m", "Fig 4 (~1.00 at 3 TB/s)", "fig4",
+          lambda p: _at(p, link_bandwidth=3072).m_intensive, over(0.95)),
+    Claim("fig4-768-m", "Fig 4 (~0.60 at 768 GB/s)", "fig4",
+          lambda p: _at(p, link_bandwidth=768).m_intensive, over(0.45), under(0.85)),
+    Claim("fig4-384-below-768", "Fig 4 ordering", "fig4",
+          lambda p: _at(p, link_bandwidth=768).m_intensive - _at(p, link_bandwidth=384).m_intensive, over(0)),
+    Claim("fig4-384-m", "Fig 4 (~0.43 at 384 GB/s)", "fig4",
+          lambda p: _at(p, link_bandwidth=384).m_intensive, -inf, under(0.55)),
+    Claim("fig4-768-c-over-m", "Fig 4 (C less sensitive)", "fig4",
+          lambda p: _at(p, link_bandwidth=768).c_intensive - _at(p, link_bandwidth=768).m_intensive, over(0)),
+    Claim("fig4-768-limited-over-c", "Fig 4 (limited least sensitive)", "fig4",
+          lambda p: _at(p, link_bandwidth=768).limited - _at(p, link_bandwidth=768).c_intensive, over(0)),
+    # Figure 6: the 16 MB remote-only L1.5 helps memory-intensive
+    # workloads, capacity ordering holds, and remote-only is the policy.
+    Claim("fig6-16mb-m-geomean", "Fig 6 (+11.4%)", "fig6", lambda v: _fig6_m(v, 16), over(1.05), 1.45, _FT),
+    Claim("fig6-capacity-32-over-16", "Fig 6 ordering", "fig6",
+          lambda v: _fig6_m(v, 32) - _fig6_m(v, 16), 0.0, inf, _FT),
+    Claim("fig6-capacity-16-over-8", "Fig 6 ordering", "fig6",
+          lambda v: _fig6_m(v, 16) - _fig6_m(v, 8), 0.0, inf, _FT),
+    Claim("fig6-c-below-m", "Fig 6 C vs M", "fig6",
+          lambda v: _fig6_m(v, 16) - _at(v, capacity_mb=16, remote_only=True).c_intensive_geomean,
+          over(0), inf, _FT),
+    Claim("fig6-remote-only-wins", "Fig 6 (remote-only chosen)", "fig6", _remote_only_margin, over(0)),
+    # Figures 7, 10 and 14 (below, in paper order): the L1.5, then DS, then
+    # first touch each cut more inter-GPM traffic.
+    Claim("fig7-reduction", "Fig 7 (-28%)", "fig7", lambda t: t.reduction_factor, over(1.1)),
+    Claim("fig7-no-category-rises", "Fig 7 (all categories fall)", "fig7",
+          lambda t: max(v[1] / v[0] for v in t.category_avg_tbps.values()), -inf, 1.02),
+    Claim("fig7-m-baseline-tbps", "Fig 7 (TB/s regime)", "fig7", lambda t: t.category_avg_tbps[_M][0], over(1.0)),
+    # Figure 9: distributed scheduling on top of the L1.5.
+    Claim("fig9-ds-m-geomean", "Fig 9 (+23.4%, r8 +8.6%)", "fig9", lambda r: r.m_geomean, 1.04, 1.45, _FT),
+    Claim("fig9-ds-over-l15", "Fig 9 vs Fig 6", "fig9", lambda r: r.m_geomean - r.l15_m_geomean, 0.0, inf, _FT),
+    Claim("fig9-ds-m-paper", "Fig 9 (+23.4%)", "fig9", lambda r: r.m_geomean, over(1.12)),
+    Claim("fig9-c-below-m", "Fig 9 (+1.9% C)", "fig9", lambda r: r.m_geomean - r.c_geomean, over(0)),
+    Claim("fig9-limited", "Fig 9 (+5.2% limited)", "fig9", lambda r: r.limited_geomean, over(0.9)),
+    Claim("fig10-reduction", "Fig 10 (-33%)", "fig10", lambda t: t.reduction_factor, over(1.15)),
+    Claim("fig10-m-traffic-falls", "Fig 10 (M falls)", "fig10",
+          lambda t: t.category_avg_tbps[_M][0] - t.category_avg_tbps[_M][1], over(0)),
+    # Figure 13: the full stack, and the 8 MB split winning.
+    Claim("fig13-8mb-m-geomean", "Fig 13 (+51%, r8 +20%)", "fig13", lambda r: r[8].m_geomean, 1.12, 2.20, _FT),
+    Claim("fig13-8mb-over-16mb", "Fig 13 split", "fig13",
+          lambda r: r[8].m_geomean - r[16].m_geomean, over(0), inf, _FT),
+    Claim("fig13-8mb-m-paper", "Fig 13 (+51%)", "fig13", lambda r: r[8].m_geomean, over(1.3)),
+    Claim("fig13-8mb-c", "Fig 13 (+11.3% C)", "fig13", lambda r: r[8].c_geomean, over(1.0)),
+    Claim("fig13-8mb-limited", "Fig 13 (+7.9% limited)", "fig13", lambda r: r[8].limited_geomean, over(1.0)),
+    Claim("fig14-reduction", "Fig 14 (5x)", "fig14", lambda t: t.reduction_factor, over(3.0)),
+    Claim("fig14-near-zero", "Fig 14 (several near zero)", "fig14",
+          lambda t: sum(1 for v in t.per_workload_tbps.values() if v[-1] < 0.2), 3),
+    # Figure 15: the s-curve's shape.  The tier counts any move off 1.0;
+    # the paper-threshold twins ignore moves under 0.1%.
+    Claim("fig15-workloads", "Fig 15 (48 workloads)", "fig15", lambda s: len(s.curve), 48, 48),
+    Claim("fig15-improved", "Fig 15 (31 up)", "fig15", lambda s: sum(v > 1.0 for v in s.curve), 24, 48, _FT),
+    Claim("fig15-degraded", "Fig 15 (9 down)", "fig15", lambda s: sum(v < 1.0 for v in s.curve), 2, 24, _FT),
+    Claim("fig15-tail", "Fig 15 (max 3.5x)", "fig15", lambda s: s.curve[-1], over(2.0), 8.0, _FT),
+    Claim("fig15-head", "Fig 15 (min ~0.75)", "fig15", lambda s: s.curve[0], 0.5, under(0.97), _FT),
+    Claim("fig15-improved-0.1pct", "Fig 15 (31 up)", "fig15", lambda s: s.improved, 24),
+    Claim("fig15-degraded-0.1pct", "Fig 15 (9 down)", "fig15", lambda s: s.degraded, 2),
+    # Figure 16: each mechanism alone does little; combined they approach
+    # the unbuildable monolithic GPU.
+    Claim("fig16-l15-alone", "Fig 16 (+5.2%)", "fig16",
+          lambda b: b.speedups["l15-alone"], over(1.0), under(1.15), _FT),
+    Claim("fig16-ds-alone", "Fig 16 (+0.3%)", "fig16", lambda b: b.speedups["ds-alone"], -inf, under(1.06)),
+    Claim("fig16-ft-alone", "Fig 16 (-4.7%)", "fig16", lambda b: b.speedups["ft-alone"], -inf, under(1.06)),
+    Claim("fig16-optimized", "Fig 16 (+22.8%)", "fig16", lambda b: b.speedups["optimized"], over(1.15), 1.60, _FT),
+    Claim("fig16-optimized-over-each-alone", "Fig 16 (combined wins)", "fig16",
+          lambda b: b.speedups["optimized"] - max(b.speedups[k] for k in _ALONE), over(0)),
+    Claim("fig16-gap-to-monolithic", "Fig 16 (within ~10%)", "fig16",
+          lambda b: b.gap_to_monolithic(), 0.90, under(1.30), _FT),
+    # Figure 17: the MCM-GPU beats the optimized multi-GPU and stays near
+    # the monolithic ceiling.
+    Claim("fig17-multi-gpu-cache", "Fig 17 (+25.1%)", "fig17",
+          lambda m: m.speedups["multi-gpu-optimized"], over(1.05)),
+    Claim("fig17-mcm-beats-multi-gpu", "Fig 17 (+51.9% vs +25.1%)", "fig17",
+          lambda m: m.speedups["mcm-optimized"] - m.speedups["multi-gpu-optimized"], over(0)),
+    Claim("fig17-mcm-over-multi-gpu", "Fig 17 (+26.8%)", "fig17",
+          lambda m: m.mcm_over_optimized_multi_gpu(), over(1.10), 2.00, _FT),
+    Claim("fig17-monolithic-over-mcm", "Fig 17 ceiling", "fig17",
+          lambda m: m.speedups["monolithic-256"] / m.speedups["mcm-optimized"], 0.95, inf, _FT),
+    # Extensions: topology at iso port budget (Section 3.2), GPM count at
+    # constant totals, schedulers over centralized, page size relative to
+    # 2 KB, and migrating vs static first touch (Section 7).
+    Claim("topology-fc-baseline", "Sec 3.2 (topology open)", "topology",
+          lambda p: p["baseline"].overall, over(0.95)),
+    Claim("topology-fc-optimized", "Sec 3.2 (topology open)", "topology",
+          lambda p: p["optimized"].overall, over(0.9), under(1.1)),
+    Claim("gpm-4-reference", "Sec 1 (4 GPMs)", "gpm-scaling", lambda p: _at(p, n_gpms=4).baseline_speedup, 1, 1),
+    Claim("gpm-2-baseline", "Sec 1 (module count a wash)", "gpm-scaling",
+          lambda p: _at(p, n_gpms=2).baseline_speedup, over(0.8), under(1.1)),
+    Claim("gpm-2-optimized", "Sec 1 (bigger modules win)", "gpm-scaling",
+          lambda p: _at(p, n_gpms=2).optimized_speedup, over(1.0)),
+    Claim("gpm-8-baseline", "Sec 1 (small modules fragment)", "gpm-scaling",
+          lambda p: _at(p, n_gpms=8).baseline_speedup, -inf, under(1.0)),
+    Claim("gpm-8-optimized", "Sec 1 (small modules fragment)", "gpm-scaling",
+          lambda p: _at(p, n_gpms=8).optimized_speedup, -inf, under(1.0)),
+    Claim("sched-distributed", "Sec 5.2", "sched-ablation", lambda a: a.overall["distributed"], over(1.05)),
+    Claim("sched-dynamic", "Sec 5.4 (future work)", "sched-ablation", lambda a: a.overall["dynamic"], over(1.05)),
+    Claim("sched-dynamic-holds", "Sec 5.4 (future work)", "sched-ablation",
+          lambda a: a.overall["dynamic"] / a.overall["distributed"], over(0.97)),
+    Claim("sched-dynamic-imbalanced", "Sec 5.4 (future work)", "sched-ablation",
+          lambda a: a.imbalanced_only["dynamic"] / a.imbalanced_only["distributed"], over(0.97)),
+    Claim("page-2kb-reference", "Sec 5.3", "page-ablation", lambda p: _at(p, page_bytes=2048).speedup, 1, 1),
+    Claim("page-min-speedup", "Sec 5.3 (robust to page size)", "page-ablation",
+          lambda p: min(x.speedup for x in p), over(0.8)),
+    Claim("page-min-locality", "Sec 5.3 (locality stays high)", "page-ablation",
+          lambda p: min(x.mean_locality for x in p), over(0.5)),
+    Claim("migration-overall", "Sec 7 (refinement)", "migration-ablation",
+          lambda a: a.overall_speedup, over(0.9), under(1.15)),
+    *(
+        Claim(f"migration-{key}", "Sec 7 (refinement)", "migration-ablation",
+              lambda a, category=category: a.per_category[category], over(0.85), under(1.25))
+        for key, category in (("m", _M), ("c", _C), ("limited", _L))
+    ),
+    # ML-era suite: the paper's mechanisms on modern ML traffic.  The ring
+    # allreduce exchanges data between GPMs: link bytes collapsing toward
+    # zero mean the pattern lost its inter-GPM character, a blow-up means
+    # the peer sweep stopped hitting any cache (r8 measures ~943 B/record).
+    Claim("ml-l15-geomean", "Fig 6 analogue", "ml-workloads", lambda s: _ml(s, 0), 1.00, 1.35, "ml"),
+    Claim("ml-l15-hot-geomean", "Fig 6 analogue (hot)", "ml-workloads", _ml_hot, 1.02, 1.60, "ml"),
+    Claim("ml-l15-hot-over-all", "Fig 6 C-vs-M analogue", "ml-workloads",
+          lambda s: _ml_hot(s) - _ml(s, 0), 0.0, inf, "ml"),
+    Claim("ml-optimized-geomean", "Fig 13/16 analogue", "ml-workloads", lambda s: _ml(s, 1), 1.05, 1.70, "ml"),
+    Claim("ml-optimized-over-l15", "Fig 16 stacking", "ml-workloads",
+          lambda s: _ml(s, 1) - _ml(s, 0), 0.0, inf, "ml"),
+    Claim("ml-improved-count", "Fig 15 analogue", "ml-workloads",
+          lambda s: sum(opt > 1.0 for _, opt in s.per_workload.values()), 5, 8, "ml"),
+    Claim("ml-allreduce-link-per-record", "inter-GPM exchange", "ml-workloads",
+          lambda s: s.allreduce_link_per_record, 400.0, 2000.0, "ml"),
+    # Topologies at 8 GPMs: link traffic is the single-hop reference times
+    # the average hop count, and the hierarchical fabric's fixed 256 GB/s
+    # board ring costs cycles against the all-package ring.
+    *(
+        Claim(f"topo-hops-{topology}", f"avg hops {hops:.3f}", "fabric-hops",
+              lambda t, topology=topology: t.hop_ratio(topology),
+              hops * (1.0 - TOPOLOGY_HOP_SLACK), hops * (1.0 + TOPOLOGY_HOP_SLACK), "topology")
+        for topology in ("ring", "mesh", "torus", "hierarchical")
+        for hops in (average_hops(fabric_hops.N_GPMS, topology),)
+    ),
+    Claim("topo-hier-board-cost", "board bottleneck", "fabric-hops",
+          lambda t: t.cycles["hierarchical"] / t.cycles["ring"] if t.cycles["ring"] else 0.0,
+          1.0, inf, "topology"),
+)
+
+
+def run_experiments(names: Iterable[str], **kwargs) -> Dict[str, object]:
+    """Run each named experiment once, passing ``kwargs``; outputs by id."""
+    outputs: Dict[str, object] = {}
+    for name in names:
+        if name not in outputs:
+            module, entry = EXPERIMENTS[name]
+            outputs[name] = getattr(module, entry)(**kwargs)
+    return outputs
+
+
+def evaluate(claims: Iterable[Claim], outputs: Mapping[str, object]) -> List[FidelityCheck]:
+    """One :class:`FidelityCheck` per claim, measured on ``outputs``."""
+    return [FidelityCheck(c.id, c.paper, c.lo, c.hi, c.measure(outputs[c.experiment])) for c in claims]
+
+
+def run_tier(tier: str, fast: bool = False) -> List[FidelityCheck]:
+    """Run every experiment the tier's claims name, once, and evaluate them.
+
+    ``fast=True`` runs each experiment with ``fast_factor=FAST_FACTOR`` and
+    widens every band by :data:`FAST_SLACK`.
+    """
+    if tier not in TIERS:
+        raise ValueError(f"unknown claim tier {tier!r}; expected one of {TIERS}")
+    claims = [claim for claim in CLAIMS if claim.tier == tier]
+    kwargs = {"fast_factor": FAST_FACTOR} if fast else {}
+    checks = evaluate(claims, run_experiments((c.experiment for c in claims), **kwargs))
+    return [check.widened(FAST_SLACK) for check in checks] if fast else checks

@@ -18,24 +18,22 @@ changing a latency can shift CTA retirement order and hence placement, so
 ratio properties carry a small documented slack (:data:`SLACK`) rather
 than demanding strict monotonicity.  Sweeps execute through
 :func:`repro.experiments.common.run_suites`, so they fan out over the
-process pool and hit the shared result cache like any experiment; every
-result is additionally passed through
+process pool and hit the shared result cache like any experiment, and
+``run_suites`` passes every result through
 :func:`~repro.validate.invariants.check_result`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15, optimized_mcm_gpu
 from ..experiments.common import run_suites
-from ..sim.result import SimResult
 from ..sim.simulator import Simulator
 from ..workloads.suite import all_specs
 from ..workloads.synthetic import SyntheticWorkload
 from ..workloads.trace import Workload
-from .invariants import check_result
 
 #: Relative slack for ratio-valued monotonicity properties (see module
 #: docstring: discrete scheduling jitter, not model error).
@@ -67,20 +65,6 @@ class PropertyOutcome:
     detail: str
 
 
-def _run_sweep(configs, workloads) -> List[Dict[str, SimResult]]:
-    """Run every (workload, config) pair and invariant-check each result."""
-    per_config = run_suites(configs, workloads=workloads)
-    for config, results in zip(configs, per_config):
-        for result in results.values():
-            violations = check_result(result, config=config)
-            if violations:
-                raise AssertionError(
-                    f"invariant violation under property sweep "
-                    f"({result.workload_name} on {config.name}): {violations[0]}"
-                )
-    return per_config
-
-
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
@@ -90,7 +74,7 @@ def prop_bandwidth_monotonic(workloads: Sequence[Workload]) -> PropertyOutcome:
     """More inter-GPM bandwidth never makes a workload slower (within slack)."""
     bandwidths = [384.0, 768.0, 1536.0, 6144.0]
     configs = [baseline_mcm_gpu(link_bandwidth=bw) for bw in bandwidths]
-    sweep = _run_sweep(configs, workloads)
+    sweep = run_suites(configs, workloads)
     worst = ""
     for workload in workloads:
         name = workload.name
@@ -120,7 +104,7 @@ def prop_l15_reduces_link_bytes(workloads: Sequence[Workload]) -> PropertyOutcom
         mcm_gpu_with_l15(16, remote_only=True),
     ]
     labels = ["no L1.5", "8 MB", "16 MB"]
-    sweep = _run_sweep(configs, workloads)
+    sweep = run_suites(configs, workloads)
     worst = ""
     for workload in workloads:
         name = workload.name
@@ -146,7 +130,7 @@ def prop_locality_stack(workloads: Sequence[Workload]) -> PropertyOutcome:
         replace(base, placement="round_robin_page", name="mcm-rr-page"),
         optimized_mcm_gpu(),
     ]
-    sweep = _run_sweep(configs, workloads)
+    sweep = run_suites(configs, workloads)
     worst = ""
     for workload in workloads:
         name = workload.name
@@ -168,7 +152,7 @@ def prop_locality_stack(workloads: Sequence[Workload]) -> PropertyOutcome:
 def prop_single_gpm_no_remote(workloads: Sequence[Workload]) -> PropertyOutcome:
     """A one-module machine must produce exactly zero remote traffic."""
     config = baseline_mcm_gpu(n_gpms=1, sms_per_gpm=64, name="mcm-single-gpm")
-    (results,) = _run_sweep([config], workloads)
+    (results,) = run_suites([config], workloads)
     for workload in workloads:
         result = results[workload.name]
         if result.page_remote or result.remote_loads or result.remote_stores:

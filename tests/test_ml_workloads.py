@@ -1,4 +1,4 @@
-"""Tests for the ML-era pattern families, suite, study, and fidelity gate."""
+"""Tests for the ML-era pattern families, suite, study, and ML claims."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import ml_workloads as ml_experiment
-from repro.validate.fidelity import evaluate_ml_checks
+from repro.validate.claims import CLAIMS, evaluate
 from repro.workloads.characterize import cached_profile
 from repro.workloads.patterns import (
     PATTERNS,
@@ -247,33 +247,35 @@ class TestMLStudy:
 
 
 class TestMLFidelityBands:
-    def passing_data(self):
+    def passing_study(self, l15=1.12, opt=1.22, link_per_record=940.0):
         names = [spec.name for spec in ml_specs()]
-        return {
-            "l15": {name: 1.12 for name in names},
-            "opt": {name: 1.22 for name in names},
-            "allreduce_link_per_record": 940.0,
-        }
+        return ml_experiment.MLStudy(
+            per_workload={name: (l15, opt) for name in names},
+            characterization={},
+            verdicts=[],
+            ml_improved=len(names),
+            ml_degraded=0,
+            ml_total=len(names),
+            allreduce_link_per_record=link_per_record,
+        )
+
+    def checks(self, study):
+        claims = [claim for claim in CLAIMS if claim.tier == "ml"]
+        return {check.name: check for check in evaluate(claims, {"ml-workloads": study})}
 
     def test_measured_values_pass(self):
-        checks = evaluate_ml_checks(self.passing_data())
+        checks = self.checks(self.passing_study())
         assert len(checks) == 7
-        assert all(check.passed for check in checks)
+        assert all(check.passed for check in checks.values())
 
     def test_l15_collapse_fails_low(self):
-        data = self.passing_data()
-        data["l15"] = {name: 0.90 for name in data["l15"]}
-        checks = {check.name: check for check in evaluate_ml_checks(data)}
+        checks = self.checks(self.passing_study(l15=0.90))
         assert not checks["ml-l15-geomean"].passed
 
     def test_over_reward_fails_high(self):
-        data = self.passing_data()
-        data["opt"] = {name: 2.5 for name in data["opt"]}
-        checks = {check.name: check for check in evaluate_ml_checks(data)}
+        checks = self.checks(self.passing_study(opt=2.5))
         assert not checks["ml-optimized-geomean"].passed
 
     def test_lost_exchange_fails(self):
-        data = self.passing_data()
-        data["allreduce_link_per_record"] = 5.0
-        checks = {check.name: check for check in evaluate_ml_checks(data)}
+        checks = self.checks(self.passing_study(link_per_record=5.0))
         assert not checks["ml-allreduce-link-per-record"].passed

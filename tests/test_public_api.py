@@ -53,7 +53,7 @@ class TestExports:
             "fig2", "fig4", "fig6", "fig7", "fig9", "fig10",
             "fig13", "fig14", "fig15", "fig16", "fig17",
             "topology", "gpm-scaling", "ml-workloads", "sched-ablation",
-            "page-ablation", "migration-ablation", "scaleout",
+            "page-ablation", "migration-ablation", "scaleout", "fabric-hops",
         }
         assert set(EXPERIMENTS) == expected
         for module, entry in EXPERIMENTS.values():

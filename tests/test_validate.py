@@ -1,6 +1,7 @@
-"""Tests for the validation subsystem (invariants, properties, golden, fidelity)."""
+"""Tests for the validation subsystem (invariants, properties, golden, claims)."""
 
 import importlib.util
+import inspect
 import sys
 import types
 from dataclasses import replace
@@ -17,10 +18,28 @@ from repro.validate import (
     LiveValidator,
     check_live_system,
     check_result,
-    evaluate_checks,
     validated_run,
 )
-from repro.validate.fidelity import FidelityCheck, report as fidelity_report
+from repro.experiments import (
+    EXPERIMENTS,
+    fig6_l15,
+    fig9_ds,
+    fig13_ft,
+    fig15_scurve,
+    fig16_breakdown,
+    fig17_multigpu,
+)
+from repro.validate import claims as claims_module
+from repro.validate.claims import (
+    CLAIMS,
+    FAST_FACTOR,
+    TIERS,
+    FidelityCheck,
+    evaluate,
+    over,
+    report as fidelity_report,
+    under,
+)
 from repro.validate.golden import metrics_of, run_golden_matrix
 from repro.validate.properties import micro_suite, run_properties
 
@@ -203,12 +222,18 @@ class TestGolden:
             assert key in metrics
 
 
-def synthetic_fidelity_data(**overrides):
+def synthetic_fidelity_outputs(**overrides):
+    """Experiment outputs with the paper's shape, for the fidelity claims.
+
+    Keys of ``overrides`` are headline quantities: category geomeans over
+    the baseline MCM-GPU, the Figure 15 curve, and suite geomeans.
+    """
     data = {
         "m8": 1.10,
         "m16": 1.12,
         "m32": 1.15,
         "c16": 1.02,
+        "l15_m": 1.12,
         "ds_m": 1.25,
         "ft8_m": 1.55,
         "ft16_m": 1.40,
@@ -220,22 +245,55 @@ def synthetic_fidelity_data(**overrides):
         "multi_gpu_opt": 1.05,
     }
     data.update(overrides)
-    return data
+    fig6 = [
+        fig6_l15.L15Variant(mb, True, {}, data[f"m{mb}"], data["c16"], 1.0)
+        for mb in (8, 16, 32)
+    ]
+    ft = {
+        mb: fig13_ft.FTVariant(mb, {}, data[f"ft{mb}_m"], 1.05, 1.05) for mb in (8, 16)
+    }
+    curve = data["curve"]
+    per_mgpu = data["multi_gpu"]  # Figure 17 is relative to the baseline multi-GPU
+    return {
+        "fig6": fig6,
+        "fig9": fig9_ds.DSResult({}, data["ds_m"], 1.02, 1.0, data["l15_m"]),
+        "fig13": ft,
+        "fig15": fig15_scurve.SCurve({f"w{i}": value for i, value in enumerate(curve)}),
+        "fig16": fig16_breakdown.Breakdown(
+            {
+                "l15-alone": data["l15_alone"],
+                "optimized": data["optimized"],
+                "monolithic-256": data["monolithic"],
+            }
+        ),
+        "fig17": fig17_multigpu.MultiGPUComparison(
+            {
+                "multi-gpu-optimized": data["multi_gpu_opt"] / per_mgpu,
+                "mcm-optimized": data["optimized"] / per_mgpu,
+                "monolithic-256": data["monolithic"] / per_mgpu,
+            }
+        ),
+    }
+
+
+def fidelity_checks(**overrides):
+    claims = [claim for claim in CLAIMS if claim.tier == "fidelity"]
+    return evaluate(claims, synthetic_fidelity_outputs(**overrides))
 
 
 class TestFidelity:
     def test_synthetic_paper_shape_passes(self):
-        checks = evaluate_checks(synthetic_fidelity_data())
+        checks = fidelity_checks()
         failed = [check for check in checks if not check.passed]
         assert not failed, failed
 
     def test_broken_ordering_fails(self):
-        checks = evaluate_checks(synthetic_fidelity_data(m16=1.20, m32=1.10))
+        checks = fidelity_checks(m16=1.20, m32=1.10)
         by_name = {check.name: check for check in checks}
         assert not by_name["fig6-capacity-32-over-16"].passed
 
     def test_over_reward_fails_high(self):
-        checks = evaluate_checks(synthetic_fidelity_data(ft8_m=3.0))
+        checks = fidelity_checks(ft8_m=3.0)
         by_name = {check.name: check for check in checks}
         assert not by_name["fig13-8mb-m-geomean"].passed
 
@@ -245,16 +303,83 @@ class TestFidelity:
         assert check.widened(0.10).passed
 
     def test_report_renders_verdicts(self):
-        checks = evaluate_checks(synthetic_fidelity_data())
+        checks = fidelity_checks()
         text = fidelity_report(checks)
         assert "all passed" in text
         broken = [replace(checks[0], value=-1.0)] + checks[1:]
         assert "FAILED" in fidelity_report(broken)
 
     def test_bands_cover_headline_figures(self):
-        names = {check.name for check in evaluate_checks(synthetic_fidelity_data())}
+        names = {check.name for check in fidelity_checks()}
         for fig in ("fig6", "fig9", "fig13", "fig15", "fig16", "fig17"):
             assert any(name.startswith(fig) for name in names)
+
+
+#: The claim ids each validation tier reports (``scripts/validate.py``).
+TIER_IDS = {
+    "fidelity": [
+        "fig6-16mb-m-geomean", "fig6-capacity-32-over-16", "fig6-capacity-16-over-8",
+        "fig6-c-below-m", "fig9-ds-m-geomean", "fig9-ds-over-l15",
+        "fig13-8mb-m-geomean", "fig13-8mb-over-16mb", "fig15-improved",
+        "fig15-degraded", "fig15-tail", "fig15-head", "fig16-l15-alone",
+        "fig16-optimized", "fig16-gap-to-monolithic", "fig17-mcm-over-multi-gpu",
+        "fig17-monolithic-over-mcm",
+    ],
+    "ml": [
+        "ml-l15-geomean", "ml-l15-hot-geomean", "ml-l15-hot-over-all",
+        "ml-optimized-geomean", "ml-optimized-over-l15", "ml-improved-count",
+        "ml-allreduce-link-per-record",
+    ],
+    "topology": [
+        "topo-hops-ring", "topo-hops-mesh", "topo-hops-torus",
+        "topo-hops-hierarchical", "topo-hier-board-cost",
+    ],
+}
+
+
+class TestClaimTable:
+    def test_ids_unique(self):
+        ids = [claim.id for claim in CLAIMS]
+        assert len(ids) == len(set(ids))
+
+    def test_experiments_registered(self):
+        assert {claim.experiment for claim in CLAIMS} <= set(EXPERIMENTS)
+
+    def test_bands_ordered(self):
+        assert all(claim.lo <= claim.hi for claim in CLAIMS)
+
+    def test_tiers_hold_their_ids(self):
+        assert set(TIERS) == set(TIER_IDS)
+        assert {claim.tier for claim in CLAIMS} == set(TIERS) | {None}
+        for tier, ids in TIER_IDS.items():
+            assert [claim.id for claim in CLAIMS if claim.tier == tier] == ids
+
+    def test_tier_experiments_take_fast_factor(self):
+        for claim in CLAIMS:
+            if claim.tier is not None:
+                module, entry = EXPERIMENTS[claim.experiment]
+                assert "fast_factor" in inspect.signature(getattr(module, entry)).parameters
+
+    def test_strict_edges_exclude_the_edge(self):
+        assert over(1.0) > 1.0 and under(1.0) < 1.0
+        check = FidelityCheck("x", "ref", over(0.0), inf, 0.0)
+        assert not check.passed
+        assert "[0+, inf]" in fidelity_report([check])
+
+    def test_fast_tier_shrinks_workloads_and_widens_bands(self, monkeypatch):
+        seen = []
+
+        def fake_run_experiments(names, **kwargs):
+            seen.append(kwargs)
+            return synthetic_fidelity_outputs()
+
+        monkeypatch.setattr(claims_module, "run_experiments", fake_run_experiments)
+        full = claims_module.run_tier("fidelity")
+        fast = claims_module.run_tier("fidelity", fast=True)
+        assert seen == [{}, {"fast_factor": FAST_FACTOR}]
+        assert all(f.lo < c.lo and f.value == c.value for f, c in zip(fast, full))
+        with pytest.raises(ValueError, match="unknown claim tier"):
+            claims_module.run_tier("golden")
 
 
 class TestRunExperimentExitCode:
