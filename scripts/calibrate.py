@@ -2,13 +2,14 @@
 """Calibration harness: compares model output against the paper's headlines.
 
 Run while tuning workload/config parameters.  Uses the shared disk cache,
-so unchanged (workload, system) pairs are free on re-run.  Each section
-batches all of its configurations through one ``run_suites`` call, so the
-process pool (``REPRO_WORKERS``) overlaps every (workload, config) pair.
+so unchanged (workload, system) pairs are free on re-run.  The paper's
+figures print from ``scripts/run_experiment.py`` (e.g. ``fig2 fig4 fig6
+fig7 fig9 fig13 fig14 fig16 fig17``, one batch); the ``mono`` section
+adds the monolithic comparisons no figure report prints, among them the
+optimized MCM-GPU's +45.5% over the largest buildable (128-SM) GPU.
 
 Usage: python scripts/calibrate.py [section ...]
-Sections: fig4 fig6 fig9 fig13 fig16 mono multi fig2 traffic all
-(default: fast set)
+Sections: mono all (default: mono)
 
 ``--analytical [--fast] [--bless]`` fits the analytical tier instead:
 predicted vs golden cycles per workload class, predicted vs simulated
@@ -20,94 +21,10 @@ import math
 import sys
 import time
 
-from repro.analysis.speedup import geomean, geomean_speedup, speedups
-from repro.core.presets import (
-    baseline_mcm_gpu,
-    mcm_gpu_with_l15,
-    monolithic_gpu,
-    multi_gpu,
-    optimized_mcm_gpu,
-)
-from repro.experiments.common import filter_names, names_in_category, run_suites
+from repro.analysis.speedup import geomean_speedup
+from repro.core.presets import baseline_mcm_gpu, monolithic_gpu, optimized_mcm_gpu
+from repro.experiments.common import run_suites
 from repro.parallel import GLOBAL_METRICS
-from repro.workloads.suite import suite_workloads
-from repro.workloads.synthetic import Category
-
-M = names_in_category(Category.M_INTENSIVE)
-C = names_in_category(Category.C_INTENSIVE)
-L = names_in_category(Category.LIMITED_PARALLELISM)
-
-
-def by_cat(results, baselines):
-    out = {}
-    for label, names in (("M", M), ("C", C), ("L", L)):
-        out[label] = geomean_speedup(filter_names(results, names), filter_names(baselines, names))
-    out["all"] = geomean_speedup(results, baselines)
-    return out
-
-
-def show(label, cats, paper):
-    print(f"{label:<34} " + "  ".join(f"{k}:{v:5.3f}" for k, v in cats.items()) + f"   paper: {paper}")
-
-
-def fig4():
-    print("== Fig 4: inter-GPM bandwidth sensitivity (slowdown vs 6TB/s) ==")
-    settings = [(3072.0, "M~1.00"), (1536.0, "M~0.88"), (768.0, "M~0.60"), (384.0, "M~0.43")]
-    ref, *swept = run_suites(
-        [baseline_mcm_gpu(link_bandwidth=6144.0)]
-        + [baseline_mcm_gpu(link_bandwidth=bw) for bw, _ in settings]
-    )
-    for (bw, paper), res in zip(settings, swept):
-        show(f"link {bw:.0f} GB/s", by_cat(res, ref), paper)
-
-
-def fig6():
-    print("== Fig 6: L1.5 variants vs baseline (768 GB/s) ==")
-    variants = [(8, True, ""), (16, False, "M lower"), (16, True, "M:1.114 C:~1.01 L:1.035"), (32, True, "M:1.183 (non-iso)")]
-    base, *swept = run_suites(
-        [baseline_mcm_gpu()]
-        + [mcm_gpu_with_l15(l15_total_mb=mb, remote_only=remote) for mb, remote, _ in variants]
-    )
-    for (mb, remote, paper), res in zip(variants, swept):
-        show(f"L1.5 {mb}MB remote={remote}", by_cat(res, base), paper)
-
-
-def fig9():
-    print("== Fig 9: L1.5(16MB,remote) + distributed scheduling vs baseline ==")
-    base, res = run_suites(
-        [baseline_mcm_gpu(), mcm_gpu_with_l15(16, True, scheduler="distributed")]
-    )
-    show("L1.5+DS", by_cat(res, base), "M:1.234 C:1.019 L:1.052")
-
-
-def fig13():
-    print("== Fig 13: L1.5 + DS + FT vs baseline ==")
-    variants = [(16, ""), (8, "M:1.51 C:1.113 L:1.079")]
-    base, *swept = run_suites(
-        [baseline_mcm_gpu()]
-        + [
-            mcm_gpu_with_l15(mb, True, scheduler="distributed", placement="first_touch")
-            for mb, _ in variants
-        ]
-    )
-    for (mb, paper), res in zip(variants, swept):
-        show(f"L1.5 {mb}MB +DS+FT", by_cat(res, base), paper)
-
-
-def fig16():
-    print("== Fig 16: each optimization alone + combined (geomean over 48) ==")
-    from dataclasses import replace
-
-    combos = [
-        ("L1.5 alone", mcm_gpu_with_l15(16, True), "+5.2%"),
-        ("DS alone", replace(baseline_mcm_gpu(name="mcm-ds-only"), scheduler="distributed"), "+0.3%"),
-        ("FT alone", replace(baseline_mcm_gpu(name="mcm-ft-only"), placement="first_touch"), "-4.7%"),
-        ("optimized (768)", optimized_mcm_gpu(), "+22.8%"),
-        ("MCM 6TB/s", baseline_mcm_gpu(link_bandwidth=6144.0, name="mcm-6tbs"), "~+30%?"),
-    ]
-    base, *swept = run_suites([baseline_mcm_gpu()] + [cfg for _, cfg, _ in combos])
-    for (label, _, paper), res in zip(combos, swept):
-        show(label, by_cat(res, base), paper)
 
 
 def mono():
@@ -119,44 +36,6 @@ def mono():
     print(f"mono-256 vs opt: {geomean_speedup(m256, opt):.3f}  (paper ~1.10)")
     print(f"mono-256 vs mono-128: {geomean_speedup(m256, m128):.3f}")
     print(f"baseline-mcm vs mono-128: {geomean_speedup(base, m128):.3f}")
-
-
-def multi():
-    print("== Fig 17: multi-GPU comparisons (vs baseline multi-GPU) ==")
-    mg_base, mg_opt, mcm, mcm6, m256 = run_suites(
-        [
-            multi_gpu(optimized=False),
-            multi_gpu(optimized=True),
-            optimized_mcm_gpu(),
-            baseline_mcm_gpu(link_bandwidth=6144.0, name="mcm-6tbs"),
-            monolithic_gpu(256),
-        ]
-    )
-    print(f"optimized multi-GPU: {geomean_speedup(mg_opt, mg_base):.3f} (paper 1.251)")
-    print(f"MCM-GPU 768:        {geomean_speedup(mcm, mg_base):.3f} (paper 1.519)")
-    print(f"mono-256:           {geomean_speedup(m256, mg_base):.3f} (paper ~1.66)")
-
-
-def fig2():
-    print("== Fig 2: SM scaling (speedup over 32 SMs, geomean by class) ==")
-    counts = (64, 128, 256)
-    ref, *swept = run_suites([monolithic_gpu(32)] + [monolithic_gpu(sms) for sms in counts])
-    high = M + C
-    for sms, res in zip(counts, swept):
-        hi = geomean_speedup(filter_names(res, high), filter_names(ref, high))
-        lo = geomean_speedup(filter_names(res, L), filter_names(ref, L))
-        print(f"{sms:>4} SMs: high={hi:.2f} (linear {sms/32:.0f}) limited={lo:.2f}")
-
-
-def traffic():
-    print("== Inter-GPM traffic (avg TB/s across M-intensive) ==")
-    base, l15, opt = run_suites(
-        [baseline_mcm_gpu(), mcm_gpu_with_l15(16, True), optimized_mcm_gpu()]
-    )
-    for label, res, paper in (("baseline", base, "~2+"), ("L1.5", l15, "-17% M"), ("optimized", opt, "5x down")):
-        mbw = sum(res[n].inter_gpm_tbps for n in M) / len(M)
-        total = sum(r.link_bytes for r in res.values())
-        print(f"{label:<12} M-avg {mbw:.2f} TB/s; total {total/1e9:.2f} GB moved")
 
 
 def analytical(fast=False, bless=False):
@@ -195,11 +74,7 @@ def analytical(fast=False, bless=False):
         print("(dry run; pass --bless to write golden/analytical.json)")
 
 
-SECTIONS = {
-    "fig4": fig4, "fig6": fig6, "fig9": fig9, "fig13": fig13,
-    "fig16": fig16, "mono": mono, "multi": multi, "fig2": fig2,
-    "traffic": traffic,
-}
+SECTIONS = {"mono": mono}
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
@@ -214,7 +89,7 @@ if __name__ == "__main__":
         analytical(fast=fast, bless=bless)
         print(f"[analytical: {time.time()-t0:.0f}s]")
         sys.exit(0)
-    args = argv or ["fig6", "fig9", "fig13", "fig16", "traffic"]
+    args = argv or ["mono"]
     if args == ["all"]:
         args = list(SECTIONS)
     for name in args:

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Run one paper experiment and print its table/series.
+"""Run paper experiments and print their tables/series.
 
 Usage:
     python scripts/run_experiment.py                 # list experiments
@@ -7,13 +7,13 @@ Usage:
     python scripts/run_experiment.py --workers 8 all # run everything (slow)
 
 Results come from the shared disk cache when available, so re-running an
-experiment after a benchmark session is instant.  Suite runs fan out over
-a process pool sized by ``--workers`` / ``REPRO_WORKERS`` (default: core
-count); each experiment prints its throughput summary (sims/sec, cache
-hit rate, per-config sim time) when it finishes.  ``--profile`` attaches
-a telemetry probe to every simulated run and folds per-run digests (peak
-pipe occupancy, quiesce tails) into that summary; for a deep profile of
-one run use ``scripts/profile_run.py``.
+experiment after a benchmark session is instant.  The named experiments'
+plans run as one batch over a process pool sized by ``--workers`` /
+``REPRO_WORKERS`` (default: core count), followed by one throughput
+summary (sims/sec, cache hit rate, per-config sim time).  ``--profile``
+attaches a telemetry probe to every simulated run and folds per-run
+digests (peak pipe occupancy, quiesce tails) into that summary; for a
+deep profile of one run use ``scripts/profile_run.py``.
 """
 
 import argparse
@@ -21,27 +21,8 @@ import sys
 import time
 import traceback
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, run_plans
 from repro.parallel import GLOBAL_METRICS
-
-
-def run(exp_id: str) -> None:
-    """Run one experiment, print its report and throughput summary."""
-    module, entry = EXPERIMENTS[exp_id]
-    GLOBAL_METRICS.reset()
-    start = time.time()
-    result = getattr(module, entry)()
-    elapsed = time.time() - start
-    report = getattr(module, "report")
-    try:
-        text = report(result)
-    except TypeError:
-        text = report()  # static tables take no argument
-    print(text)
-    metrics = GLOBAL_METRICS.report()
-    if metrics != "no suite runs recorded":
-        print(f"\n[{exp_id} throughput] {metrics}")
-    print(f"[{exp_id}: {elapsed:.1f}s]\n")
 
 
 def main() -> int:
@@ -78,27 +59,38 @@ def main() -> int:
     args = opts.experiments
     if not args:
         print("available experiments:")
-        for exp_id, (module, _) in EXPERIMENTS.items():
+        for exp_id, module in EXPERIMENTS.items():
             summary = (module.__doc__ or "").strip().splitlines()[0]
             print(f"  {exp_id:<8} {summary}")
         print("\nusage: python scripts/run_experiment.py [--workers N] <id> [<id> ...] | all")
         return 0
+    label = " ".join(args)
     if args == ["all"]:
         args = list(EXPERIMENTS)
     unknown = [arg for arg in args if arg not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 1
+    GLOBAL_METRICS.reset()
+    start = time.time()
+    outputs = run_plans([EXPERIMENTS[exp_id].plan() for exp_id in args])
+    elapsed = time.time() - start
     failed = []
-    for exp_id in args:
+    for exp_id, output in zip(args, outputs):
         # One broken experiment must not silence the rest of an `all` run,
         # but it must fail the process — CI keys off the exit status.
         try:
-            run(exp_id)
+            if isinstance(output, Exception):
+                raise output
+            print(EXPERIMENTS[exp_id].report(output) + "\n")
         except Exception:
             traceback.print_exc()
             print(f"[{exp_id}: FAILED]\n", file=sys.stderr)
             failed.append(exp_id)
+    metrics = GLOBAL_METRICS.report()
+    if metrics != "no suite runs recorded":
+        print(f"[{label} throughput] {metrics}")
+    print(f"[{label}: {elapsed:.1f}s]\n")
     if failed:
         print(f"{len(failed)} experiment(s) failed: {', '.join(failed)}", file=sys.stderr)
         return 1

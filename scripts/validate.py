@@ -13,8 +13,9 @@ Usage:
 Tiers are ordered by cost: ``quick`` simulates a few shrunken workloads
 with the live validator attached (seconds); ``properties`` sweeps ~10
 small configs (tens of seconds); ``fidelity``, ``ml`` and ``topology``
-run the experiments their claims in ``repro.validate.claims`` name and
-check the claims' bands (minutes cold, seconds cached);
+run the experiments their claims in ``repro.validate.claims`` name as
+one batch, check the claims' bands and print the batch's throughput
+line (minutes cold, seconds cached);
 ``golden`` reruns the pinned golden matrix and diffs it against
 ``golden/metrics.json``.  Exit status is non-zero if any requested tier
 fails.
@@ -70,10 +71,15 @@ def run_properties_tier(opts) -> bool:
 
 def run_claims_tier(tier: str, opts) -> bool:
     """Evaluate one tier of the paper-claim table (fidelity, ml, topology)."""
+    from repro.parallel import GLOBAL_METRICS
     from repro.validate.claims import report, run_tier
 
+    GLOBAL_METRICS.reset()
     checks = run_tier(tier, fast=opts.fast)
     print(report(checks))
+    metrics = GLOBAL_METRICS.report()
+    if metrics != "no suite runs recorded":
+        print(f"[{tier} throughput] {metrics}")
     return all(check.passed for check in checks)
 
 

@@ -11,13 +11,13 @@ irregular workloads — and what the copy traffic costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup, speedups
 from ..core.presets import optimized_mcm_gpu
-from .common import category_geomeans, run_suites
+from .common import ExperimentPlan, category_geomeans, suite_plan, variant
 
 
 @dataclass(frozen=True)
@@ -30,25 +30,29 @@ class MigrationAblation:
     biggest_losers: Dict[str, float]
 
 
-def run_migration_ablation() -> MigrationAblation:
-    """Compare placements over the full suite."""
-    migrating_cfg = replace(
-        optimized_mcm_gpu(name="mcm-optimized-migrating"),
-        placement="migrating_first_touch",
-    )
-    static, migrating = run_suites([optimized_mcm_gpu(), migrating_cfg])
-    per_workload = speedups(migrating, static)
-    ordered = sorted(per_workload.items(), key=lambda item: item[1])
-    per_category = {
-        category.value: value
-        for category, value in category_geomeans(migrating, static).items()
-    }
-    return MigrationAblation(
-        overall_speedup=geomean_speedup(migrating, static),
-        per_category=per_category,
-        biggest_winners=dict(ordered[-3:]),
-        biggest_losers=dict(ordered[:3]),
-    )
+def plan() -> ExperimentPlan:
+    """Both placements over the full suite."""
+    configs = [
+        optimized_mcm_gpu(),
+        variant(optimized_mcm_gpu(), "mcm-optimized-migrating", placement="migrating_first_touch"),
+    ]
+
+    def reduce(suites) -> MigrationAblation:
+        static, migrating = suites
+        per_workload = speedups(migrating, static)
+        ordered = sorted(per_workload.items(), key=lambda item: item[1])
+        per_category = {
+            category.value: value
+            for category, value in category_geomeans(migrating, static).items()
+        }
+        return MigrationAblation(
+            overall_speedup=geomean_speedup(migrating, static),
+            per_category=per_category,
+            biggest_winners=dict(ordered[-3:]),
+            biggest_losers=dict(ordered[:3]),
+        )
+
+    return suite_plan(configs, reduce)
 
 
 def report(ablation: MigrationAblation) -> str:

@@ -10,13 +10,13 @@ geomean and the achieved access locality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup
 from ..core.presets import optimized_mcm_gpu
-from .common import run_suites
+from .common import ExperimentPlan, suite_plan, variant
 
 #: Scaled page sizes; the default 2 KB stands for a 64 KB GPU page.
 DEFAULT_PAGE_SIZES = (512, 1024, 2048, 4096, 8192)
@@ -31,28 +31,30 @@ class PageSizePoint:
     mean_locality: float
 
 
-def run_page_size_ablation(
-    page_sizes: Sequence[int] = DEFAULT_PAGE_SIZES,
-) -> List[PageSizePoint]:
-    """Sweep page sizes on the optimized machine."""
+def plan(page_sizes: Sequence[int] = DEFAULT_PAGE_SIZES) -> ExperimentPlan:
+    """Page sizes swept on the optimized machine."""
     configs = [optimized_mcm_gpu()] + [
-        replace(optimized_mcm_gpu(name=f"opt-page-{page_bytes}"), page_bytes=page_bytes)
+        variant(optimized_mcm_gpu(), f"opt-page-{page_bytes}", page_bytes=page_bytes)
         for page_bytes in page_sizes
     ]
-    reference, *swept = run_suites(configs)
-    points: List[PageSizePoint] = []
-    for page_bytes, results in zip(page_sizes, swept):
-        locality = sum(
-            1.0 - result.remote_access_fraction for result in results.values()
-        ) / len(results)
-        points.append(
-            PageSizePoint(
-                page_bytes=page_bytes,
-                speedup=geomean_speedup(results, reference),
-                mean_locality=locality,
+
+    def reduce(suites) -> List[PageSizePoint]:
+        reference, *swept = suites
+        points: List[PageSizePoint] = []
+        for page_bytes, results in zip(page_sizes, swept):
+            locality = sum(
+                1.0 - result.remote_access_fraction for result in results.values()
+            ) / len(results)
+            points.append(
+                PageSizePoint(
+                    page_bytes=page_bytes,
+                    speedup=geomean_speedup(results, reference),
+                    mean_locality=locality,
+                )
             )
-        )
-    return points
+        return points
+
+    return suite_plan(configs, reduce)
 
 
 def report(points: List[PageSizePoint]) -> str:

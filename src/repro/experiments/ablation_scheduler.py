@@ -15,14 +15,14 @@ advantage should concentrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..analysis.report import format_table
-from ..analysis.speedup import geomean_speedup, speedups
+from ..analysis.speedup import geomean_speedup
 from ..core.presets import optimized_mcm_gpu
 from ..workloads.suite import all_specs
-from .common import filter_names, run_suites
+from .common import ExperimentPlan, filter_names, suite_plan, variant
 
 #: Suite workloads with per-CTA work skew (the distributed scheduler's
 #: weak spot, Section 5.4).
@@ -37,27 +37,26 @@ class SchedulerAblation:
     imbalanced_only: Dict[str, float]
 
 
-def run_scheduler_ablation() -> SchedulerAblation:
-    """Run the three schedulers on the optimized memory system."""
-    base_cfg = replace(
-        optimized_mcm_gpu(name="opt-centralized"), scheduler="centralized"
-    )
+def plan() -> ExperimentPlan:
+    """The three schedulers on the optimized memory system."""
     schedulers = ("distributed", "dynamic")
-    baseline, *swept = run_suites(
-        [base_cfg]
-        + [
-            replace(optimized_mcm_gpu(name=f"opt-{scheduler}"), scheduler=scheduler)
-            for scheduler in schedulers
-        ]
-    )
-    overall: Dict[str, float] = {}
-    imbalanced: Dict[str, float] = {}
-    for scheduler, results in zip(schedulers, swept):
-        overall[scheduler] = geomean_speedup(results, baseline)
-        imbalanced[scheduler] = geomean_speedup(
-            filter_names(results, IMBALANCED), filter_names(baseline, IMBALANCED)
-        )
-    return SchedulerAblation(overall=overall, imbalanced_only=imbalanced)
+    configs = [
+        variant(optimized_mcm_gpu(), f"opt-{scheduler}", scheduler=scheduler)
+        for scheduler in ("centralized",) + schedulers
+    ]
+
+    def reduce(suites) -> SchedulerAblation:
+        baseline, *swept = suites
+        overall: Dict[str, float] = {}
+        imbalanced: Dict[str, float] = {}
+        for scheduler, results in zip(schedulers, swept):
+            overall[scheduler] = geomean_speedup(results, baseline)
+            imbalanced[scheduler] = geomean_speedup(
+                filter_names(results, IMBALANCED), filter_names(baseline, IMBALANCED)
+            )
+        return SchedulerAblation(overall=overall, imbalanced_only=imbalanced)
+
+    return suite_plan(configs, reduce)
 
 
 def report(ablation: SchedulerAblation) -> str:

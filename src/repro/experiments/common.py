@@ -1,11 +1,12 @@
 """Shared experiment infrastructure: suite runs and a persistent cache.
 
-Every figure/table reproduction runs some subset of the 48-workload suite
-on some set of system configurations.  Simulations are deterministic, so
-results are cached on disk keyed by ``(workload digest, system digest)``;
-re-running a bench (or several benches that share the baseline) costs only
-the first run.  Set the ``REPRO_CACHE_DIR`` environment variable to move
-the cache, or ``REPRO_NO_CACHE=1`` to disable it.
+Every figure/table reproduction declares an :class:`ExperimentPlan`, and
+:func:`run_plans` runs any set of plans as one batch.  Simulations are
+deterministic, so results are cached on disk keyed by ``(workload digest,
+system digest)``; re-running a bench (or several benches that share the
+baseline) costs only the first run.  Set the ``REPRO_CACHE_DIR``
+environment variable to move the cache, or ``REPRO_NO_CACHE=1`` to
+disable it.
 
 Suite runs fan out over a process pool sized by ``REPRO_WORKERS``
 (defaulting to the machine's core count; see :mod:`repro.parallel`).
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 try:  # advisory file locking; absent on some exotic platforms
     import fcntl
@@ -421,6 +422,21 @@ def run_suite(
     return run_suites([config], workloads=workloads, cache=cache)[0]
 
 
+def _check_invariants(slots, suites) -> None:
+    """Raise :class:`AssertionError` on the first result breaking an invariant."""
+    # Lazy: repro.validate imports this module.
+    from ..validate.invariants import check_result
+
+    for (config, _), suite in zip(slots, suites):
+        for result in suite.values():
+            violations = check_result(result, config=config)
+            if violations:
+                raise AssertionError(
+                    f"invariant violation ({result.workload_name} on "
+                    f"{config.name}): {violations[0]}"
+                )
+
+
 def run_suites(
     configs: Sequence[SystemConfig],
     workloads: Optional[Iterable[Workload]] = None,
@@ -433,14 +449,12 @@ def run_suites(
 
     Returns one ``{workload name: SimResult}`` dict per configuration, in
     input order — the exact shape :func:`run_suite` returns per config.
-    Batching every configuration of an experiment into one call lets the
-    runner overlap *all* (workload, config) pairs instead of
-    synchronizing at each configuration boundary.
-
-    Resolves the default cache (``workloads=None`` is the whole suite)
-    and delegates to :func:`repro.parallel.runner.run_suite_parallel`,
-    which sizes the pool (``max_workers`` > ``REPRO_WORKERS`` > cores;
-    one worker runs every pair in this process) and records the batch.
+    One batch lets the runner overlap *all* pairs instead of synchronizing
+    at each configuration boundary.  Resolves the default cache
+    (``workloads=None`` is the whole suite) and delegates to
+    :func:`repro.parallel.runner.run_suite_parallel`, which sizes the
+    pool (``max_workers`` > ``REPRO_WORKERS`` > cores; one worker runs
+    every pair in this process) and records the batch.
     ``progress``, when given, is called as ``progress(done, total,
     result)`` after each simulated pair; ``total`` counts the batch's
     unique pairs to simulate, excluding cache hits.
@@ -456,26 +470,71 @@ def run_suites(
     deltas to its own runs, immune to concurrent suite activity.
     """
     from ..parallel.runner import run_suite_parallel
-    # Lazy: repro.validate imports this module.
-    from ..validate.invariants import check_result
 
+    workload_list = suite_workloads() if workloads is None else list(workloads)
+    slots = [(config, workload_list) for config in configs]
     per_config = run_suite_parallel(
-        configs,
-        workloads=workloads,
+        slots,
         max_workers=max_workers,
         cache=_resolve_cache(cache),
         progress=progress,
         metrics=metrics,
     )
-    for config, suite in zip(configs, per_config):
-        for result in suite.values():
-            violations = check_result(result, config=config)
-            if violations:
-                raise AssertionError(
-                    f"invariant violation ({result.workload_name} on "
-                    f"{config.name}): {violations[0]}"
-                )
+    _check_invariants(slots, per_config)
     return per_config
+
+
+@dataclass(frozen=True)
+class ExperimentPlan:
+    """The pairs one experiment simulates, and how it reads their results.
+
+    ``slots`` lists ``(config, workloads)`` pairs; ``reduce`` is a pure
+    function of their suites (one ``{workload name: SimResult}`` dict per
+    slot, in slot order) returning the experiment's output.
+    """
+
+    slots: Sequence[Tuple[SystemConfig, Sequence[Workload]]]
+    reduce: Callable[[List[Dict[str, SimResult]]], Any]
+
+
+def variant(preset: SystemConfig, name: str, **changes) -> SystemConfig:
+    """``preset`` with ``changes``, renamed ``name``; ``preset`` itself when
+    the changes leave it as it is, so one machine is simulated once."""
+    changed = replace(preset, **changes)
+    return preset if changed == preset else replace(changed, name=name)
+
+
+def suite_plan(configs, reduce, fast_factor: Optional[float] = None) -> ExperimentPlan:
+    """A plan running the suite, shrunk by ``fast_factor``, on every config."""
+    workloads = suite_workloads(fast_factor=fast_factor)
+    return ExperimentPlan([(config, workloads) for config in configs], reduce)
+
+
+def run_plans(plans: Sequence[ExperimentPlan], cache=_USE_DEFAULT) -> List[Any]:
+    """Run the union of ``plans``' slots as one batch; each plan's output.
+
+    A pair several plans share is simulated once.  A plan whose slots hold
+    a failed pair or a result breaking an invariant, or whose ``reduce``
+    raises, gets that exception in place of its output.
+    """
+    from ..parallel.runner import SuiteRunError, run_suite_parallel
+
+    failures: list = []
+    slots = [slot for plan in plans for slot in plan.slots]
+    suites = run_suite_parallel(slots, cache=_resolve_cache(cache), failures=failures)
+    outputs: List[Any] = []
+    for plan in plans:
+        own, suites = suites[: len(plan.slots)], suites[len(plan.slots):]
+        keys = {ResultCache.key(w.digest(), c.digest()) for c, ws in plan.slots for w in ws}
+        try:
+            lost = [failure for failure in failures if failure.key in keys]
+            if lost:
+                raise SuiteRunError(lost)
+            _check_invariants(plan.slots, own)
+            outputs.append(plan.reduce(own))
+        except Exception as exc:  # noqa: BLE001 - reported per experiment
+            outputs.append(exc)
+    return outputs
 
 
 def names_in_category(category: Category) -> List[str]:

@@ -16,7 +16,7 @@ from ..analysis.report import format_table
 from ..core.analytical import average_hops
 from ..core.presets import baseline_mcm_gpu
 from ..workloads.suite import suite_workloads
-from .common import run_suites
+from .common import ExperimentPlan
 
 #: Topologies swept, all at :data:`N_GPMS` modules.
 TOPOLOGIES = ("ring", "mesh", "torus", "hierarchical", "fully_connected")
@@ -36,11 +36,8 @@ class FabricTotals:
         return self.link_bytes[topology] / reference if reference else 0.0
 
 
-def run_fabric_hops(fast_factor: Optional[float] = None) -> FabricTotals:
-    """Simulate the golden workloads on every topology at 8 GPMs.
-
-    ``fast_factor`` shrinks every workload.
-    """
+def plan(fast_factor: Optional[float] = None) -> ExperimentPlan:
+    """The golden workloads, shrunk by ``fast_factor``, on every topology at 8 GPMs."""
     # Lazy: repro.validate imports this package.
     from ..validate.golden import GOLDEN_WORKLOADS
 
@@ -56,11 +53,15 @@ def run_fabric_hops(fast_factor: Optional[float] = None) -> FabricTotals:
         )
         for topology in TOPOLOGIES
     ]
-    suites = dict(zip(TOPOLOGIES, run_suites(configs, workloads=workloads)))
-    return FabricTotals(
-        link_bytes={t: float(sum(r.link_bytes for r in s.values())) for t, s in suites.items()},
-        cycles={t: float(sum(r.cycles for r in s.values())) for t, s in suites.items()},
-    )
+
+    def reduce(suites) -> FabricTotals:
+        fabrics = dict(zip(TOPOLOGIES, suites))
+        return FabricTotals(
+            link_bytes={t: float(sum(r.link_bytes for r in s.values())) for t, s in fabrics.items()},
+            cycles={t: float(sum(r.cycles for r in s.values())) for t, s in fabrics.items()},
+        )
+
+    return ExperimentPlan([(config, workloads) for config in configs], reduce)
 
 
 def report(totals: FabricTotals) -> str:

@@ -7,22 +7,17 @@ traffic by ~33% overall compared to the baseline.
 from __future__ import annotations
 
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
-from .common import run_suites
-from .traffic_common import TrafficComparison, build_comparison
+from .common import ExperimentPlan
+from .traffic_common import TrafficComparison, traffic_plan
 from .traffic_common import report as report_traffic
 
 
-def run_fig10(l15_mb: int = 16) -> TrafficComparison:
-    """Compare baseline traffic against L1.5 + distributed scheduling."""
-    baseline, with_ds = run_suites(
-        [
-            baseline_mcm_gpu(),
-            mcm_gpu_with_l15(l15_mb, remote_only=True, scheduler="distributed"),
-        ]
-    )
-    return build_comparison(
+def plan(l15_mb: int = 16) -> ExperimentPlan:
+    """Baseline traffic against L1.5 + distributed scheduling."""
+    return traffic_plan(
         "Figure 10: Baseline vs 16MB remote-only L1.5 + DS",
-        [("baseline", baseline), ("L1.5 + DS", with_ds)],
+        [("baseline", baseline_mcm_gpu()),
+         ("L1.5 + DS", mcm_gpu_with_l15(l15_mb, remote_only=True, scheduler="distributed"))],
     )
 
 

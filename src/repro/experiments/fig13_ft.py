@@ -17,9 +17,8 @@ from typing import Dict, Optional
 from ..analysis.report import format_table
 from ..analysis.speedup import speedups
 from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
-from ..workloads.suite import suite_workloads
 from ..workloads.synthetic import Category
-from .common import category_geomeans, filter_names, names_in_category, run_suites
+from .common import ExperimentPlan, category_geomeans, filter_names, names_in_category, suite_plan
 
 
 @dataclass(frozen=True)
@@ -33,32 +32,31 @@ class FTVariant:
     limited_geomean: float
 
 
-def run_fig13(fast_factor: Optional[float] = None) -> Dict[int, FTVariant]:
-    """Simulate the 16 MB and 8 MB splits with all three optimizations.
-
-    ``fast_factor`` shrinks every workload.
-    """
+def plan(fast_factor: Optional[float] = None) -> ExperimentPlan:
+    """The 16 and 8 MB splits with all three optimizations; ``fast_factor`` shrinks workloads."""
     splits = (16, 8)
     configs = [baseline_mcm_gpu()] + [
         optimized_mcm_gpu(l15_total_mb=l15_mb) for l15_mb in splits
     ]
-    baseline, *split_results = run_suites(
-        configs, workloads=suite_workloads(fast_factor=fast_factor)
-    )
-    m_names = names_in_category(Category.M_INTENSIVE)
-    out: Dict[int, FTVariant] = {}
-    for l15_mb, results in zip(splits, split_results):
-        geomeans = category_geomeans(results, baseline)
-        out[l15_mb] = FTVariant(
-            l15_mb=l15_mb,
-            per_workload_m=speedups(
-                filter_names(results, m_names), filter_names(baseline, m_names)
-            ),
-            m_geomean=geomeans[Category.M_INTENSIVE],
-            c_geomean=geomeans[Category.C_INTENSIVE],
-            limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
-        )
-    return out
+
+    def reduce(suites) -> Dict[int, FTVariant]:
+        baseline, *split_results = suites
+        m_names = names_in_category(Category.M_INTENSIVE)
+        out: Dict[int, FTVariant] = {}
+        for l15_mb, results in zip(splits, split_results):
+            geomeans = category_geomeans(results, baseline)
+            out[l15_mb] = FTVariant(
+                l15_mb=l15_mb,
+                per_workload_m=speedups(
+                    filter_names(results, m_names), filter_names(baseline, m_names)
+                ),
+                m_geomean=geomeans[Category.M_INTENSIVE],
+                c_geomean=geomeans[Category.C_INTENSIVE],
+                limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
+            )
+        return out
+
+    return suite_plan(configs, reduce, fast_factor)
 
 
 def report(variants: Dict[int, FTVariant]) -> str:

@@ -6,24 +6,19 @@ traffic than the baseline; several workloads nearly eliminate it.
 
 from __future__ import annotations
 
-from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
-from .common import run_suites
-from .traffic_common import TrafficComparison, build_comparison
+from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
+from .common import ExperimentPlan
+from .traffic_common import TrafficComparison, traffic_plan
 from .traffic_common import report as report_traffic
 
 
-def run_fig14() -> TrafficComparison:
-    """Compare baseline traffic against both optimized splits."""
-    baseline, ft16, ft8 = run_suites(
-        [
-            baseline_mcm_gpu(),
-            mcm_gpu_with_l15(16, remote_only=True, scheduler="distributed", placement="first_touch"),
-            mcm_gpu_with_l15(8, remote_only=True, scheduler="distributed", placement="first_touch"),
-        ]
-    )
-    return build_comparison(
+def plan() -> ExperimentPlan:
+    """Baseline traffic against both optimized (L1.5 + DS + FT) splits."""
+    return traffic_plan(
         "Figure 14: Baseline vs L1.5+DS+FT (16MB and 8MB splits)",
-        [("baseline", baseline), ("16MB+DS+FT", ft16), ("8MB+DS+FT", ft8)],
+        [("baseline", baseline_mcm_gpu()),
+         ("16MB+DS+FT", optimized_mcm_gpu(l15_total_mb=16)),
+         ("8MB+DS+FT", optimized_mcm_gpu(l15_total_mb=8))],
     )
 
 

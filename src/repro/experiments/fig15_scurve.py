@@ -14,8 +14,7 @@ from typing import Dict, List, Optional
 from ..analysis.report import format_series
 from ..analysis.speedup import sorted_speedup_curve, speedups
 from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
-from ..workloads.suite import suite_workloads
-from .common import run_suites
+from .common import ExperimentPlan, suite_plan
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,15 @@ class SCurve:
         return dict(picked)
 
 
-def run_fig15(fast_factor: Optional[float] = None) -> SCurve:
-    """Simulate optimized vs baseline over the whole suite.
+def plan(fast_factor: Optional[float] = None) -> ExperimentPlan:
+    """Optimized vs baseline over the whole suite, shrunk by ``fast_factor``."""
+    configs = [baseline_mcm_gpu(), optimized_mcm_gpu()]
 
-    ``fast_factor`` shrinks every workload.
-    """
-    workloads = suite_workloads(fast_factor=fast_factor)
-    baseline, optimized = run_suites([baseline_mcm_gpu(), optimized_mcm_gpu()], workloads=workloads)
-    return SCurve(per_workload=speedups(optimized, baseline))
+    def reduce(suites) -> SCurve:
+        baseline, optimized = suites
+        return SCurve(per_workload=speedups(optimized, baseline))
+
+    return suite_plan(configs, reduce, fast_factor)
 
 
 def report(scurve: SCurve) -> str:

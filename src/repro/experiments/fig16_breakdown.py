@@ -12,7 +12,7 @@ together +22.8%; the optimized design comes within ~10% of the monolithic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..analysis.report import format_table
@@ -23,8 +23,7 @@ from ..core.presets import (
     monolithic_gpu,
     optimized_mcm_gpu,
 )
-from ..workloads.suite import suite_workloads
-from .common import run_suites
+from .common import ExperimentPlan, suite_plan, variant
 
 
 @dataclass(frozen=True)
@@ -38,27 +37,28 @@ class Breakdown:
         return self.speedups["monolithic-256"] / self.speedups["optimized"]
 
 
-def run_fig16(fast_factor: Optional[float] = None) -> Breakdown:
-    """Simulate every Figure 16 design point.
-
-    ``fast_factor`` shrinks every workload.
-    """
+def plan(fast_factor: Optional[float] = None) -> ExperimentPlan:
+    """Every Figure 16 design point; ``fast_factor`` shrinks every workload."""
     baseline_cfg = baseline_mcm_gpu()
     points = {
         "l15-alone": mcm_gpu_with_l15(16, remote_only=True),
-        "ds-alone": replace(baseline_cfg, scheduler="distributed", name="mcm-ds-only"),
-        "ft-alone": replace(baseline_cfg, placement="first_touch", name="mcm-ft-only"),
+        "ds-alone": variant(baseline_cfg, "mcm-ds-only", scheduler="distributed"),
+        "ft-alone": variant(baseline_cfg, "mcm-ft-only", placement="first_touch"),
         "optimized": optimized_mcm_gpu(),
         "mcm-6tbs": baseline_mcm_gpu(link_bandwidth=6144.0),
         "monolithic-256": monolithic_gpu(256),
     }
-    workloads = suite_workloads(fast_factor=fast_factor)
-    baseline, *point_results = run_suites([baseline_cfg] + list(points.values()), workloads=workloads)
-    result: Dict[str, float] = {
-        label: geomean_speedup(results, baseline)
-        for label, results in zip(points, point_results)
-    }
-    return Breakdown(speedups=result)
+    configs = [baseline_cfg] + list(points.values())
+
+    def reduce(suites) -> Breakdown:
+        baseline, *point_results = suites
+        result: Dict[str, float] = {
+            label: geomean_speedup(results, baseline)
+            for label, results in zip(points, point_results)
+        }
+        return Breakdown(speedups=result)
+
+    return suite_plan(configs, reduce, fast_factor)
 
 
 def report(breakdown: Breakdown) -> str:

@@ -25,8 +25,7 @@ from ..core.presets import (
     multi_gpu,
     optimized_mcm_gpu,
 )
-from ..workloads.suite import suite_workloads
-from .common import run_suites
+from .common import ExperimentPlan, suite_plan
 
 
 @dataclass(frozen=True)
@@ -40,26 +39,25 @@ class MultiGPUComparison:
         return self.speedups["mcm-optimized"] / self.speedups["multi-gpu-optimized"]
 
 
-def run_fig17(fast_factor: Optional[float] = None) -> MultiGPUComparison:
-    """Simulate every Figure 17 system.
-
-    ``fast_factor`` shrinks every workload.
-    """
+def plan(fast_factor: Optional[float] = None) -> ExperimentPlan:
+    """Every Figure 17 system; ``fast_factor`` shrinks every workload."""
     points = {
         "multi-gpu-optimized": multi_gpu(optimized=True),
         "mcm-optimized": optimized_mcm_gpu(),
         "mcm-6tbs": baseline_mcm_gpu(link_bandwidth=6144.0),
         "monolithic-256": monolithic_gpu(256),
     }
-    baseline, *point_results = run_suites(
-        [multi_gpu(optimized=False)] + list(points.values()),
-        workloads=suite_workloads(fast_factor=fast_factor),
-    )
-    out: Dict[str, float] = {
-        label: geomean_speedup(results, baseline)
-        for label, results in zip(points, point_results)
-    }
-    return MultiGPUComparison(speedups=out)
+    configs = [multi_gpu(optimized=False)] + list(points.values())
+
+    def reduce(suites) -> MultiGPUComparison:
+        baseline, *point_results = suites
+        out: Dict[str, float] = {
+            label: geomean_speedup(results, baseline)
+            for label, results in zip(points, point_results)
+        }
+        return MultiGPUComparison(speedups=out)
+
+    return suite_plan(configs, reduce, fast_factor)
 
 
 def report(comparison: MultiGPUComparison) -> str:

@@ -13,14 +13,13 @@ workloads plateau well below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup
 from ..core.presets import monolithic_gpu
-from ..sim.result import SimResult
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category, run_suites
+from .common import ExperimentPlan, filter_names, names_in_category, suite_plan
 
 #: SM counts evaluated by default.  The paper sweeps 32..288; the default
 #: keeps the powers of two plus the 288 extrapolation point.
@@ -44,30 +43,34 @@ class ScalingPoint:
         return self.high_parallelism / self.linear
 
 
-def run_fig2(sm_counts: Sequence[int] = DEFAULT_SM_COUNTS) -> List[ScalingPoint]:
-    """Simulate the SM sweep and return one point per SM count."""
+def plan(sm_counts: Sequence[int] = DEFAULT_SM_COUNTS) -> ExperimentPlan:
+    """The SM sweep, one point per SM count."""
     if 32 not in sm_counts:
         raise ValueError("the sweep needs the 32-SM reference point")
     high = names_in_category(Category.M_INTENSIVE) + names_in_category(Category.C_INTENSIVE)
     limited = names_in_category(Category.LIMITED_PARALLELISM)
 
     configs = [monolithic_gpu(32)] + [monolithic_gpu(n_sms) for n_sms in sm_counts]
-    reference, *swept = run_suites(configs)
-    points: List[ScalingPoint] = []
-    for n_sms, results in zip(sm_counts, swept):
-        points.append(
-            ScalingPoint(
-                n_sms=n_sms,
-                linear=n_sms / 32.0,
-                high_parallelism=geomean_speedup(
-                    filter_names(results, high), filter_names(reference, high)
-                ),
-                limited_parallelism=geomean_speedup(
-                    filter_names(results, limited), filter_names(reference, limited)
-                ),
+
+    def reduce(suites) -> List[ScalingPoint]:
+        reference, *swept = suites
+        points: List[ScalingPoint] = []
+        for n_sms, results in zip(sm_counts, swept):
+            points.append(
+                ScalingPoint(
+                    n_sms=n_sms,
+                    linear=n_sms / 32.0,
+                    high_parallelism=geomean_speedup(
+                        filter_names(results, high), filter_names(reference, high)
+                    ),
+                    limited_parallelism=geomean_speedup(
+                        filter_names(results, limited), filter_names(reference, limited)
+                    ),
+                )
             )
-        )
-    return points
+        return points
+
+    return suite_plan(configs, reduce)
 
 
 def report(points: List[ScalingPoint]) -> str:

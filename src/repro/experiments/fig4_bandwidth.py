@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 from ..analysis.report import format_table
 from ..core.presets import baseline_mcm_gpu
 from ..workloads.synthetic import Category
-from .common import category_geomeans, run_suites
+from .common import ExperimentPlan, category_geomeans, suite_plan
 
 #: Link bandwidth settings swept by the paper, GB/s per link.
 DEFAULT_BANDWIDTHS: Tuple[float, ...] = (6144.0, 3072.0, 1536.0, 768.0, 384.0)
@@ -34,26 +34,30 @@ class BandwidthPoint:
     limited: float
 
 
-def run_fig4(bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS) -> List[BandwidthPoint]:
-    """Simulate the sweep; performance is relative to the first setting."""
+def plan(bandwidths: Sequence[float] = DEFAULT_BANDWIDTHS) -> ExperimentPlan:
+    """The sweep; performance is relative to the first setting."""
     if not bandwidths:
         raise ValueError("need at least one bandwidth setting")
     configs = [baseline_mcm_gpu(link_bandwidth=bandwidths[0])] + [
         baseline_mcm_gpu(link_bandwidth=bandwidth) for bandwidth in bandwidths
     ]
-    reference, *swept = run_suites(configs)
-    points: List[BandwidthPoint] = []
-    for bandwidth, results in zip(bandwidths, swept):
-        relative = category_geomeans(results, reference)
-        points.append(
-            BandwidthPoint(
-                link_bandwidth=bandwidth,
-                m_intensive=relative[Category.M_INTENSIVE],
-                c_intensive=relative[Category.C_INTENSIVE],
-                limited=relative[Category.LIMITED_PARALLELISM],
+
+    def reduce(suites) -> List[BandwidthPoint]:
+        reference, *swept = suites
+        points: List[BandwidthPoint] = []
+        for bandwidth, results in zip(bandwidths, swept):
+            relative = category_geomeans(results, reference)
+            points.append(
+                BandwidthPoint(
+                    link_bandwidth=bandwidth,
+                    m_intensive=relative[Category.M_INTENSIVE],
+                    c_intensive=relative[Category.C_INTENSIVE],
+                    limited=relative[Category.LIMITED_PARALLELISM],
+                )
             )
-        )
-    return points
+        return points
+
+    return suite_plan(configs, reduce)
 
 
 def report(points: List[BandwidthPoint]) -> str:

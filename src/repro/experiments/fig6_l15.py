@@ -18,9 +18,8 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.report import format_table
 from ..analysis.speedup import speedups
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
-from ..workloads.suite import suite_workloads
 from ..workloads.synthetic import Category
-from .common import category_geomeans, filter_names, names_in_category, run_suites
+from .common import ExperimentPlan, category_geomeans, filter_names, names_in_category, suite_plan
 
 #: Design points: (capacity MB, remote_only).
 DEFAULT_VARIANTS: Tuple[Tuple[int, bool], ...] = (
@@ -51,38 +50,37 @@ class L15Variant:
         return f"{self.capacity_mb}MB {policy}"
 
 
-def run_fig6(
+def plan(
     variants: Tuple[Tuple[int, bool], ...] = DEFAULT_VARIANTS,
     fast_factor: Optional[float] = None,
-) -> List[L15Variant]:
-    """Simulate every design point against the no-L1.5 baseline.
-
-    ``fast_factor`` shrinks every workload.
-    """
+) -> ExperimentPlan:
+    """Every design point against the no-L1.5 baseline; ``fast_factor`` shrinks workloads."""
     configs = [baseline_mcm_gpu()] + [
         mcm_gpu_with_l15(capacity_mb, remote_only=remote_only)
         for capacity_mb, remote_only in variants
     ]
-    baseline, *variant_results = run_suites(
-        configs, workloads=suite_workloads(fast_factor=fast_factor)
-    )
-    m_names = names_in_category(Category.M_INTENSIVE)
-    out: List[L15Variant] = []
-    for (capacity_mb, remote_only), results in zip(variants, variant_results):
-        geomeans = category_geomeans(results, baseline)
-        out.append(
-            L15Variant(
-                capacity_mb=capacity_mb,
-                remote_only=remote_only,
-                per_workload=speedups(
-                    filter_names(results, m_names), filter_names(baseline, m_names)
-                ),
-                m_intensive_geomean=geomeans[Category.M_INTENSIVE],
-                c_intensive_geomean=geomeans[Category.C_INTENSIVE],
-                limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
+
+    def reduce(suites) -> List[L15Variant]:
+        baseline, *variant_results = suites
+        m_names = names_in_category(Category.M_INTENSIVE)
+        out: List[L15Variant] = []
+        for (capacity_mb, remote_only), results in zip(variants, variant_results):
+            geomeans = category_geomeans(results, baseline)
+            out.append(
+                L15Variant(
+                    capacity_mb=capacity_mb,
+                    remote_only=remote_only,
+                    per_workload=speedups(
+                        filter_names(results, m_names), filter_names(baseline, m_names)
+                    ),
+                    m_intensive_geomean=geomeans[Category.M_INTENSIVE],
+                    c_intensive_geomean=geomeans[Category.C_INTENSIVE],
+                    limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
+                )
             )
-        )
-    return out
+        return out
+
+    return suite_plan(configs, reduce, fast_factor)
 
 
 def best_iso_transistor(variants: List[L15Variant]) -> L15Variant:

@@ -8,19 +8,17 @@ SSSP reduced by up to ~40%.
 from __future__ import annotations
 
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
-from .common import run_suites
-from .traffic_common import TrafficComparison, build_comparison
+from .common import ExperimentPlan
+from .traffic_common import TrafficComparison, traffic_plan
 from .traffic_common import report as report_traffic
 
 
-def run_fig7() -> TrafficComparison:
-    """Compare baseline traffic against the 16 MB remote-only L1.5."""
-    baseline, with_l15 = run_suites(
-        [baseline_mcm_gpu(), mcm_gpu_with_l15(16, remote_only=True)]
-    )
-    return build_comparison(
+def plan() -> ExperimentPlan:
+    """Baseline traffic against the 16 MB remote-only L1.5."""
+    return traffic_plan(
         "Figure 7: Baseline vs 16MB remote-only L1.5",
-        [("baseline", baseline), ("16MB remote-only L1.5", with_l15)],
+        [("baseline", baseline_mcm_gpu()),
+         ("16MB remote-only L1.5", mcm_gpu_with_l15(16, remote_only=True))],
     )
 
 

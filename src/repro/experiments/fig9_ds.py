@@ -16,9 +16,8 @@ from typing import Dict, Optional
 from ..analysis.report import format_table
 from ..analysis.speedup import speedups
 from ..core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
-from ..workloads.suite import suite_workloads
 from ..workloads.synthetic import Category
-from .common import category_geomeans, filter_names, names_in_category, run_suites
+from .common import ExperimentPlan, category_geomeans, filter_names, names_in_category, suite_plan
 
 
 @dataclass(frozen=True)
@@ -33,30 +32,29 @@ class DSResult:
     l15_m_geomean: float
 
 
-def run_fig9(l15_mb: int = 16, fast_factor: Optional[float] = None) -> DSResult:
-    """Simulate L1.5 + DS (and the L1.5 alone) against the baseline.
+def plan(l15_mb: int = 16, fast_factor: Optional[float] = None) -> ExperimentPlan:
+    """L1.5 + DS (and the L1.5 alone) against the baseline; ``fast_factor`` shrinks workloads."""
+    configs = [
+        baseline_mcm_gpu(),
+        mcm_gpu_with_l15(l15_mb, remote_only=True),
+        mcm_gpu_with_l15(l15_mb, remote_only=True, scheduler="distributed"),
+    ]
 
-    ``fast_factor`` shrinks every workload.
-    """
-    baseline, l15_alone, results = run_suites(
-        [
-            baseline_mcm_gpu(),
-            mcm_gpu_with_l15(l15_mb, remote_only=True),
-            mcm_gpu_with_l15(l15_mb, remote_only=True, scheduler="distributed"),
-        ],
-        workloads=suite_workloads(fast_factor=fast_factor),
-    )
-    m_names = names_in_category(Category.M_INTENSIVE)
-    geomeans = category_geomeans(results, baseline)
-    return DSResult(
-        per_workload_m=speedups(
-            filter_names(results, m_names), filter_names(baseline, m_names)
-        ),
-        m_geomean=geomeans[Category.M_INTENSIVE],
-        c_geomean=geomeans[Category.C_INTENSIVE],
-        limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
-        l15_m_geomean=category_geomeans(l15_alone, baseline)[Category.M_INTENSIVE],
-    )
+    def reduce(suites) -> DSResult:
+        baseline, l15_alone, results = suites
+        m_names = names_in_category(Category.M_INTENSIVE)
+        geomeans = category_geomeans(results, baseline)
+        return DSResult(
+            per_workload_m=speedups(
+                filter_names(results, m_names), filter_names(baseline, m_names)
+            ),
+            m_geomean=geomeans[Category.M_INTENSIVE],
+            c_geomean=geomeans[Category.C_INTENSIVE],
+            limited_geomean=geomeans[Category.LIMITED_PARALLELISM],
+            l15_m_geomean=category_geomeans(l15_alone, baseline)[Category.M_INTENSIVE],
+        )
+
+    return suite_plan(configs, reduce, fast_factor)
 
 
 def report(result: DSResult) -> str:

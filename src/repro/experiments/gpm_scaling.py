@@ -12,13 +12,12 @@ caches, add ring hops, and raise the remote-access fraction
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean_speedup
-from ..core.config import GPMConfig
 from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
-from .common import run_suites
+from .common import ExperimentPlan, suite_plan, variant
 
 #: Total SMs held constant across the sweep.
 TOTAL_SMS = 256
@@ -48,11 +47,11 @@ def _scaled_config(base_config, n_gpms: int, name: str):
         else replace(gpm.l15, size_bytes=max(512, int(gpm.l15.size_bytes * factor))),
         dram_bandwidth=gpm.dram_bandwidth * factor,
     )
-    return replace(base_config, n_gpms=n_gpms, gpm=new_gpm, name=name)
+    return variant(base_config, name, n_gpms=n_gpms, gpm=new_gpm)
 
 
-def run_gpm_scaling(gpm_counts: Sequence[int] = DEFAULT_GPM_COUNTS) -> List[GPMScalingPoint]:
-    """Sweep the module count for the baseline and optimized designs."""
+def plan(gpm_counts: Sequence[int] = DEFAULT_GPM_COUNTS) -> ExperimentPlan:
+    """The module-count sweep for the baseline and optimized designs."""
     for n_gpms in gpm_counts:
         if TOTAL_SMS % n_gpms:
             raise ValueError(f"{n_gpms} GPMs do not divide {TOTAL_SMS} SMs")
@@ -60,20 +59,24 @@ def run_gpm_scaling(gpm_counts: Sequence[int] = DEFAULT_GPM_COUNTS) -> List[GPMS
     for n_gpms in gpm_counts:
         configs.append(_scaled_config(baseline_mcm_gpu(), n_gpms, f"mcm-baseline-{n_gpms}gpm"))
         configs.append(_scaled_config(optimized_mcm_gpu(), n_gpms, f"mcm-optimized-{n_gpms}gpm"))
-    reference_base, reference_opt, *swept = run_suites(configs)
-    points: List[GPMScalingPoint] = []
-    for index, n_gpms in enumerate(gpm_counts):
-        base_results = swept[2 * index]
-        opt_results = swept[2 * index + 1]
-        points.append(
-            GPMScalingPoint(
-                n_gpms=n_gpms,
-                sms_per_gpm=TOTAL_SMS // n_gpms,
-                baseline_speedup=geomean_speedup(base_results, reference_base),
-                optimized_speedup=geomean_speedup(opt_results, reference_opt),
+
+    def reduce(suites) -> List[GPMScalingPoint]:
+        reference_base, reference_opt, *swept = suites
+        points: List[GPMScalingPoint] = []
+        for index, n_gpms in enumerate(gpm_counts):
+            base_results = swept[2 * index]
+            opt_results = swept[2 * index + 1]
+            points.append(
+                GPMScalingPoint(
+                    n_gpms=n_gpms,
+                    sms_per_gpm=TOTAL_SMS // n_gpms,
+                    baseline_speedup=geomean_speedup(base_results, reference_base),
+                    optimized_speedup=geomean_speedup(opt_results, reference_opt),
+                )
             )
-        )
-    return points
+        return points
+
+    return suite_plan(configs, reduce)
 
 
 def report(points: List[GPMScalingPoint]) -> str:

@@ -31,7 +31,7 @@ from ..analysis.speedup import geomean_speedup, suite_energy_joules
 from ..core.analytical import bisection_collapse
 from ..core.budget import DEFAULT_BUDGET, evaluate_budget
 from ..core.presets import baseline_mcm_gpu
-from .common import run_suites
+from .common import ExperimentPlan, suite_plan
 
 #: Every registered fabric, in registry-study order.
 STUDY_TOPOLOGIES = ("ring", "fully_connected", "mesh", "torus", "hierarchical")
@@ -83,40 +83,43 @@ def _budget_label(config) -> str:
     return "over " + "+".join(limits)
 
 
-def run_scaleout_study(
-    topologies: Sequence[str] = STUDY_TOPOLOGIES,
-) -> ScaleoutStudy:
-    """Simulate every fabric at 8 GPMs and tabulate collapse points."""
-    configs = [
+def plan(topologies: Sequence[str] = STUDY_TOPOLOGIES) -> ExperimentPlan:
+    """Every fabric at 8 GPMs, plus the collapse-point table."""
+    fabrics = [
         replace(
             baseline_mcm_gpu(n_gpms=SIMULATED_GPMS, name=f"mcm-{topology}-{SIMULATED_GPMS}"),
             topology=topology,
         )
         for topology in topologies
     ]
-    reference, *swept = run_suites([baseline_mcm_gpu()] + configs)
-    points: List[ScaleoutPoint] = []
-    for config, results in zip(configs, swept):
-        verdict = evaluate_budget(config)
-        points.append(
-            ScaleoutPoint(
-                topology=config.topology,
-                speedup=geomean_speedup(results, reference),
-                link_gbytes=sum(r.link_bytes for r in results.values()) / 1e9,
-                energy_joules=suite_energy_joules(results),
-                area_mm2=verdict.cost.area_mm2,
-                power_w=verdict.cost.power_w,
-                budget=_budget_label(config),
+    configs = [baseline_mcm_gpu()] + fabrics
+
+    def reduce(suites) -> ScaleoutStudy:
+        reference, *swept = suites
+        points: List[ScaleoutPoint] = []
+        for config, results in zip(fabrics, swept):
+            verdict = evaluate_budget(config)
+            points.append(
+                ScaleoutPoint(
+                    topology=config.topology,
+                    speedup=geomean_speedup(results, reference),
+                    link_gbytes=sum(r.link_bytes for r in results.values()) / 1e9,
+                    energy_joules=suite_energy_joules(results),
+                    area_mm2=verdict.cost.area_mm2,
+                    power_w=verdict.cost.power_w,
+                    budget=_budget_label(config),
+                )
             )
-        )
-    collapse: Dict[str, Dict[int, float]] = {
-        topology: {
-            n_gpms: bisection_collapse(n_gpms, topology=topology).collapse_gbps
-            for n_gpms in STUDY_GPM_COUNTS
+        collapse: Dict[str, Dict[int, float]] = {
+            topology: {
+                n_gpms: bisection_collapse(n_gpms, topology=topology).collapse_gbps
+                for n_gpms in STUDY_GPM_COUNTS
+            }
+            for topology in topologies
         }
-        for topology in topologies
-    }
-    return ScaleoutStudy(points=points, collapse=collapse)
+        return ScaleoutStudy(points=points, collapse=collapse)
+
+    return suite_plan(configs, reduce)
 
 
 def report(study: ScaleoutStudy) -> str:

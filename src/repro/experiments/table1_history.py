@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..analysis.report import format_table
+from .common import ExperimentPlan
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,16 @@ def die_size_headroom() -> float:
     return TABLE1[-1].die_mm2 / RETICLE_LIMIT_MM2
 
 
-def run_table1() -> List[GPUGeneration]:
-    """Return the table rows (kept as a function for harness uniformity)."""
-    return list(TABLE1)
+def plan() -> ExperimentPlan:
+    """The table rows; nothing to simulate."""
+    return ExperimentPlan((), lambda suites: list(TABLE1))
 
 
-def report() -> str:
+def report(generations: List[GPUGeneration]) -> str:
     """Render Table 1 in the paper's layout."""
     rows = [
         [g.name, g.sms, g.bandwidth_gbps, g.l2_kb, g.transistors_billion, g.tech_node_nm, g.die_mm2]
-        for g in TABLE1
+        for g in generations
     ]
     return format_table(
         ["GPU", "SMs", "BW (GB/s)", "L2 (KB)", "Transistors (B)", "Node (nm)", "Die (mm2)"],

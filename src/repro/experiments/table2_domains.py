@@ -12,6 +12,7 @@ from typing import List
 
 from ..analysis.report import format_table
 from ..core.energy import ENERGY_PJ_PER_BIT, TIER_BANDWIDTH_GBPS, IntegrationTier
+from .common import ExperimentPlan
 
 #: Qualitative integration overhead, as in the paper's table.
 TIER_OVERHEAD = {
@@ -49,23 +50,18 @@ def package_advantage_over_board() -> float:
     return ENERGY_PJ_PER_BIT[IntegrationTier.BOARD] / ENERGY_PJ_PER_BIT[IntegrationTier.PACKAGE]
 
 
-def run_table2() -> List[List[object]]:
-    """Rows: tier, bandwidth (GB/s), energy (pJ/bit), overhead."""
-    return [
-        [
-            tier.value,
-            TIER_BANDWIDTH_GBPS[tier],
-            ENERGY_PJ_PER_BIT[tier],
-            TIER_OVERHEAD[tier],
-        ]
+def plan() -> ExperimentPlan:
+    """Rows: tier, bandwidth (GB/s), energy (pJ/bit), overhead; nothing to simulate."""
+    return ExperimentPlan((), lambda suites: [
+        [tier.value, TIER_BANDWIDTH_GBPS[tier], ENERGY_PJ_PER_BIT[tier], TIER_OVERHEAD[tier]]
         for tier in tiers_ordered()
-    ]
+    ])
 
 
-def report() -> str:
+def report(rows: List[List[object]]) -> str:
     """Render Table 2."""
     return format_table(
         ["Domain", "BW (GB/s)", "Energy (pJ/bit)", "Overhead"],
-        run_table2(),
+        rows,
         title="Table 2: Bandwidth and energy per integration domain",
     )

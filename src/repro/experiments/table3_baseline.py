@@ -12,6 +12,7 @@ from typing import List
 from ..analysis.report import format_table
 from ..core.config import MEMORY_SCALE, SystemConfig
 from ..core.presets import baseline_mcm_gpu
+from .common import ExperimentPlan
 
 
 def full_scale_bytes(scaled: int, scale: float = MEMORY_SCALE) -> int:
@@ -19,14 +20,14 @@ def full_scale_bytes(scaled: int, scale: float = MEMORY_SCALE) -> int:
     return int(round(scaled / scale))
 
 
-def run_table3(config: SystemConfig = None) -> List[List[object]]:
+def plan(config: SystemConfig = None) -> ExperimentPlan:
     """Rows: parameter, paper value, this model (full-scale equivalent)."""
     if config is None:
         config = baseline_mcm_gpu()
     gpm = config.gpm
     l2_total_full = full_scale_bytes(config.total_l2_bytes) // (1 << 20)
     l1_full = full_scale_bytes(gpm.sm.l1.size_bytes) // (1 << 10)
-    return [
+    return ExperimentPlan((), lambda suites: [
         ["Number of GPMs", "4", str(config.n_gpms)],
         ["Total SMs", "256", str(config.total_sms)],
         ["GPU frequency", "1 GHz", "1 GHz (cycle==ns)"],
@@ -39,7 +40,7 @@ def run_table3(config: SystemConfig = None) -> List[List[object]]:
          f"{config.link_bandwidth:.0f} GB/s/link, ring, {config.hop_latency:.0f} cyc/hop"],
         ["Total DRAM bandwidth", "3 TB/s", f"{config.total_dram_bandwidth/1000:.1f} TB/s"],
         ["DRAM latency", "100 ns", f"{gpm.dram_latency:.0f} cycles"],
-    ]
+    ])
 
 
 def matches_paper(config: SystemConfig = None) -> bool:
@@ -60,10 +61,10 @@ def matches_paper(config: SystemConfig = None) -> bool:
     )
 
 
-def report() -> str:
+def report(rows: List[List[object]]) -> str:
     """Render Table 3 (paper vs model)."""
     return format_table(
         ["Parameter", "Paper", "Model"],
-        run_table3(),
+        rows,
         title="Table 3: Baseline MCM-GPU configuration",
     )

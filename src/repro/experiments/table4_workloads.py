@@ -17,6 +17,7 @@ from ..workloads.suite import (
     m_intensive_specs,
 )
 from ..workloads.synthetic import Category
+from .common import ExperimentPlan
 
 #: Paper Table 4 footprints (MB), keyed by benchmark abbreviation.
 PAPER_FOOTPRINTS_MB = {
@@ -27,20 +28,12 @@ PAPER_FOOTPRINTS_MB = {
 }
 
 
-def run_table4() -> List[List[object]]:
-    """Rows: name, suite, pattern, paper MB, scaled sim KB."""
-    rows: List[List[object]] = []
-    for spec in m_intensive_specs():
-        rows.append(
-            [
-                spec.name,
-                spec.suite,
-                spec.pattern,
-                spec.paper_footprint_mb,
-                spec.footprint_bytes // 1024,
-            ]
-        )
-    return rows
+def plan() -> ExperimentPlan:
+    """Rows: name, suite, pattern, paper MB, scaled sim KB; nothing to simulate."""
+    return ExperimentPlan((), lambda suites: [
+        [spec.name, spec.suite, spec.pattern, spec.paper_footprint_mb, spec.footprint_bytes // 1024]
+        for spec in m_intensive_specs()
+    ])
 
 
 def suite_composition() -> dict:
@@ -53,10 +46,10 @@ def suite_composition() -> dict:
     }
 
 
-def report() -> str:
+def report(rows: List[List[object]]) -> str:
     """Render Table 4."""
     return format_table(
         ["Benchmark", "Suite", "Pattern", "Paper MB", "Sim KB (scaled)"],
-        run_table4(),
+        rows,
         title="Table 4: Memory-intensive workloads and footprints",
     )

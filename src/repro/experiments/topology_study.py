@@ -23,7 +23,7 @@ from ..analysis.speedup import geomean_speedup
 from ..core.presets import baseline_mcm_gpu, optimized_mcm_gpu
 from ..interconnect.topology import iso_budget_link_bandwidth
 from ..workloads.synthetic import Category
-from .common import category_geomeans, run_suites
+from .common import ExperimentPlan, category_geomeans, suite_plan
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def _point(label: str, results, baselines) -> TopologyPoint:
     )
 
 
-def run_topology_study(link_setting: float = 768.0) -> Dict[str, TopologyPoint]:
-    """Compare topologies on the baseline and optimized machines."""
+def plan(link_setting: float = 768.0) -> ExperimentPlan:
+    """Both topologies on the baseline and optimized machines."""
     fc_bandwidth = iso_budget_link_bandwidth(link_setting, 4)
     fc_base_cfg = replace(
         baseline_mcm_gpu(link_bandwidth=fc_bandwidth, name=f"mcm-fc-{int(link_setting)}"),
@@ -61,20 +61,23 @@ def run_topology_study(link_setting: float = 768.0) -> Dict[str, TopologyPoint]:
         ),
         topology="fully_connected",
     )
-    ring_base, fc_base, ring_opt, fc_opt = run_suites(
-        [
-            baseline_mcm_gpu(link_bandwidth=link_setting),
-            fc_base_cfg,
-            optimized_mcm_gpu(link_bandwidth=link_setting),
-            fc_opt_cfg,
-        ]
-    )
-    return {
-        "baseline": _point(
-            f"all-to-all vs ring @ {link_setting:.0f} GB/s budget", fc_base, ring_base
-        ),
-        "optimized": _point("all-to-all vs ring, optimized machine", fc_opt, ring_opt),
-    }
+    configs = [
+        baseline_mcm_gpu(link_bandwidth=link_setting),
+        fc_base_cfg,
+        optimized_mcm_gpu(link_bandwidth=link_setting),
+        fc_opt_cfg,
+    ]
+
+    def reduce(suites) -> Dict[str, TopologyPoint]:
+        ring_base, fc_base, ring_opt, fc_opt = suites
+        return {
+            "baseline": _point(
+                f"all-to-all vs ring @ {link_setting:.0f} GB/s budget", fc_base, ring_base
+            ),
+            "optimized": _point("all-to-all vs ring, optimized machine", fc_opt, ring_opt),
+        }
+
+    return suite_plan(configs, reduce)
 
 
 def report(points: Dict[str, TopologyPoint]) -> str:

@@ -2,19 +2,19 @@
 
 All three figures plot the same quantity — average inter-GPM bandwidth in
 TB/s for each memory-intensive workload plus per-category averages — for
-different pairs of configurations.  This module holds the extraction and
-rendering; the per-figure modules pick the configurations.
+different pairs of configurations.  This module holds the plan, the
+extraction and the rendering; the per-figure modules pick the
+configurations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, List
 
 from ..analysis.report import format_table
-from ..sim.result import SimResult
 from ..workloads.synthetic import Category
-from .common import filter_names, names_in_category
+from .common import ExperimentPlan, filter_names, names_in_category, suite_plan
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,13 @@ class TrafficComparison:
     reduction_factor: float
 
 
-def traffic_tbps(results: Mapping[str, SimResult], names: List[str]) -> List[float]:
-    """Per-workload inter-GPM TB/s in the order of ``names``."""
-    return [results[name].inter_gpm_tbps for name in names]
+def traffic_plan(title: str, labeled_configs: List) -> ExperimentPlan:
+    """The suite on every (label, config); its output is their comparison."""
+    labels = [label for label, _ in labeled_configs]
+    return suite_plan(
+        [config for _, config in labeled_configs],
+        lambda suites: build_comparison(title, list(zip(labels, suites))),
+    )
 
 
 def build_comparison(

@@ -28,13 +28,12 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import SystemConfig
 from ..sim.result import SimResult
 from ..sim.simulator import Simulator
 from ..telemetry import Telemetry
-from ..workloads.suite import suite_workloads
 from ..workloads.synthetic import SyntheticWorkload, WorkloadSpec
 from ..workloads.trace import Workload
 
@@ -423,8 +422,7 @@ def _shippable(workload: Workload):
 
 
 def run_suite_parallel(
-    configs: Sequence[SystemConfig],
-    workloads: Optional[Iterable[Workload]] = None,
+    slots: Sequence[Tuple[SystemConfig, Sequence[Workload]]],
     max_workers: Optional[int] = None,
     cache=None,
     progress=None,
@@ -435,8 +433,9 @@ def run_suite_parallel(
 ) -> List[Dict[str, SimResult]]:
     """Simulate every (workload, config) pair; the one suite runner.
 
-    Returns one ``{workload name: SimResult}`` dict per configuration in
-    input order, each keyed in workload order.  Pairs run on a process
+    ``slots`` holds one ``(config, workloads)`` output slot per result
+    dict.  Returns one ``{workload name: SimResult}`` dict per slot in
+    input order, each keyed in its workload order.  Pairs run on a process
     pool of ``max_workers`` (see :func:`resolve_workers`); one worker is a
     pool of width one run in this process, and a pair whose workload
     cannot be pickled runs here too.  Simulations are deterministic, so
@@ -468,12 +467,11 @@ def run_suite_parallel(
     from .metrics import GLOBAL_METRICS
 
     start = time.time()
-    configs = list(configs)
-    workload_list = list(workloads) if workloads is not None else suite_workloads()
+    slots = [(config, list(workloads)) for config, workloads in slots]
     workers = resolve_workers(max_workers)
 
-    merged: List[Dict[str, SimResult]] = [dict() for _ in configs]
-    # pair key -> list of (config slot, workload name) output positions
+    merged: List[Dict[str, SimResult]] = [dict() for _ in slots]
+    # pair key -> list of (slot, workload name) output positions
     sinks: Dict[str, List[Tuple[int, str]]] = {}
     # pair key -> cached result, fanned out only after the scan completes
     # (a duplicate slot may register in sinks[key] after the cache hit)
@@ -481,9 +479,9 @@ def run_suite_parallel(
     # pair key -> (workload, config) for pairs that must be simulated
     pending: Dict[str, Tuple[Workload, SystemConfig]] = {}
 
-    for slot, config in enumerate(configs):
+    for slot, (config, workloads) in enumerate(slots):
         config_digest = config.digest()
-        for workload in workload_list:
+        for workload in workloads:
             key = f"{workload.digest()}##{config_digest}"
             if key in sinks:
                 sinks[key].append((slot, workload.name))
@@ -545,8 +543,9 @@ def run_suite_parallel(
                     continue
                 _record(futures[future], outcome)
 
-    # Pending pairs are config-major and deduplicated, so each
-    # configuration's pairs are contiguous: only its simulator stays alive.
+    # Pending pairs are slot-major and deduplicated, so a configuration's
+    # pairs are contiguous unless slots apart repeat it: only the current
+    # configuration's simulator stays alive.
     simulators: Dict[str, Simulator] = {}
     for key, (workload, config) in pending.items():
         if key in shipped:
@@ -565,21 +564,20 @@ def run_suite_parallel(
             raise SuiteRunError(collected) from (raised[0] if raised else None)
         failures.extend(collected)
 
-    slots = len(configs) * len(workload_list)
+    positions = sum(len(workloads) for _, workloads in slots)
     for sink in (GLOBAL_METRICS, metrics):
         if sink is not None:
             sink.record_batch(
-                configs=[config.name for config in configs],
-                total=slots,
-                cached=slots - total,
+                configs=[config.name for config, _ in slots],
+                total=positions,
+                cached=positions - total,
                 wall=time.time() - start,
                 workers=workers,
             )
 
-    names = [workload.name for workload in workload_list]
     return [
-        {name: per_config[name] for name in names if name in per_config}
-        for per_config in merged
+        {w.name: per_slot[w.name] for w in workloads if w.name in per_slot}
+        for (_, workloads), per_slot in zip(slots, merged)
     ]
 
 

@@ -29,6 +29,7 @@ from ..core.analytical import average_hops
 from ..experiments import (
     EXPERIMENTS,
     fabric_hops,
+    run_plans,
     table1_history,
     table2_domains,
     table3_baseline,
@@ -353,12 +354,13 @@ CLAIMS: Sequence[Claim] = (
 
 
 def run_experiments(names: Iterable[str], **kwargs) -> Dict[str, object]:
-    """Run each named experiment once, passing ``kwargs``; outputs by id."""
-    outputs: Dict[str, object] = {}
-    for name in names:
-        if name not in outputs:
-            module, entry = EXPERIMENTS[name]
-            outputs[name] = getattr(module, entry)(**kwargs)
+    """Outputs by id of the named experiments' plans, built with ``kwargs``
+    and run as one batch; the first experiment that failed raises."""
+    names = list(dict.fromkeys(names))
+    outputs = dict(zip(names, run_plans([EXPERIMENTS[name].plan(**kwargs) for name in names])))
+    for output in outputs.values():
+        if isinstance(output, Exception):
+            raise output
     return outputs
 
 
@@ -368,7 +370,7 @@ def evaluate(claims: Iterable[Claim], outputs: Mapping[str, object]) -> List[Fid
 
 
 def run_tier(tier: str, fast: bool = False) -> List[FidelityCheck]:
-    """Run every experiment the tier's claims name, once, and evaluate them.
+    """Run every experiment the tier's claims name as one batch; evaluate them.
 
     ``fast=True`` runs each experiment with ``fast_factor=FAST_FACTOR`` and
     widens every band by :data:`FAST_SLACK`.

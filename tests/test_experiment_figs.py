@@ -1,8 +1,9 @@
 """Unit tests for the figure-experiment modules.
 
 Simulating the full suite is benchmark territory; here the experiment
-logic (aggregation, variant selection, report rendering) is tested against
-stubbed suite results, so these tests run in milliseconds.
+logic (aggregation, variant selection, report rendering) is tested by
+feeding each plan's ``reduce`` stubbed suite results, so these tests run
+in milliseconds.
 """
 
 import pytest
@@ -17,65 +18,21 @@ from repro.experiments import (
     fig17_multigpu,
 )
 from repro.experiments import traffic_common
-from repro.memory.cache import CacheStats
-from repro.sim.result import SimResult
 from repro.workloads.suite import all_specs
 
-
-def stub_result(name, cycles, link_bytes=10_000):
-    return SimResult(
-        workload_name=name,
-        system_name="stub",
-        cycles=cycles,
-        kernels=1,
-        ctas=1,
-        records=1,
-        loads=1,
-        stores=0,
-        remote_loads=0,
-        remote_stores=0,
-        l1=CacheStats(),
-        l15=CacheStats(),
-        l2=CacheStats(),
-        dram_bytes_read=0,
-        dram_bytes_written=0,
-        link_bytes=link_bytes,
-        page_local=0,
-        page_remote=0,
-    )
-
-
-def stub_suite(cycles_by_config):
-    """Build a run_suites replacement keyed by config name."""
-
-    def fake_run_suites(configs, workloads=None, cache=None, max_workers=None, progress=None):
-        out = []
-        for config in configs:
-            factor = cycles_by_config(config)
-            out.append(
-                {
-                    spec.name: stub_result(
-                        spec.name, 1000.0 * factor, link_bytes=int(10_000 * factor)
-                    )
-                    for spec in all_specs()
-                }
-            )
-        return out
-
-    return fake_run_suites
+from .stubs import reduce_stubbed, stub_result
 
 
 class TestFig2Logic:
     def test_requires_reference_point(self):
         with pytest.raises(ValueError, match="32-SM reference"):
-            fig2_scaling.run_fig2(sm_counts=(64, 128))
+            fig2_scaling.plan(sm_counts=(64, 128))
 
-    def test_scaling_points(self, monkeypatch):
-        def cycles(config):
-            return 32.0 / config.total_sms  # perfect linear scaling
+    def test_scaling_points(self):
+        def cycles(config, workload):
+            return 1000.0 * 32.0 / config.total_sms  # perfect linear scaling
 
-        monkeypatch.setattr(fig2_scaling, "run_suites", stub_suite(cycles))
-        points = fig2_scaling.run_fig2(sm_counts=(32, 64, 128))
+        points = reduce_stubbed(fig2_scaling.plan(sm_counts=(32, 64, 128)), cycles)
         assert points[0].high_parallelism == pytest.approx(1.0)
         assert points[2].high_parallelism == pytest.approx(4.0)
         assert points[2].efficiency == pytest.approx(1.0)
@@ -83,31 +40,29 @@ class TestFig2Logic:
 
 
 class TestFig4Logic:
-    def test_relative_to_first_setting(self, monkeypatch):
-        def cycles(config):
-            return 6144.0 / config.link_bandwidth  # slower at lower settings
+    def test_relative_to_first_setting(self):
+        def cycles(config, workload):
+            return 1000.0 * 6144.0 / config.link_bandwidth  # slower at lower settings
 
-        monkeypatch.setattr(fig4_bandwidth, "run_suites", stub_suite(cycles))
-        points = fig4_bandwidth.run_fig4((6144.0, 768.0))
+        points = reduce_stubbed(fig4_bandwidth.plan((6144.0, 768.0)), cycles)
         assert points[0].m_intensive == pytest.approx(1.0)
         assert points[1].m_intensive == pytest.approx(768.0 / 6144.0)
         assert "Figure 4" in fig4_bandwidth.report(points)
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError, match="at least one"):
-            fig4_bandwidth.run_fig4(())
+            fig4_bandwidth.plan(())
 
 
 class TestFig6Logic:
-    def test_best_iso_transistor_prefers_higher_m_geomean(self, monkeypatch):
-        def cycles(config):
+    def test_best_iso_transistor_prefers_higher_m_geomean(self):
+        def cycles(config, workload):
             if config.total_l15_bytes == 0:
-                return 1.0  # baseline
+                return 1000.0  # baseline
             # 16 MB variants twice as fast as 8 MB variants.
-            return 0.5 if config.total_l15_bytes > 300_000 else 0.9
+            return 500.0 if config.total_l15_bytes > 300_000 else 900.0
 
-        monkeypatch.setattr(fig6_l15, "run_suites", stub_suite(cycles))
-        variants = fig6_l15.run_fig6(((8, True), (16, True)))
+        variants = reduce_stubbed(fig6_l15.plan(((8, True), (16, True))), cycles)
         best = fig6_l15.best_iso_transistor(variants)
         assert best.capacity_mb == 16
         assert "Figure 6" in fig6_l15.report(variants)
@@ -118,9 +73,8 @@ class TestFig6Logic:
 
 
 class TestFig13Logic:
-    def test_two_variants(self, monkeypatch):
-        monkeypatch.setattr(fig13_ft, "run_suites", stub_suite(lambda config: 1.0))
-        variants = fig13_ft.run_fig13()
+    def test_two_variants(self):
+        variants = reduce_stubbed(fig13_ft.plan(), lambda config, workload: 1000.0)
         assert set(variants) == {8, 16}
         assert "Figure 13" in fig13_ft.report(variants)
 

@@ -8,13 +8,16 @@ from repro.core.config import MODEL_REV
 from repro.core.presets import baseline_mcm_gpu
 from repro.experiments import common
 from repro.experiments.common import (
+    ExperimentPlan,
     ResultCache,
     default_cache,
     filter_names,
     names_in_category,
     run_one,
+    run_plans,
     run_suite,
 )
+from repro.parallel import GLOBAL_METRICS
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 
 
@@ -227,6 +230,32 @@ class TestRunSuite:
         again = run_suite(tiny_config(), workloads, cache)
         assert cache.hits == 2
         assert again["w1"] == results["w1"]
+
+
+class TestRunPlans:
+    def test_shared_pair_simulates_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        config, shared = tiny_config(), tiny_workload("plan-shared")
+        first = ExperimentPlan([(config, [shared])], lambda suites: suites[0])
+        second = ExperimentPlan(
+            [(config, [shared, tiny_workload("plan-own")])], lambda suites: suites[0]
+        )
+        GLOBAL_METRICS.reset()
+        one, two = run_plans([first, second], cache=None)
+        assert GLOBAL_METRICS.executed_pairs == 2
+        assert one["plan-shared"] is two["plan-shared"]
+        assert list(two) == ["plan-shared", "plan-own"]
+
+    def test_failing_reduce_spares_other_plans(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+
+        def boom(suites):
+            raise RuntimeError("reduce exploded")
+
+        broken, fine = run_plans(
+            [ExperimentPlan((), boom), ExperimentPlan((), lambda suites: "ok")], cache=None
+        )
+        assert isinstance(broken, RuntimeError) and fine == "ok"
 
 
 class TestHelpers:

@@ -8,75 +8,37 @@ from repro.experiments import (
     gpm_scaling,
     topology_study,
 )
-from repro.memory.cache import CacheStats
-from repro.sim.result import SimResult
 from repro.workloads.suite import all_specs
 
-
-def stub_result(name, cycles, remote=0.2):
-    total = 1000
-    remote_count = int(total * remote)
-    return SimResult(
-        workload_name=name,
-        system_name="stub",
-        cycles=cycles,
-        kernels=1,
-        ctas=1,
-        records=1,
-        loads=total,
-        stores=0,
-        remote_loads=remote_count,
-        remote_stores=0,
-        l1=CacheStats(),
-        l15=CacheStats(),
-        l2=CacheStats(),
-        dram_bytes_read=0,
-        dram_bytes_written=0,
-        link_bytes=100,
-        page_local=total - remote_count,
-        page_remote=remote_count,
-    )
-
-
-def stub_run_suite(cycle_fn):
-    def fake(configs, workloads=None, cache=None, max_workers=None, progress=None):
-        return [
-            {spec.name: stub_result(spec.name, cycle_fn(config)) for spec in all_specs()}
-            for config in configs
-        ]
-
-    return fake
+from .stubs import reduce_stubbed
 
 
 class TestTopologyStudy:
-    def test_speedup_direction(self, monkeypatch):
-        def cycles(config):
+    def test_speedup_direction(self):
+        def cycles(config, workload):
             return 800.0 if config.topology == "fully_connected" else 1000.0
 
-        monkeypatch.setattr(topology_study, "run_suites", stub_run_suite(cycles))
-        points = topology_study.run_topology_study()
+        points = reduce_stubbed(topology_study.plan(), cycles)
         assert points["baseline"].overall == pytest.approx(1.25)
         assert points["optimized"].overall == pytest.approx(1.25)
         assert "Topology" in topology_study.report(points)
 
-    def test_iso_budget_bandwidth_used(self, monkeypatch):
+    def test_iso_budget_bandwidth_used(self):
         seen = []
 
-        def cycles(config):
+        def cycles(config, workload):
             seen.append((config.topology, config.link_bandwidth))
             return 1000.0
 
-        monkeypatch.setattr(topology_study, "run_suites", stub_run_suite(cycles))
-        topology_study.run_topology_study(link_setting=768.0)
+        reduce_stubbed(topology_study.plan(link_setting=768.0), cycles)
         fc_settings = {bw for topo, bw in seen if topo == "fully_connected"}
         assert len(fc_settings) == 1
         assert fc_settings.pop() == pytest.approx(512.0)
 
 
 class TestGPMScaling:
-    def test_reference_point_is_unity(self, monkeypatch):
-        monkeypatch.setattr(gpm_scaling, "run_suites", stub_run_suite(lambda config: 100.0))
-        points = gpm_scaling.run_gpm_scaling((2, 4, 8))
+    def test_reference_point_is_unity(self):
+        points = reduce_stubbed(gpm_scaling.plan((2, 4, 8)), lambda config, workload: 100.0)
         by_count = {p.n_gpms: p for p in points}
         assert by_count[4].baseline_speedup == pytest.approx(1.0)
         assert by_count[4].sms_per_gpm == 64
@@ -91,10 +53,9 @@ class TestGPMScaling:
         assert config.total_sms == 256
         assert config.total_dram_bandwidth == pytest.approx(3072.0)
 
-    def test_rejects_non_divisor(self, monkeypatch):
-        monkeypatch.setattr(gpm_scaling, "run_suites", stub_run_suite(lambda config: 1.0))
+    def test_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="divide"):
-            gpm_scaling.run_gpm_scaling((3,))
+            gpm_scaling.plan((3,))
 
 
 class TestSchedulerAblation:
@@ -103,26 +64,24 @@ class TestSchedulerAblation:
         names = {spec.name for spec in all_specs()}
         assert set(ablation_scheduler.IMBALANCED) <= names
 
-    def test_speedups_computed(self, monkeypatch):
-        def cycles(config):
+    def test_speedups_computed(self):
+        def cycles(config, workload):
             return {"centralized": 1000.0, "distributed": 800.0, "dynamic": 750.0}[
                 config.scheduler
             ]
 
-        monkeypatch.setattr(ablation_scheduler, "run_suites", stub_run_suite(cycles))
-        ablation = ablation_scheduler.run_scheduler_ablation()
+        ablation = reduce_stubbed(ablation_scheduler.plan(), cycles)
         assert ablation.overall["distributed"] == pytest.approx(1.25)
         assert ablation.overall["dynamic"] == pytest.approx(1000 / 750)
         assert "Scheduler" in ablation_scheduler.report(ablation)
 
 
 class TestPageSizeAblation:
-    def test_reference_and_locality(self, monkeypatch):
-        def cycles(config):
+    def test_reference_and_locality(self):
+        def cycles(config, workload):
             return 1000.0 if config.page_bytes == 2048 else 1100.0
 
-        monkeypatch.setattr(ablation_page_size, "run_suites", stub_run_suite(cycles))
-        points = ablation_page_size.run_page_size_ablation((1024, 2048))
+        points = reduce_stubbed(ablation_page_size.plan((1024, 2048)), cycles)
         by_size = {p.page_bytes: p for p in points}
         assert by_size[2048].speedup == pytest.approx(1.0)
         assert by_size[1024].speedup == pytest.approx(1000 / 1100)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import ml_verdicts
 from repro.experiments import ml_workloads as ml_experiment
 from repro.validate.claims import CLAIMS, evaluate
 from repro.workloads.characterize import cached_profile
@@ -21,6 +22,8 @@ from repro.workloads.patterns import (
 from repro.workloads.rng import rng_for
 from repro.workloads.suite import ml_specs, ml_workloads, spec_by_name
 from repro.workloads.synthetic import Category, SyntheticWorkload
+
+from .stubs import reduce_stubbed
 
 ML_PATTERN_NAMES = ["gemm_tile", "attention", "allreduce", "zipfian", "bursty"]
 
@@ -183,37 +186,9 @@ class TestMLSuite:
 
 
 class TestMLStudy:
-    def stub_suites(self, l15_cycles, opt_cycles):
-        """Fake run_suites: baseline 1000 cycles, others as given."""
-        from repro.memory.cache import CacheStats
-        from repro.sim.result import SimResult
-        from repro.workloads.suite import all_specs
-
-        def result(name, cycles):
-            return SimResult(
-                workload_name=name, system_name="stub", cycles=cycles,
-                kernels=1, ctas=1, records=1, loads=100, stores=0,
-                remote_loads=20, remote_stores=0,
-                l1=CacheStats(), l15=CacheStats(), l2=CacheStats(),
-                dram_bytes_read=0, dram_bytes_written=0, link_bytes=10,
-                page_local=80, page_remote=20,
-            )
-
-        def fake(configs, workloads=None, cache=None, max_workers=None, progress=None):
-            names = (
-                [w.name for w in workloads]
-                if workloads is not None
-                else [spec.name for spec in all_specs()]
-            )
-            return [
-                {name: result(name, cycles) for name in names}
-                for cycles in (1000.0, l15_cycles, opt_cycles)
-            ]
-
-        return fake
-
-    def test_conclusions_hold_when_ml_keeps_the_gains(self, monkeypatch):
-        monkeypatch.setattr(ml_experiment, "run_suites", self.stub_suites(900.0, 800.0))
+    def outputs(self, monkeypatch, ml_cycles, cycles_2017=(900.0, 800.0)):
+        """The study and its verdicts over stub suites: the baseline takes
+        1000 cycles, the L1.5 and optimized machines ``(l15, opt)`` per suite."""
         monkeypatch.setattr(
             ml_experiment, "cached_profile",
             lambda workload, **kw: type(
@@ -221,29 +196,28 @@ class TestMLStudy:
                           "store_fraction": 0.2},
             )(),
         )
-        study = ml_experiment.run_ml_workloads(fast_factor=0.0625)
-        assert all(verdict.holds for verdict in study.verdicts)
+        names = [config.name for config in ml_experiment.machines()]
+
+        def cycles(config, workload):
+            l15, opt = ml_cycles if workload.spec.suite == "ML" else cycles_2017
+            return (1000.0, l15, opt)[names.index(config.name)]
+
+        return (
+            reduce_stubbed(ml_experiment.plan(fast_factor=0.0625), cycles),
+            reduce_stubbed(ml_verdicts.plan(fast_factor=0.0625), cycles),
+        )
+
+    def test_conclusions_hold_when_ml_keeps_the_gains(self, monkeypatch):
+        study, verdicts = self.outputs(monkeypatch, (900.0, 800.0))
+        assert all(verdict.holds for verdict in verdicts)
         assert study.ml_total == 8
-        text = ml_experiment.report(study)
+        text = ml_verdicts.report(verdicts)
         assert "HOLDS" in text and "BREAKS" not in text
 
     def test_conclusions_break_when_ml_loses_the_gains(self, monkeypatch):
-        def fake(configs, workloads=None, cache=None, max_workers=None, progress=None):
-            if workloads is not None and len(list(workloads)) == 8:
-                return self.stub_suites(1100.0, 1200.0)(configs, workloads=workloads)
-            return self.stub_suites(900.0, 800.0)(configs, workloads=workloads)
-
-        monkeypatch.setattr(ml_experiment, "run_suites", fake)
-        monkeypatch.setattr(
-            ml_experiment, "cached_profile",
-            lambda workload, **kw: type(
-                "P", (), {"hot_concentration": 0.5, "shared_line_fraction": 0.1,
-                          "store_fraction": 0.2},
-            )(),
-        )
-        study = ml_experiment.run_ml_workloads(fast_factor=0.0625)
-        assert not any(verdict.holds for verdict in study.verdicts)
-        assert "BREAKS" in ml_experiment.report(study)
+        _, verdicts = self.outputs(monkeypatch, (1100.0, 1200.0))
+        assert not any(verdict.holds for verdict in verdicts)
+        assert "BREAKS" in ml_verdicts.report(verdicts)
 
 
 class TestMLFidelityBands:
@@ -252,7 +226,6 @@ class TestMLFidelityBands:
         return ml_experiment.MLStudy(
             per_workload={name: (l15, opt) for name in names},
             characterization={},
-            verdicts=[],
             ml_improved=len(names),
             ml_degraded=0,
             ml_total=len(names),

@@ -89,9 +89,9 @@ class TestParallelMatchesSerial:
     def test_bit_identical_on_cold_cache(self):
         workloads = tiny_workloads()
         configs = tiny_configs()
-        serial = run_suite_parallel(configs, workloads=workloads, max_workers=1, cache=None)
+        serial = run_suite_parallel([(c, workloads) for c in configs], max_workers=1, cache=None)
         parallel = run_suite_parallel(
-            configs, workloads=workloads, max_workers=4, cache=None
+            [(c, workloads) for c in configs], max_workers=4, cache=None
         )
         assert len(parallel) == len(serial)
         for serial_map, parallel_map in zip(serial, parallel):
@@ -101,7 +101,7 @@ class TestParallelMatchesSerial:
 
     def test_single_config_shape(self):
         [results] = run_suite_parallel(
-            tiny_configs()[:1], workloads=tiny_workloads(), max_workers=2, cache=None
+            [(tiny_configs()[0], tiny_workloads())], max_workers=2, cache=None
         )
         assert set(results) == {"p-w1", "p-w2", "p-w3", "p-w4"}
 
@@ -110,7 +110,7 @@ class TestParallelMatchesSerial:
         config = tiny_configs()[0]
         workloads = tiny_workloads()
         first, second = run_suite_parallel(
-            [config, config], workloads=workloads, max_workers=2, cache=cache
+            [(config, workloads)] * 2, max_workers=2, cache=cache
         )
         for name in first:
             assert first[name].to_dict() == second[name].to_dict()
@@ -121,8 +121,7 @@ class TestParallelMatchesSerial:
     def test_progress_callback(self):
         seen = []
         run_suite_parallel(
-            tiny_configs()[:1],
-            workloads=tiny_workloads(),
+            [(tiny_configs()[0], tiny_workloads())],
             max_workers=2,
             cache=None,
             progress=lambda done, total, result: seen.append((done, total)),
@@ -137,11 +136,11 @@ class TestParallelMatchesSerial:
         config = tiny_configs()[0]
         workloads = tiny_workloads()
         cold = run_suite_parallel(
-            [config, config], workloads=workloads, max_workers=2,
+            [(config, workloads)] * 2, max_workers=2,
             cache=ResultCache(tmp_path),
         )
         warm = run_suite_parallel(
-            [config, config], workloads=workloads, max_workers=2,
+            [(config, workloads)] * 2, max_workers=2,
             cache=ResultCache(tmp_path),
         )
         names = {workload.name for workload in workloads}
@@ -176,7 +175,7 @@ class TestParallelCache:
     def test_workers_persist_shards(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_suite_parallel(
-            tiny_configs(), workloads=tiny_workloads(), max_workers=3, cache=cache
+            [(c, tiny_workloads()) for c in tiny_configs()], max_workers=3, cache=cache
         )
         shards = list(tmp_path.glob("results-w*.jsonl"))
         assert shards, "workers should write per-process shard files"
@@ -186,11 +185,11 @@ class TestParallelCache:
     def test_warm_cache_skips_dispatch(self, tmp_path):
         cache = ResultCache(tmp_path)
         cold = run_suite_parallel(
-            tiny_configs(), workloads=tiny_workloads(), max_workers=3, cache=cache
+            [(c, tiny_workloads()) for c in tiny_configs()], max_workers=3, cache=cache
         )
         warm_cache = ResultCache(tmp_path)
         warm = run_suite_parallel(
-            tiny_configs(), workloads=tiny_workloads(), max_workers=3, cache=warm_cache
+            [(c, tiny_workloads()) for c in tiny_configs()], max_workers=3, cache=warm_cache
         )
         assert warm_cache.hits == 8
         assert warm_cache.misses == 0
@@ -397,8 +396,7 @@ class TestPairFailures:
         config = tiny_configs()[0]
         failures = []
         results = run_suite_parallel(
-            [config],
-            workloads=[self._crasher(), tiny_workload("pf-ok")],
+            [(config, [self._crasher(), tiny_workload("pf-ok")])],
             max_workers=2,
             cache=None,
             crash_retries=1,
@@ -417,8 +415,7 @@ class TestPairFailures:
         config = tiny_configs()[0]
         failures = []
         results = run_suite_parallel(
-            [config],
-            workloads=[self._hanger()],
+            [(config, [self._hanger()])],
             max_workers=2,
             cache=None,
             timeout=1.0,
@@ -432,8 +429,7 @@ class TestPairFailures:
         config = tiny_configs()[0]
         failures = []
         results = run_suite_parallel(
-            [config],
-            workloads=[self._raiser(), tiny_workload("pf-ok2")],
+            [(config, [self._raiser(), tiny_workload("pf-ok2")])],
             max_workers=max_workers,
             cache=None,
             failures=failures,
@@ -449,8 +445,7 @@ class TestPairFailures:
         config = tiny_configs()[0]
         with pytest.raises(SuiteRunError) as info:
             run_suite_parallel(
-                [config],
-                workloads=[self._raiser()],
+                [(config, [self._raiser()])],
                 max_workers=max_workers,
                 cache=None,
             )

@@ -52,10 +52,10 @@ class TestExports:
             "table1", "table2", "table3", "table4",
             "fig2", "fig4", "fig6", "fig7", "fig9", "fig10",
             "fig13", "fig14", "fig15", "fig16", "fig17",
-            "topology", "gpm-scaling", "ml-workloads", "sched-ablation",
+            "topology", "gpm-scaling", "ml-workloads", "ml-verdicts", "sched-ablation",
             "page-ablation", "migration-ablation", "scaleout", "fabric-hops",
         }
         assert set(EXPERIMENTS) == expected
-        for module, entry in EXPERIMENTS.values():
-            assert hasattr(module, entry)
+        for module in EXPERIMENTS.values():
+            assert hasattr(module, "plan")
             assert hasattr(module, "report")

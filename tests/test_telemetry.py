@@ -81,7 +81,7 @@ class TestBitIdentity:
         monkeypatch.setenv("REPRO_PROFILE", "1")
         [profiled_serial] = run_suites([config], workloads, None, max_workers=1)
         profiled_parallel = run_suite_parallel(
-            [config], workloads=workloads, max_workers=2, cache=None
+            [(config, workloads)], max_workers=2, cache=None
         )[0]
         for name in plain:
             assert plain[name].to_dict() == profiled_serial[name].to_dict()
@@ -243,7 +243,7 @@ class TestProfilingIntegration:
         monkeypatch.setattr(metrics_mod, "GLOBAL_METRICS", fresh)
         monkeypatch.setenv("REPRO_PROFILE", "1")
         workloads = [tiny_workload("t-p1"), tiny_workload("t-p2", pattern="hotset")]
-        run_suite_parallel([tiny_config()], workloads=workloads, max_workers=2, cache=None)
+        run_suite_parallel([(tiny_config(), workloads)], max_workers=2, cache=None)
         assert len(fresh.telemetry_summaries) == 2
         for summary in fresh.telemetry_summaries:
             assert summary["cycles"] > 0

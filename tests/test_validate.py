@@ -22,14 +22,18 @@ from repro.validate import (
 )
 from repro.experiments import (
     EXPERIMENTS,
+    ExperimentPlan,
     fig6_l15,
     fig9_ds,
     fig13_ft,
     fig15_scurve,
     fig16_breakdown,
     fig17_multigpu,
+    ml_workloads,
 )
+from repro.parallel import runner as runner_module
 from repro.validate import claims as claims_module
+from repro.validate import invariants as invariants_module
 from repro.validate.claims import (
     CLAIMS,
     FAST_FACTOR,
@@ -42,6 +46,9 @@ from repro.validate.claims import (
 )
 from repro.validate.golden import metrics_of, run_golden_matrix
 from repro.validate.properties import micro_suite, run_properties
+from repro.workloads.suite import suite_workloads
+
+from .stubs import stub_suites
 
 
 @pytest.fixture(autouse=True)
@@ -357,8 +364,8 @@ class TestClaimTable:
     def test_tier_experiments_take_fast_factor(self):
         for claim in CLAIMS:
             if claim.tier is not None:
-                module, entry = EXPERIMENTS[claim.experiment]
-                assert "fast_factor" in inspect.signature(getattr(module, entry)).parameters
+                plan = EXPERIMENTS[claim.experiment].plan
+                assert "fast_factor" in inspect.signature(plan).parameters
 
     def test_strict_edges_exclude_the_edge(self):
         assert over(1.0) > 1.0 and under(1.0) < 1.0
@@ -367,19 +374,66 @@ class TestClaimTable:
         assert "[0+, inf]" in fidelity_report([check])
 
     def test_fast_tier_shrinks_workloads_and_widens_bands(self, monkeypatch):
-        seen = []
+        outputs = synthetic_fidelity_outputs()
+        seen = {}
 
-        def fake_run_experiments(names, **kwargs):
-            seen.append(kwargs)
-            return synthetic_fidelity_outputs()
+        def fake_experiment(name):
+            def plan(**kwargs):
+                seen.setdefault(name, []).append(kwargs)
+                return ExperimentPlan((), lambda suites: outputs[name])
 
-        monkeypatch.setattr(claims_module, "run_experiments", fake_run_experiments)
+            return types.SimpleNamespace(plan=plan)
+
+        fakes = {name: fake_experiment(name) for name in outputs}
+        monkeypatch.setattr(claims_module, "EXPERIMENTS", fakes)
         full = claims_module.run_tier("fidelity")
         fast = claims_module.run_tier("fidelity", fast=True)
-        assert seen == [{}, {"fast_factor": FAST_FACTOR}]
+        assert set(seen) == set(outputs)
+        assert all(calls == [{}, {"fast_factor": FAST_FACTOR}] for calls in seen.values())
         assert all(f.lo < c.lo and f.value == c.value for f, c in zip(fast, full))
         with pytest.raises(ValueError, match="unknown claim tier"):
             claims_module.run_tier("golden")
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_tier_runs_one_batch(self, tier, monkeypatch):
+        batches = []
+
+        def fake_runner(slots, cache=None, failures=None):
+            batches.append(slots)
+            return stub_suites(slots, lambda config, workload: 1000.0)
+
+        monkeypatch.setattr(runner_module, "run_suite_parallel", fake_runner)
+        monkeypatch.setattr(invariants_module, "check_result", lambda result, config=None: [])
+        profile = types.SimpleNamespace(
+            hot_concentration=0.5, shared_line_fraction=0.1, store_fraction=0.2
+        )
+        monkeypatch.setattr(ml_workloads, "cached_profile", lambda workload: profile)
+        names = {claim.experiment for claim in CLAIMS if claim.tier == tier}
+        assert set(claims_module.run_experiments(names)) == names
+        assert len(batches) == 1
+
+    def test_ml_tier_simulates_no_2017_workload(self):
+        names = {claim.experiment for claim in CLAIMS if claim.tier == "ml"}
+        suite = {workload.digest() for workload in suite_workloads()}
+        pairs = {
+            (config.digest(), workload.digest())
+            for name in names
+            for config, workloads in EXPERIMENTS[name].plan().slots
+            for workload in workloads
+        }
+        assert len(pairs) == 24
+        assert not {workload for _, workload in pairs} & suite
+
+    def test_machines_equal_up_to_name_share_a_digest(self):
+        configs = {
+            config.digest(): config
+            for module in EXPERIMENTS.values()
+            for config, _ in module.plan().slots
+        }.values()
+        for a in configs:
+            for b in configs:
+                if replace(a, name=b.name) == b:
+                    assert a.digest() == b.digest(), (a.name, b.name)
 
 
 class TestRunExperimentExitCode:
@@ -390,32 +444,37 @@ class TestRunExperimentExitCode:
         spec.loader.exec_module(module)
         return module
 
-    def fake_experiments(self, fail):
-        def boom():
-            raise RuntimeError("experiment exploded")
+    def fake_experiment(self, fail):
+        """A module-like experiment whose plan simulates nothing."""
 
-        def fine():
+        def reduce(suites):
+            if fail:
+                raise RuntimeError("experiment exploded")
             return "ok"
 
-        exp = types.SimpleNamespace(
+        return types.SimpleNamespace(
             __doc__="Fake experiment.",
-            run_fake=boom if fail else fine,
-            report=lambda result=None: "fake report",
+            plan=lambda: ExperimentPlan((), reduce),
+            report=lambda output: "fake report",
         )
-        return {"fake": (exp, "run_fake")}
 
     def test_failing_experiment_exits_nonzero(self, monkeypatch, capsys):
         script = self.load_script()
-        monkeypatch.setattr(script, "EXPERIMENTS", self.fake_experiments(fail=True))
-        monkeypatch.setattr(sys, "argv", ["run_experiment.py", "fake"])
+        experiments = {
+            "fake": self.fake_experiment(fail=True),
+            "fine": self.fake_experiment(fail=False),
+        }
+        monkeypatch.setattr(script, "EXPERIMENTS", experiments)
+        monkeypatch.setattr(sys, "argv", ["run_experiment.py", "fake", "fine"])
         assert script.main() == 1
         captured = capsys.readouterr()
         assert "experiment exploded" in captured.err
         assert "fake" in captured.err
+        assert "fake report" in captured.out  # the passing experiment still reports
 
     def test_passing_experiment_exits_zero(self, monkeypatch, capsys):
         script = self.load_script()
-        monkeypatch.setattr(script, "EXPERIMENTS", self.fake_experiments(fail=False))
+        monkeypatch.setattr(script, "EXPERIMENTS", {"fake": self.fake_experiment(fail=False)})
         monkeypatch.setattr(sys, "argv", ["run_experiment.py", "fake"])
         assert script.main() == 0
         assert "fake report" in capsys.readouterr().out
