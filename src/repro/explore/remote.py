@@ -64,13 +64,15 @@ def remote_runner(client: ServeClient, timeout: float = 3600.0) -> Runner:
                 }
             )
         fresh = [row for row in rows if row["how"] == "queued"]
+        cached = sum(row["how"] == "cached" for row in rows)
         for metrics in (sink, GLOBAL_METRICS):
             metrics.record_batch(
                 configs=[config.name for config in configs],
                 total=len(rows),
-                cached=len(rows) - len(fresh),
+                cached=cached,
                 wall=wall,
                 workers=state["workers"],
+                deduplicated=len(rows) - len(fresh) - cached,
             )
             for row in fresh:
                 metrics.record_sim(row["config"], float(row["sim_seconds"]))

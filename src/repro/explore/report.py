@@ -94,6 +94,7 @@ class SweepReport:
             "rungs": [rung.runtime_dict() for rung in self.halving.rungs],
             "total_pairs": GLOBAL_METRICS.total_pairs,
             "cached_pairs": GLOBAL_METRICS.cached_pairs,
+            "deduplicated_pairs": GLOBAL_METRICS.deduplicated_pairs,
             "executed_pairs": GLOBAL_METRICS.executed_pairs,
             "hit_rate": GLOBAL_METRICS.hit_rate,
             "wall_seconds": GLOBAL_METRICS.wall_seconds,

@@ -171,9 +171,9 @@ def select_survivors(
 
 
 def _metrics_snapshot(metrics: SuiteMetrics) -> Tuple[int, int, float, float]:
-    """(pairs, cached, wall, sim-seconds) snapshot of a metrics sink."""
+    """(executed, cached, wall, sim-seconds) snapshot of a metrics sink."""
     return (
-        metrics.total_pairs,
+        metrics.executed_pairs,
         metrics.cached_pairs,
         metrics.wall_seconds,
         sum(metrics.sim_seconds_by_config.values()),
@@ -354,7 +354,7 @@ def successive_halving(
         eliminated_by_rung.append(
             sorted(cut, key=lambda item: (-item.score, item.candidate.name))
         )
-        pairs_delta = after[0] - before[0]
+        executed_delta = after[0] - before[0]
         cached_delta = after[1] - before[1]
         stats.append(
             RungStats(
@@ -363,7 +363,7 @@ def successive_halving(
                 candidates=len(alive),
                 promoted=len(survivors) if rung != last else len(scored),
                 pairs=rung_pairs,
-                simulated=pairs_delta - cached_delta,
+                simulated=executed_delta,
                 cached=cached_delta,
                 wall_seconds=wall,
                 sim_seconds=after[3] - before[3],

@@ -9,8 +9,6 @@ resolutions were local vs. remote, which feeds the locality metrics.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from .address import AddressMap
 from .placement import FineGrainInterleave, PlacementPolicy
 
@@ -63,13 +61,6 @@ class PageTable:
         if not total:
             return 0.0
         return self.local_resolutions / total
-
-    def locality_by_partition(self) -> Dict[str, int]:
-        """Summary counters for reports."""
-        return {
-            "local": self.local_resolutions,
-            "remote": self.remote_resolutions,
-        }
 
     def reset(self) -> None:
         """Clear mappings and counters for a fresh simulation."""

@@ -54,11 +54,6 @@ class FineGrainInterleave(PlacementPolicy):
         """Line-granularity home computation used on the access path."""
         return line_addr % self.n_partitions
 
-    @property
-    def is_line_interleaved(self) -> bool:
-        """Marks the policy as line-granular for the page-table fast path."""
-        return True
-
 
 class FirstTouchPlacement(PlacementPolicy):
     """Optimized policy: a page lives in the partition of its first toucher.

@@ -2,7 +2,8 @@
 
 A tiny process-local aggregator: the suite runners record how many
 (workload, config) pairs each batch covered, how many came from the
-cache, and how much simulation time each configuration consumed; the
+cache, how many shared a pair with an earlier position of the same batch,
+and how much simulation time each configuration consumed; the
 experiment scripts render one summary line per experiment from it.
 Reset it between experiments to scope the report.
 """
@@ -30,6 +31,7 @@ class SuiteMetrics:
         """Clear all counters (start a new reporting window)."""
         self.total_pairs = 0
         self.cached_pairs = 0
+        self.deduplicated_pairs = 0
         self.wall_seconds = 0.0
         self.workers = 1
         self.configs: List[str] = []
@@ -49,10 +51,17 @@ class SuiteMetrics:
         cached: int,
         wall: float,
         workers: int,
+        deduplicated: int = 0,
     ) -> None:
-        """Record one :func:`~repro.parallel.runner.run_suite_parallel` batch."""
+        """Record one batch of ``total`` output positions.
+
+        ``cached`` of them were served from the result cache and
+        ``deduplicated`` shared a pair with an earlier position (a repeated
+        slot, or a job coalesced onto one in flight); the rest executed.
+        """
         self.total_pairs += total
         self.cached_pairs += cached
+        self.deduplicated_pairs += deduplicated
         self.wall_seconds += wall
         self.workers = max(self.workers, workers)
         for name in configs:
@@ -88,15 +97,16 @@ class SuiteMetrics:
 
     @property
     def executed_pairs(self) -> int:
-        """Pairs that actually simulated (total minus cache hits)."""
-        return self.total_pairs - self.cached_pairs
+        """Pairs that actually simulated (total minus cache hits and duplicates)."""
+        return self.total_pairs - self.cached_pairs - self.deduplicated_pairs
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of pairs served from the cache."""
-        if self.total_pairs == 0:
+        """Fraction of distinct pairs served from the cache."""
+        distinct = self.total_pairs - self.deduplicated_pairs
+        if distinct == 0:
             return 0.0
-        return self.cached_pairs / self.total_pairs
+        return self.cached_pairs / distinct
 
     @property
     def sims_per_second(self) -> float:
@@ -112,6 +122,7 @@ class SuiteMetrics:
         lines = [
             f"{self.total_pairs} sims in {self.wall_seconds:.1f}s wall "
             f"({self.executed_pairs} executed, {self.cached_pairs} cached, "
+            f"{self.deduplicated_pairs} deduplicated, "
             f"hit rate {self.hit_rate:.0%}) — {self.sims_per_second:.1f} sims/s "
             f"on {self.workers} worker{'s' if self.workers != 1 else ''}"
         ]

@@ -452,7 +452,8 @@ def run_suite_parallel(
     excluded).  ``metrics``, when given, is a private
     :class:`~repro.parallel.metrics.SuiteMetrics` sink that receives the
     same sim and batch records as the process-wide ``GLOBAL_METRICS``;
-    batch records count cached pairs per output slot, so
+    batch records count every output position once, as a cache hit, a
+    duplicate of an earlier position's pair, or an executed pair, so
     ``executed_pairs`` equals the simulations actually run.
 
     Failure handling: a pair that raises, whose worker dies past
@@ -570,9 +571,10 @@ def run_suite_parallel(
             sink.record_batch(
                 configs=[config.name for config, _ in slots],
                 total=positions,
-                cached=positions - total,
+                cached=len(resolved),
                 wall=time.time() - start,
                 workers=workers,
+                deduplicated=positions - len(sinks),
             )
 
     return [

@@ -5,7 +5,10 @@ Executing one :class:`~repro.workloads.trace.TraceRecord` charges the SM's
 issue ports, routes the record's loads and stores through the memory
 system, and re-arms the group at ``issue_start + max(compute, memory)`` —
 the classic GPU latency-hiding model where a group's arithmetic overlaps
-its own memory batch and other groups fill the SM in the meantime.
+its own memory batch and other groups fill the SM in the meantime.  A
+group walks its trace's ``(plan, row)`` form: the plan's records carry
+the compute latency, the issue busy time and two slices that cut the
+record's loads and stores out of the group's row of line addresses.
 
 CTA lifecycle: the configured scheduler places an initial wave of CTAs
 breadth-first across SMs, then refills an SM whenever one of its resident
@@ -50,45 +53,57 @@ class _CTA:
 
 
 class _WarpGroup:
-    """One schedulable warp group walking its record list.
+    """One schedulable warp group walking its records.
 
-    Records are ``(compute_cycles, issue_busy, reads, writes)`` tuples
-    whose reads and writes are plain line addresses.  ``walk`` is the SM's
-    generated walker, or ``None`` when the group takes the per-line
-    reference path; both read the same records.
+    ``records`` is the group's plan: one ``(compute_cycles, issue_busy,
+    read_slice, write_slice)`` per record, and ``row`` the group's line
+    ints, so record ``i`` loads ``row[records[i][2]]`` and stores
+    ``row[records[i][3]]``.  ``walk`` is the SM's generated walker, or
+    ``None`` when the group takes the per-line reference path; both read
+    the same line tuples.
     """
 
-    __slots__ = ("cta", "records", "position", "walk")
+    __slots__ = ("cta", "records", "row", "position", "walk")
 
-    def __init__(self, cta: _CTA, records, walk=None) -> None:
+    def __init__(self, cta: _CTA, records, row, walk=None) -> None:
         self.cta = cta
         self.records = records
+        self.row = row
         self.position = 0
         self.walk = walk
 
 
 def _pack_plain_trace(trace, geometry):
-    """The engine's records for a hand-built ``CTATrace`` under ``geometry``.
+    """The engine's ``(plan, row)`` groups for a hand-built ``CTATrace``.
 
-    Synthetic workloads produce :class:`ColumnarCTATrace` objects that
-    derive (and cache) their records from numpy columns; plain
+    Synthetic workloads produce :class:`ColumnarCTATrace` objects whose
+    rows are built once and whose plans are shared per shape; plain
     record-list traces (tests, ad-hoc workloads) are small enough to pack
-    per launch.  Only the issue busy time depends on the machine.
+    per launch into the same shape: each group's reads and writes laid
+    end to end as its row, and a plan slicing them back out.  Only the
+    issue busy time depends on the machine.
     """
     throughput = geometry.issue_throughput
-    return [
-        [
-            (
-                record.compute_cycles,
-                (record.compute_cycles + len(record.reads) + len(record.writes))
-                / throughput,
-                record.reads,
-                record.writes,
+    groups = []
+    for records in trace:
+        row: list = []
+        plan = []
+        for record in records:
+            start = len(row)
+            row += record.reads
+            mid = len(row)
+            row += record.writes
+            plan.append(
+                (
+                    record.compute_cycles,
+                    (record.compute_cycles + len(record.reads) + len(record.writes))
+                    / throughput,
+                    slice(start, mid),
+                    slice(mid, len(row)),
+                )
             )
-            for record in records
-        ]
-        for records in trace
-    ]
+        groups.append((plan, tuple(row)))
+    return groups
 
 
 class SimulationEngine:
@@ -256,8 +271,12 @@ class SimulationEngine:
             position = group.position
             records = group.records
             # The issue busy time comes pre-divided (same left-to-right
-            # arithmetic as SM.charge_issue).
-            compute_cycles, busy, reads, writes = records[position]
+            # arithmetic as SM.charge_issue); the slices cut the record's
+            # loads and stores out of the group's row.
+            compute_cycles, busy, load_slice, store_slice = records[position]
+            row = group.row
+            reads = row[load_slice]
+            writes = row[store_slice]
             position += 1
             group.position = position
             sm.clock = issue_start + busy
@@ -321,8 +340,9 @@ class SimulationEngine:
                     f"kernel {kernel.label!r}: trace_fn returned {len(trace)} groups, "
                     f"expected {kernel.groups_per_cta}"
                 )
-            # Records for the machine's issue rate: derived and cached by
-            # columnar traces, packed per launch for plain lists.
+            # (plan, row) per group for the machine's issue rate: shared
+            # plans over the rows of columnar traces, packed per launch for
+            # plain lists.
             fast_groups = getattr(trace, "fast_groups", None)
             if fast_groups is not None:
                 groups = fast_groups(self._geometry)
@@ -332,12 +352,12 @@ class SimulationEngine:
             walk = walkers[sm.sm_id] if walkers is not None else None
             sm.occupy_slot()
             cta = _CTA(cta_index, len(trace), sm)
-            for records in groups:
+            for records, row in groups:
                 if not records:
                     cta.groups_left -= 1
                     continue
                 self._seq += 1
-                heappush(heap, (at, self._seq, _WarpGroup(cta, records, walk)))
+                heappush(heap, (at, self._seq, _WarpGroup(cta, records, row, walk)))
             if cta.groups_left > 0:
                 return
             # Degenerate empty CTA: retire immediately and refill the slot.

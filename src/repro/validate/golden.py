@@ -135,10 +135,6 @@ class MetricDrift:
     current: float
 
     @property
-    def abs_delta(self) -> float:
-        return self.current - self.golden
-
-    @property
     def rel_delta(self) -> float:
         if self.golden == 0:
             return float("inf") if self.current else 0.0

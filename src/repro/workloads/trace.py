@@ -13,8 +13,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 from typing import Callable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -40,19 +39,20 @@ class TraceRecord(NamedTuple):
 
 #: The full trace of one CTA: one record list per warp group.  The engine
 #: also accepts a :class:`ColumnarCTATrace`, which carries the same records
-#: as numpy columns and materializes either view on demand.
+#: as one row of line ints per group plus a shared record layout.
 CTATrace = List[List[TraceRecord]]
 
 
 class WalkGeometry(NamedTuple):
-    """The machine property a columnar trace's fast records fold in.
+    """The machine property a columnar trace's record plans fold in.
 
-    Records carry plain line addresses, so the only machine-dependent
-    quantity in them is each record's issue busy time, which is divided by
-    the SM ``issue_throughput``.  Machines with the same issue rate share
-    one set of fast records per trace, however their caches and homing
-    differ: the generated walkers derive set indices and homes from the
-    line itself, with the constants resolved at build time.
+    Rows carry plain line addresses, so the only machine-dependent
+    quantity in a record is its issue busy time, which is divided by the
+    SM ``issue_throughput``.  Machines with the same issue rate share one
+    plan per trace shape, however their caches and homing differ, and
+    every machine shares the rows: the generated walkers derive set
+    indices and homes from the line itself, with the constants resolved
+    at build time.
     """
 
     issue_throughput: float
@@ -61,9 +61,9 @@ class WalkGeometry(NamedTuple):
 class _LineTable:
     """The ``{line: line}`` table that interns every trace's addresses.
 
-    Each record's read and write tuples take their ints from here, so a
-    line that many CTAs and workloads touch is one int object, not one per
-    address.  A dict cannot be weakly referenced, hence this holder.
+    Each trace's group rows take their ints from here, so a line that many
+    CTAs and workloads touch is one int object, not one per address.  A
+    dict cannot be weakly referenced, hence this holder.
     :data:`_LINE_TABLE` refers to the live table weakly and every trace
     built from it holds it strongly, so the table lives exactly as long as
     some such trace: a strong process-wide table would keep every line a
@@ -94,32 +94,54 @@ class _RecordLayout:
     """The record structure every group of a columnar trace shares.
 
     ``spans`` is the tuple of per-record ``(start, reads_end, end)`` column
-    spans; ``is_write`` (the read-only store mask) and ``order`` (the
-    read-only column permutation that puts each record's loads ahead of its
-    stores) are set for layouts built by :meth:`ColumnarCTATrace.from_flat`,
-    which shares one layout between every trace of the same shape.  The
-    read and write slice tables the packers cut each group's row with are
-    built on first use and kept here, so they too are built once per shape.
+    spans and ``is_write`` the read-only store mask; ``order`` (the
+    read-only column permutation that puts each record's loads ahead of
+    its stores) is set for layouts built by
+    :meth:`ColumnarCTATrace.from_flat`, which shares one layout between
+    every trace of the same shape.  ``read_slices``/``write_slices`` cut
+    each record's loads and stores out of one group's row; they and the
+    per-issue-rate record plans are kept here, so they too are built once
+    per shape.
     """
 
-    __slots__ = ("spans", "is_write", "order", "_slices")
+    __slots__ = ("spans", "is_write", "order", "read_slices", "write_slices", "_plans")
 
-    def __init__(self, spans: Tuple[Tuple[int, int, int], ...], is_write=None, order=None) -> None:
+    def __init__(self, spans: Tuple[Tuple[int, int, int], ...], is_write, order=None) -> None:
         self.spans = spans
         self.is_write = is_write
         self.order = order
-        self._slices = None
+        self.read_slices = tuple([slice(start, mid) for start, mid, _ in spans])
+        self.write_slices = tuple([slice(mid, end) for _, mid, end in spans])
+        self._plans: dict = {}
 
-    def slices(self) -> Tuple[Tuple[slice, ...], Tuple[slice, ...]]:
-        """Per-record ``(read slices, write slices)`` into one group's row."""
-        slices = self._slices
-        if slices is None:
-            spans = self.spans
-            slices = self._slices = (
-                tuple([slice(start, mid) for start, mid, _ in spans]),
-                tuple([slice(mid, end) for _, mid, end in spans]),
+    def plan(self, compute_cycles: float, issue_throughput: float) -> tuple:
+        """The engine's records for one group row (memoised).
+
+        One ``(compute_cycles, issue_busy, read_slice, write_slice)`` per
+        record: slicing a group's row with the two slices gives the
+        record's load and store tuples.  ``issue_busy`` is accumulated
+        with the same left-to-right float arithmetic as
+        ``SM.charge_issue``, so the engine's timing is bit-identical.
+        Every trace of this shape, latency and issue rate gets the same
+        plan object.
+        """
+        key = (compute_cycles, issue_throughput)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = tuple(
+                [
+                    (
+                        compute_cycles,
+                        (compute_cycles + (mid - start) + (end - mid)) / issue_throughput,
+                        reads,
+                        writes,
+                    )
+                    for (start, mid, end), reads, writes in zip(
+                        self.spans, self.read_slices, self.write_slices
+                    )
+                ]
             )
-        return slices
+        return plan
 
 
 @lru_cache(maxsize=256)
@@ -155,57 +177,35 @@ def _flat_layout(per_group: int, write_period: int, accesses_per_record: int) ->
     return _RecordLayout(spans, is_write, order)
 
 
-_READS = itemgetter(1)
-_WRITES = itemgetter(2)
-_FAST_READS = itemgetter(2)
-_FAST_WRITES = itemgetter(3)
-
-
 class ColumnarCTATrace:
-    """One CTA's trace as numpy columns plus record/group geometry.
+    """One CTA's trace: one row of line ints per warp group.
 
-    The generators in :mod:`repro.workloads.patterns` already produce flat
-    int64 address arrays; this class keeps that vectorization instead of
-    immediately exploding it into per-record Python tuples.  Three views
-    are materialized on demand:
+    The generators in :mod:`repro.workloads.patterns` produce flat int64
+    address arrays; a trace keeps exactly one copy of them, as one tuple
+    per group (its *row*, each record's loads ahead of its stores) of
+    ints interned through the live :class:`_LineTable`, which the trace
+    pins.  A line that many CTAs and workloads touch is therefore one int
+    object.  The record structure is the :class:`_RecordLayout` every
+    group shares, and :meth:`from_flat` shares one layout between all
+    traces of a shape.  Three views are derived on demand, none cached:
 
-    * ``addrs`` / ``is_write`` — the columns themselves (addresses are a
-      ``(n_groups, accesses_per_group)`` int64 array, reads-before-writes
-      within each record; ``is_write`` marks the store positions and is
-      shared by all groups, whose record structure is identical).
+    * :meth:`fast_groups` — the engine's ``(plan, row)`` per group for
+      one :class:`WalkGeometry`: ``plan`` is the layout's memoised
+      ``(compute_cycles, issue_busy, read_slice, write_slice)`` records
+      for the issue rate, shared by every trace of the shape, and ``row``
+      is the group's row, shared by every issue rate.
     * :meth:`base_groups` — classic ``List[List[TraceRecord]]`` records
-      for external consumers (cached).
-    * :meth:`fast_groups` — the engine's ``(compute_cycles, issue_busy,
-      reads, writes)`` records for one :class:`WalkGeometry`, i.e. one
-      issue rate.  Cached per issue rate (benchmark harnesses interleave
-      several configurations over the same memoized traces, so a one-slot
-      cache would thrash and rebuild on every config switch).
+      for external consumers.
+    * ``addrs`` / ``is_write`` — the rows as a read-only
+      ``(n_groups, accesses_per_group)`` int64 array, and the store mask
+      shared by all groups, whose record structure is identical.
 
-    Both views hold the same read and write tuples of plain line ints,
-    built once per trace: the first view interns the addresses through the
-    live :class:`_LineTable` (which the trace then pins), so a line that
-    many CTAs and workloads touch is one int, and a later view takes the
-    tuples from the earlier one's records.
-
-    Records are built with a few C-level passes per group: a row's ints
-    are cut into records by ``map``/``zip`` over the layout's slice
-    tables.  Fast groups and records are plain tuples of numbers, built one
-    tree level at a time, so the cyclic collector stops tracking a trace's
-    records within the first passes that see them (about one level per
-    pass) and never rescans them in later full collections; with list
-    groups every trace stayed tracked for its whole life.
+    Rows are tuples of ints, so the cyclic collector stops tracking them
+    within the first passes that see them and never rescans them in later
+    full collections.
     """
 
-    __slots__ = (
-        "addrs",
-        "is_write",
-        "compute_cycles",
-        "n_groups",
-        "_layout",
-        "_base",
-        "_fast",
-        "_table",
-    )
+    __slots__ = ("compute_cycles", "n_groups", "_rows", "_layout", "_table")
 
     def __init__(
         self,
@@ -215,18 +215,16 @@ class ColumnarCTATrace:
         compute_cycles: float,
     ) -> None:
         self._init(
-            addrs, is_write, _RecordLayout(tuple(map(tuple, spans))), compute_cycles
+            addrs, _RecordLayout(tuple(map(tuple, spans)), is_write), compute_cycles
         )
 
-    def _init(self, addrs, is_write, layout: _RecordLayout, compute_cycles: float) -> None:
-        self.addrs = addrs
-        self.is_write = is_write
+    def _init(self, block: "np.ndarray", layout: _RecordLayout, compute_cycles: float) -> None:
         self.compute_cycles = compute_cycles
-        self.n_groups = addrs.shape[0]
+        self.n_groups = block.shape[0]
         self._layout = layout
-        self._base: list = None
-        self._fast: dict = None
-        self._table: _LineTable = None
+        self._table = table = _line_table()
+        intern = table.ints.setdefault
+        self._rows = tuple([tuple(map(intern, row, row)) for row in block.tolist()])
 
     @classmethod
     def from_flat(
@@ -262,10 +260,7 @@ class ColumnarCTATrace:
         layout = _flat_layout(per_group, write_period, accesses_per_record)
         trace = cls.__new__(cls)
         trace._init(
-            flat.reshape(n_groups, per_group)[:, layout.order],
-            layout.is_write,
-            layout,
-            compute_cycles,
+            flat.reshape(n_groups, per_group)[:, layout.order], layout, compute_cycles
         )
         return trace
 
@@ -280,6 +275,25 @@ class ColumnarCTATrace:
         """
         return self._layout.spans
 
+    @property
+    def is_write(self) -> "np.ndarray":
+        """The per-position store mask every group shares."""
+        return self._layout.is_write
+
+    @property
+    def addrs(self) -> "np.ndarray":
+        """The rows as a read-only ``(n_groups, accesses_per_group)`` int64 array.
+
+        Built on every access from the rows, for exporters and tests; the
+        engine never reads it.
+        """
+        spans = self._layout.spans
+        addrs = np.array(self._rows, dtype=np.int64).reshape(
+            self.n_groups, spans[-1][2] if spans else 0
+        )
+        addrs.flags.writeable = False
+        return addrs
+
     def __len__(self) -> int:
         return self.n_groups
 
@@ -289,95 +303,45 @@ class ColumnarCTATrace:
     def __getitem__(self, index):
         return self.base_groups()[index]
 
-    def _fields(self) -> Tuple[list, list]:
-        """Every record's read tuple and write tuple, group-major.
-
-        Taken from a view built earlier when there is one, so every view
-        shares one set of tuples.  Otherwise each address is interned
-        through the live line table, and each group's row (a tuple slice
-        of the interned addresses) is cut into records by the layout's
-        slice tables (a tuple's slice is again a tuple).
-        """
-        if self._base is not None:
-            records = list(chain.from_iterable(self._base))
-            return list(map(_READS, records)), list(map(_WRITES, records))
-        if self._fast:
-            records = list(chain.from_iterable(next(iter(self._fast.values()))))
-            return list(map(_FAST_READS, records)), list(map(_FAST_WRITES, records))
-        self._table = table = _line_table()
-        lines = self.addrs.ravel().tolist()
-        flat = tuple(map(table.ints.setdefault, lines, lines))
-        read_slices, write_slices = self._layout.slices()
-        per_group = self.addrs.shape[1]
-        reads: list = []
-        writes: list = []
-        for group in range(self.n_groups):
-            row = flat[group * per_group : (group + 1) * per_group]
-            reads += map(row.__getitem__, read_slices)
-            writes += map(row.__getitem__, write_slices)
-        return reads, writes
-
-    def _split(self, records: Sequence) -> list:
-        """Cut a group-major record sequence into per-group slices."""
-        n_records = len(self._layout.spans)
-        return [
-            records[group * n_records : (group + 1) * n_records]
-            for group in range(self.n_groups)
-        ]
-
     def base_groups(self) -> CTATrace:
-        """The classic ``TraceRecord`` view (cached after first use)."""
-        base = self._base
-        if base is None:
-            reads, writes = self._fields()
-            # ``tuple.__new__(TraceRecord, fields)`` is what the named
-            # tuple's own constructor calls, minus a Python frame.
-            records = list(
+        """The classic ``TraceRecord`` view, built from the rows per call.
+
+        Its read and write tuples are slices of the rows, so they hold
+        the rows' interned ints.
+        """
+        layout = self._layout
+        # ``tuple.__new__(TraceRecord, fields)`` is what the named tuple's
+        # own constructor calls, minus a Python frame.
+        return [
+            list(
                 map(
                     tuple.__new__,
                     repeat(TraceRecord),
-                    zip(repeat(self.compute_cycles), reads, writes),
+                    zip(
+                        repeat(self.compute_cycles),
+                        map(row.__getitem__, layout.read_slices),
+                        map(row.__getitem__, layout.write_slices),
+                    ),
                 )
             )
-            base = self._base = self._split(records)
-        return base
-
-    def fast_groups(self, geometry: WalkGeometry):
-        """The engine's records for ``geometry``'s issue rate (cached per rate).
-
-        Records are ``(compute_cycles, issue_busy, reads, writes)`` with
-        the plain line tuples :meth:`base_groups` shares, so every machine
-        with the same ``issue_throughput`` gets the same groups object.
-        ``issue_busy`` is accumulated with the same left-to-right float
-        arithmetic as ``SM.charge_issue`` so the engine's timing is
-        bit-identical.  Groups and records are tuples.
-        """
-        throughput = geometry.issue_throughput
-        cache = self._fast
-        if cache is None:
-            cache = self._fast = {}
-        else:
-            cached = cache.get(throughput)
-            if cached is not None:
-                return cached
-        reads, writes = self._fields()
-        compute_cycles = self.compute_cycles
-        busys = [
-            (compute_cycles + (mid - start) + (end - mid)) / throughput
-            for start, mid, end in self._layout.spans
+            for row in self._rows
         ]
-        # Each level of the tree is finished before the next one starts
-        # (read/write tuples, then records, then groups), so a young
-        # collection mostly finds children in an older generation, already
-        # untracked, and untracks the parents it scans.  A tuple copied
-        # from a finished list is allocated after its items;
-        # ``tuple(zip(...))`` would allocate it first and grow it.
-        records = tuple(
-            list(zip(repeat(compute_cycles), busys * self.n_groups, reads, writes))
+
+    def fast_groups(self, geometry: WalkGeometry) -> List[Tuple[tuple, tuple]]:
+        """The engine's ``(plan, row)`` per group for ``geometry``'s issue rate.
+
+        ``plan`` is :meth:`_RecordLayout.plan` for this trace's latency and
+        the issue rate, one object for every trace of the shape; ``row``
+        is the group's row, one object for every issue rate.  Record ``i``
+        of a group reads ``row[plan[i][2]]`` and writes
+        ``row[plan[i][3]]``.
+        """
+        return list(
+            zip(
+                repeat(self._layout.plan(self.compute_cycles, geometry.issue_throughput)),
+                self._rows,
+            )
         )
-        groups = tuple(self._split(records))
-        cache[throughput] = groups
-        return groups
 
 
 @dataclass(frozen=True)
@@ -417,7 +381,7 @@ class TraceMemo:
     launches (iteration-structured kernels re-walk identical traces) and
     across runs (a suite simulates the same workload object on many
     systems back to back).  Trace generation — RNG streams, pattern
-    synthesis, record packing — disappears from every walk but the first.
+    synthesis, row interning — disappears from every walk but the first.
 
     Memory stays bounded by the workload itself: the memo holds at most
     one trace per (trace seed, CTA index) pair, i.e. the same volume of

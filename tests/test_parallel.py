@@ -286,8 +286,9 @@ class TestBatchAccounting:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_duplicate_configs_count_per_slot(self, tmp_path, monkeypatch, workers):
         # Regression: with duplicated configs the runner calls cache.get
-        # once per unique pair; batch accounting must still count
-        # cached/executed per output slot (executed == sims run).
+        # once per unique pair; batch accounting must still count every
+        # output slot once, as cached, deduplicated or executed
+        # (executed == sims run).
         from repro.parallel import metrics as metrics_mod
 
         fresh = SuiteMetrics()
@@ -297,13 +298,35 @@ class TestBatchAccounting:
         workloads = tiny_workloads()
         run_suites([config, config], workloads=workloads, cache=ResultCache(tmp_path))
         assert fresh.total_pairs == 8
-        assert fresh.cached_pairs == 4  # the duplicated slots
+        assert fresh.cached_pairs == 0  # a cold cache serves nothing
+        assert fresh.deduplicated_pairs == 4  # the duplicated slots
         assert fresh.executed_pairs == 4  # sims actually run
+        assert fresh.hit_rate == 0.0
 
         run_suites([config, config], workloads=workloads, cache=ResultCache(tmp_path))
         assert fresh.total_pairs == 16
-        assert fresh.cached_pairs == 12  # warm run adds 8 cached slots
+        assert fresh.cached_pairs == 4  # warm run: each distinct pair once
+        assert fresh.deduplicated_pairs == 8
         assert fresh.executed_pairs == 4
+        assert fresh.hit_rate == pytest.approx(0.5)
+
+    def test_cold_shared_pair_reports_no_cache_hit(self, tmp_path):
+        # Two output slots that share one pair, on an empty cache: one
+        # simulation, one deduplicated position, nothing cached.
+        metrics = SuiteMetrics()
+        config = tiny_configs()[0]
+        workload = tiny_workloads()[0]
+        run_suite_parallel(
+            [(config, [workload]), (config, [workload])],
+            cache=ResultCache(tmp_path),
+            max_workers=1,
+            metrics=metrics,
+        )
+        assert metrics.total_pairs == 2
+        assert metrics.cached_pairs == 0
+        assert metrics.deduplicated_pairs == 1
+        assert metrics.executed_pairs == 1
+        assert "(1 executed, 0 cached, 1 deduplicated, hit rate 0%)" in metrics.report()
 
 
 class TestMetrics:

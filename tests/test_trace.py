@@ -129,17 +129,19 @@ class TestFastGroups:
         trace = self._trace()
         groups = trace.fast_groups(GEOMETRY)
         base = trace.base_groups()
-        for group, records in zip(groups, base):
-            for fast, record in zip(group, records):
-                compute_cycles, busy, reads, writes = fast
+        assert len(groups) == len(base)
+        for (plan, row), records in zip(groups, base):
+            assert len(plan) == len(records)
+            assert all(type(line) is int for line in row)
+            for (compute_cycles, busy, read_slice, write_slice), record in zip(
+                plan, records
+            ):
                 assert compute_cycles == record.compute_cycles
                 assert busy == (
                     3.0 + len(record.reads) + len(record.writes)
                 ) / 4.0
-                # The base view's own tuples of plain ints, not copies.
-                assert reads is record.reads
-                assert writes is record.writes
-                assert all(type(line) is int for line in reads + writes)
+                assert row[read_slice] == record.reads
+                assert row[write_slice] == record.writes
 
     def test_machines_sharing_an_issue_rate_share_groups(self):
         # Every cache and homing field differs: L1, L2 and L1.5 set
@@ -175,37 +177,40 @@ class TestFastGroups:
 
         trace = self._trace()
         assert first.walk_geometry() == second.walk_geometry()
-        assert trace.fast_groups(first.walk_geometry()) is trace.fast_groups(
-            second.walk_geometry()
-        )
+        groups_a = trace.fast_groups(first.walk_geometry())
+        groups_b = trace.fast_groups(second.walk_geometry())
+        for (plan_a, row_a), (plan_b, row_b) in zip(groups_a, groups_b):
+            assert plan_a is plan_b
+            assert row_a is row_b
 
     def test_unpacked_flavor_keeps_plain_addresses(self):
         # ``packed`` is accepted and ignored: the reference path asks for
-        # the same records the walkers read.
+        # the same plans and rows the walkers read.
         memsys = _memsys(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
         trace = self._trace()
         groups = trace.fast_groups(memsys.walk_geometry(packed=False))
-        assert groups is trace.fast_groups(memsys.walk_geometry(packed=True))
-        for group, records in zip(groups, trace.base_groups()):
-            for (compute_cycles, busy, reads, writes), record in zip(
-                group, records
-            ):
-                assert reads == record.reads
-                assert writes == record.writes
+        packed = trace.fast_groups(memsys.walk_geometry(packed=True))
+        for (plan, row), (packed_plan, packed_row) in zip(groups, packed):
+            assert plan is packed_plan
+            assert row is packed_row
+        for (plan, row), records in zip(groups, trace.base_groups()):
+            for (_, _, read_slice, write_slice), record in zip(plan, records):
+                assert row[read_slice] == record.reads
+                assert row[write_slice] == record.writes
 
-    def test_cache_is_per_geometry_and_stable(self):
+    def test_issue_rates_share_rows(self):
         trace = self._trace()
         slower = GEOMETRY._replace(issue_throughput=2.0)
-        first_a = trace.fast_groups(GEOMETRY)
-        first_b = trace.fast_groups(slower)
-        # Interleaving issue rates (a benchmark sweeping configs over one
-        # memoized trace) must not rebuild: each rate keeps its slot.
-        assert trace.fast_groups(GEOMETRY) is first_a
-        assert trace.fast_groups(slower) is first_b
-        assert first_a is not first_b
-        # Only the busy time differs; the line tuples are shared.
-        for group_a, group_b in zip(first_a, first_b):
-            for record_a, record_b in zip(group_a, group_b):
+        fast = trace.fast_groups(GEOMETRY)
+        slow = trace.fast_groups(slower)
+        # Each rate has its own plan, shared by later calls; the rows are
+        # one object per group whatever the rate.
+        assert fast[0][0] is trace.fast_groups(GEOMETRY)[0][0]
+        for (plan_a, row_a), (plan_b, row_b) in zip(fast, slow):
+            assert row_a is row_b
+            assert plan_a is not plan_b
+            # Only the busy time differs; the slices are the same.
+            for record_a, record_b in zip(plan_a, plan_b):
                 assert 2 * record_a[1] == record_b[1]
                 assert record_a[2] is record_b[2]
                 assert record_a[3] is record_b[3]

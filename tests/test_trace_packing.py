@@ -1,11 +1,12 @@
-"""Differential tests: the columnar trace packers against a per-record oracle.
+"""Differential tests: the columnar trace views against a per-record oracle.
 
-``ColumnarCTATrace.base_groups`` and ``fast_groups`` build their records
-with a few C-level passes over a memoised record layout, sharing one set
-of read/write tuples of plain line ints interned through one live line
-table.  The oracles below are the straightforward per-record packers they
-replaced; every drawn trace and issue rate must produce the same records,
-element for element.
+A ``ColumnarCTATrace`` holds one row of plain line ints per group,
+interned through one live line table.  ``fast_groups`` pairs each row
+with its shape's memoised plan of ``(compute_cycles, issue_busy,
+read_slice, write_slice)`` records, and ``base_groups`` cuts the rows into
+``TraceRecord`` lists.  The oracles below are straightforward per-record
+packers; every drawn trace and issue rate, expanded back into records,
+must produce the same records, element for element.
 
 Example counts scale with the loaded Hypothesis profile
 (``HYPOTHESIS_PROFILE=deep``, see ``tests/conftest.py``).
@@ -80,15 +81,25 @@ def oracle_fast_groups(trace, geometry):
     return with_busy(oracle_base_groups(trace), geometry)
 
 
+def expand(groups):
+    """``fast_groups``' ``(plan, row)`` pairs as per-record engine records."""
+    return [
+        [
+            (compute_cycles, busy, row[read_slice], row[write_slice])
+            for compute_cycles, busy, read_slice, write_slice in plan
+        ]
+        for plan, row in groups
+    ]
+
+
 def assert_same_records(actual, expected):
-    """Equal element for element, with plain tuples for groups and records."""
-    assert type(actual) is tuple
+    """Expanded records equal element for element; plans and rows are tuples."""
     assert len(actual) == len(expected)
-    for group, oracle_group in zip(actual, expected):
-        assert type(group) is tuple
-        assert list(group) == oracle_group
-        for record in group:
-            assert type(record) is tuple
+    for plan, row in actual:
+        assert type(plan) is tuple
+        assert type(row) is tuple
+        assert all(type(record) is tuple for record in plan)
+    assert expand(actual) == expected
 
 
 compute_cycles = st.floats(min_value=0.0, max_value=64.0, allow_nan=False)
@@ -260,9 +271,26 @@ class TestSharedLayout:
         expected_base = oracle_base_groups(second)
         first.fast_groups(GEOMETRY)
         first.base_groups()
-        first.addrs[:] = 0
+        with pytest.raises(ValueError):
+            first.addrs[:] = 0
         assert_same_records(second.fast_groups(GEOMETRY), expected)
         assert second.base_groups() == expected_base
+
+    def test_same_shape_shares_one_plan(self):
+        first, second = self._pair()
+        twin = ColumnarCTATrace.from_flat(np.arange(60, dtype=np.int64) * 3, 3, 4, 6, 1.0)
+        plans = {id(plan) for plan, _ in first.fast_groups(GEOMETRY)}
+        plans |= {id(plan) for plan, _ in twin.fast_groups(GEOMETRY)}
+        assert len(plans) == 1
+        # Another latency is another plan, over the same layout.
+        assert second.fast_groups(GEOMETRY)[0][0] is not first.fast_groups(GEOMETRY)[0][0]
+
+    @settings(max_examples=examples(50), deadline=None)
+    @given(trace=traces)
+    def test_a_trace_holds_one_row_per_group(self, trace):
+        assert len(trace._rows) == trace.n_groups == len(trace.addrs)
+        width = trace.spans[-1][2] if trace.spans else 0
+        assert all(type(row) is tuple and len(row) == width for row in trace._rows)
 
     def test_each_shape_keeps_its_own_layout(self):
         first, _ = self._pair()
@@ -273,8 +301,8 @@ class TestSharedLayout:
 
 def _lines(groups):
     """Every read and write line of ``groups``, in record order."""
-    for group in groups:
-        for _, _, reads, writes in group:
+    for records in expand(groups):
+        for _, _, reads, writes in records:
             yield from reads
             yield from writes
 
@@ -426,12 +454,12 @@ def _tracked(value) -> int:
 
 
 class TestCollectorShape:
-    """Fast records hold no tracked object once the collector has seen them.
+    """A trace's rows hold no tracked object once the collector has seen them.
 
-    Groups, records and their line tuples are plain tuples of numbers, so
-    the cyclic collector stops tracking a trace's records (one tree level
-    per pass) instead of rescanning them in every later full collection,
-    whether they were built first or taken from the base view.
+    The rows and their tuple are plain tuples of ints, so the cyclic
+    collector stops tracking them (one tree level per pass) instead of
+    rescanning them in every later full collection, whichever view was
+    asked for first.
     """
 
     @pytest.mark.parametrize("base_first", [True, False])
@@ -444,6 +472,6 @@ class TestCollectorShape:
         groups = trace.fast_groups(GEOMETRY)
         for _ in range(6):
             gc.collect()
-        assert _tracked(groups) == 0
-        assert not gc.is_tracked(trace._fast)
-        assert trace.fast_groups(GEOMETRY) is groups
+        assert len(trace._rows) == trace.n_groups
+        assert _tracked(trace._rows) == 0
+        assert all(row is trace._rows[group] for group, (_, row) in enumerate(groups))
