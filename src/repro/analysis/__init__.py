@@ -1,7 +1,7 @@
 """Result aggregation, speedup math, and report formatting."""
 
 from .compare import ComparisonMatrix, build_matrix, render_matrix
-from .report import format_series, format_table, paper_vs_measured
+from .report import format_series, format_table
 from .speedup import (
     average_bandwidth_tbps,
     bandwidth_reduction_factor,
@@ -18,7 +18,6 @@ __all__ = [
     "render_matrix",
     "format_series",
     "format_table",
-    "paper_vs_measured",
     "average_bandwidth_tbps",
     "bandwidth_reduction_factor",
     "fraction_above",

@@ -58,11 +58,3 @@ def format_series(name: str, values: Sequence[float], per_line: int = 10) -> str
             lines.append("  " + "  ".join(chunk))
             chunk = []
     return "\n".join(lines)
-
-
-def paper_vs_measured(
-    rows: Sequence[Sequence[object]],
-    title: str = "paper vs measured",
-) -> str:
-    """Three-column comparison table: metric, paper value, measured value."""
-    return format_table(["metric", "paper", "measured"], rows, title=title)

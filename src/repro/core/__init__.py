@@ -3,7 +3,6 @@
 from .analytical import (
     AnalyticalPrediction,
     BandwidthRequirement,
-    average_hops,
     expected_slowdown_bound,
     predict_cycles,
     predict_speedup,
@@ -11,8 +10,6 @@ from .analytical import (
     predicted_objectives,
     required_link_bandwidth,
     supply_bandwidth_per_partition,
-    topology_link_count,
-    topology_ports,
 )
 from .config import (
     CLOCK_HZ,
@@ -48,7 +45,6 @@ from .sm import SM
 __all__ = [
     "AnalyticalPrediction",
     "BandwidthRequirement",
-    "average_hops",
     "expected_slowdown_bound",
     "predict_cycles",
     "predict_speedup",
@@ -56,8 +52,6 @@ __all__ = [
     "predicted_objectives",
     "required_link_bandwidth",
     "supply_bandwidth_per_partition",
-    "topology_link_count",
-    "topology_ports",
     "CLOCK_HZ",
     "MEMORY_SCALE",
     "CacheConfig",

@@ -30,16 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from ..interconnect import topology as _topology
+from .memsys import REQUEST_HEADER_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports nothing from us)
     from .config import SystemConfig
     from ..workloads.characterize import WorkloadProfile
 
-#: Bytes of a remote request header on the inter-GPM network (memsys).
-REQUEST_HEADER_BYTES = 64.0
 #: Placement policies that spread lines uniformly across partitions.
 UNIFORM_PLACEMENTS = frozenset({"interleave", "round_robin_page"})
 #: Fraction of the profile's measured first-touch page locality each CTA
@@ -86,49 +85,6 @@ def supply_bandwidth_per_partition(dram_bandwidth_per_partition: float, l2_hit_r
     if not 0.0 <= l2_hit_rate < 1.0:
         raise ValueError(f"l2_hit_rate must be in [0, 1), got {l2_hit_rate}")
     return dram_bandwidth_per_partition / (1.0 - l2_hit_rate)
-
-
-def average_hops(n_gpms: int, topology: str = "ring") -> float:
-    """Mean shortest-path hops between distinct nodes for a topology.
-
-    Dispatches through the :mod:`repro.interconnect.topology` registry
-    (BFS over the fabric's edge list); unknown topologies fail loudly.
-    """
-    return _topology.average_hops(topology, n_gpms)
-
-
-def remote_distance_pmf(n_gpms: int, topology: str = "ring") -> List[Tuple[int, float]]:
-    """Distribution of shortest-path hop counts to a *remote* node.
-
-    Returns ``[(hops, probability), ...]`` over the ``n - 1`` remote
-    destinations of one node, uniformly weighted, computed by BFS from
-    the topology registry's edge list.  The latency model needs the full
-    distribution (not just the mean): a trace record's memory time is
-    the *max* over its accesses' round trips, and the slowest leg is
-    governed by the tail of this distribution, which stretches with
-    fabric size.
-    """
-    return _topology.remote_distance_pmf(topology, n_gpms)
-
-
-def topology_ports(n_gpms: int, topology: str = "ring") -> float:
-    """Mean directional links touching one GPM (its network port count).
-
-    Derived from the registry's edge list (``2 * links / n``), so it is
-    exact for node-symmetric fabrics — a ring of three or more nodes
-    gives every GPM four directional links, the degenerate two-node ring
-    has a single pair (two ports), all-to-all has an in/out pair per
-    peer — and an average for irregular ones (mesh corner nodes have
-    fewer ports than interior nodes).
-    """
-    if n_gpms <= 1:
-        return 0.0
-    return _topology.mean_ports(topology, n_gpms)
-
-
-def topology_link_count(n_gpms: int, topology: str = "ring") -> int:
-    """Distinct directional links in the fabric (two per physical pair)."""
-    return _topology.link_count(topology, n_gpms)
 
 
 @dataclass(frozen=True)
@@ -180,10 +136,10 @@ def required_link_bandwidth(
     remote_fraction = (n_gpms - 1) / n_gpms
     egress = supply * remote_fraction
     total_egress = egress * n_gpms
-    avg_hops = average_hops(n_gpms, topology)
+    avg_hops = _topology.average_hops(topology, n_gpms)
     total_volume = total_egress * avg_hops
-    n_links = topology_link_count(n_gpms, topology)
-    ports = topology_ports(n_gpms, topology)
+    n_links = _topology.link_count(topology, n_gpms)
+    ports = _topology.mean_ports(topology, n_gpms)
     per_link = total_volume / n_links
     # Volume through one GPM's ports: every hop of every message enters
     # one port and leaves another, so port-volume is evenly split when
@@ -247,25 +203,6 @@ class CollapsePoint:
     def collapse_gbps(self) -> float:
         """The binding bound: the larger of the two minima."""
         return max(self.port_limited_gbps, self.bisection_limited_gbps)
-
-    @property
-    def board_limited(self) -> bool:
-        """True when no link setting can meet demand (fixed bottleneck)."""
-        return math.isinf(self.bisection_limited_gbps)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary for reports and artifacts (inf as ``null``)."""
-        bisection = self.bisection_limited_gbps
-        collapse = self.collapse_gbps
-        return {
-            "topology": self.topology,
-            "n_gpms": self.n_gpms,
-            "bisection_demand_gbps": self.bisection_demand,
-            "port_limited_gbps": self.port_limited_gbps,
-            "bisection_limited_gbps": None if math.isinf(bisection) else bisection,
-            "collapse_gbps": None if math.isinf(collapse) else collapse,
-            "board_limited": self.board_limited,
-        }
 
 
 def bisection_collapse(
@@ -343,25 +280,6 @@ class AnalyticalPrediction:
     link_bytes: float
     dram_bytes: float
     per_gpm_link_demand: float
-
-    def to_dict(self) -> Dict[str, float]:
-        """Flat dictionary for reports and calibration artifacts."""
-        return {
-            "workload": self.workload,
-            "system": self.system,
-            "cycles": self.cycles,
-            "issue_cycles": self.issue_cycles,
-            "dram_cycles": self.dram_cycles,
-            "link_cycles": self.link_cycles,
-            "latency_cycles": self.latency_cycles,
-            "l1_hit_rate": self.l1_hit_rate,
-            "l15_hit_rate": self.l15_hit_rate,
-            "l2_hit_rate": self.l2_hit_rate,
-            "remote_fraction": self.remote_fraction,
-            "link_bytes": self.link_bytes,
-            "dram_bytes": self.dram_bytes,
-            "per_gpm_link_demand": self.per_gpm_link_demand,
-        }
 
 
 def predicted_remote_fraction(profile: "WorkloadProfile", config: "SystemConfig") -> float:
@@ -508,7 +426,7 @@ def predict_cycles(profile: "WorkloadProfile", config: "SystemConfig") -> Analyt
     dram_bytes_k = l2_demand_k * (1.0 - l2_hit) * line
     dram_k = dram_bytes_k / max(1e-9, n * gpm.dram_bandwidth)
 
-    hops = average_hops(n, config.topology)
+    hops = _topology.average_hops(config.topology, n)
     response_bytes = line + REQUEST_HEADER_BYTES
     # Each link direction carries two virtual networks (request: read
     # commands + write data; response: read data — interconnect.link),
@@ -520,7 +438,7 @@ def predict_cycles(profile: "WorkloadProfile", config: "SystemConfig") -> Analyt
     )
     response_bytes_k = hops * remote_loads_after_l15 * response_bytes
     link_bytes_k = request_bytes_k + response_bytes_k
-    n_links = topology_link_count(n, config.topology)
+    n_links = _topology.link_count(config.topology, n)
     # Aggregate per-channel capacity: n_links directions, each at half the
     # per-link full-duplex total.  Rev 7 introduced this split to fix a
     # "systematic 2-GPM underprediction" — which turned out to be partly
@@ -553,7 +471,7 @@ def predict_cycles(profile: "WorkloadProfile", config: "SystemConfig") -> Analyt
     if has_l15:
         load_atoms.append((l15.hit_latency, remote_p * l15_hit))
         remote_p *= 1.0 - l15_hit
-    for distance, p in remote_distance_pmf(n, config.topology):
+    for distance, p in _topology.remote_distance_pmf(config.topology, n):
         round_trip = 2.0 * distance * config.hop_latency + l2_lat
         if has_l15:
             round_trip += l15.hit_latency + gpm.l15_miss_penalty
@@ -606,7 +524,7 @@ def predict_cycles(profile: "WorkloadProfile", config: "SystemConfig") -> Analyt
         remote_fraction=remote_frac,
         link_bytes=link_bytes,
         dram_bytes=dram_bytes_k * kernels,
-        per_gpm_link_demand=(link_bytes / cycles) * topology_ports(n, config.topology) / max(1, n_links)
+        per_gpm_link_demand=(link_bytes / cycles) * _topology.mean_ports(config.topology, n) / max(1, n_links)
         if n_links
         else 0.0,
     )

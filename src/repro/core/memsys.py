@@ -92,7 +92,7 @@ class MemorySystem:
                 if l15_hit:
                     return time + gpm.l15_hit_latency
                 time += gpm.l15_miss_penalty
-            return self._partition_read(time, home, line_addr)
+            return self._partition_access(time, home, line_addr, False)
 
         self.remote_loads += 1
         if gpm.has_l15:
@@ -103,7 +103,7 @@ class MemorySystem:
 
         ring = self._ring
         time = ring.transfer(time, gpm_id, home, REQUEST_HEADER_BYTES, REQUEST)
-        time = self._partition_read(time, home, line_addr)
+        time = self._partition_access(time, home, line_addr, False)
         return ring.transfer(time, home, gpm_id, LINE_BYTES + REQUEST_HEADER_BYTES, RESPONSE)
 
     def store(self, now: float, sm: "SM", line_addr: int) -> float:
@@ -128,7 +128,7 @@ class MemorySystem:
         if gpm.xbar.classify(home):
             if gpm.l15_caches_local:
                 gpm.l15.touch_store(line_addr)
-            self._partition_write(time, home, line_addr)
+            self._partition_access(time, home, line_addr, True)
             return now + STORE_ACK_LATENCY
 
         self.remote_stores += 1
@@ -138,19 +138,21 @@ class MemorySystem:
         time = self._ring.transfer(
             time, gpm_id, home, LINE_BYTES + REQUEST_HEADER_BYTES, REQUEST
         )
-        self._partition_write(time, home, line_addr)
+        self._partition_access(time, home, line_addr, True)
         return now + STORE_ACK_LATENCY
 
     # ------------------------------------------------------------------
     # generated walkers (the fast path)
     # ------------------------------------------------------------------
     #
-    # load()/store() above are the reference.  The one other implementation
-    # of an access is the per-GPM walker generated by repro.core.walkgen:
-    # it walks a whole record's reads and writes with the same line order,
-    # state mutations and charge times, deferring pure-count counters to
-    # the kernel boundary.  Both read the same records.  Systems the
-    # generator rejects run on the reference.
+    # load()/store() above are the reference: they call the cache, DRAM
+    # and pipe models directly.  The one other implementation of an access
+    # is the per-GPM walker generated by repro.core.walkgen: it walks a
+    # whole record's reads and writes with the same line order, state
+    # mutations and charge times, deferring pure-count counters until
+    # flush_walk_counters() (every kernel end and every telemetry window).
+    # Both read the same records.  Only migrating placement, which
+    # build_walkers rejects, runs on the reference in production.
 
     def walk_geometry(self, packed: bool = True) -> "WalkGeometry":
         """The :class:`WalkGeometry` traces' records are built for.
@@ -184,8 +186,8 @@ class MemorySystem:
         """Fold the walkers' deferred counters into the real stats objects.
 
         Called at the end of every kernel drain (before live validation
-        and cache flushes read the counters) and is idempotent — cells are
-        zeroed as they are flushed.
+        and cache flushes read the counters) and before every telemetry
+        window is taken; idempotent — cells are zeroed as they are flushed.
         """
         for flush in self._walker_flushes:
             flush()
@@ -221,73 +223,26 @@ class MemorySystem:
     # home-partition access (memory-side L2 in front of local DRAM)
     # ------------------------------------------------------------------
 
-    # Both partition paths inline the L2 lookup and the DRAM pipe charge:
-    # they mirror ``SetAssocCache.access`` / ``DRAMPartition`` line for
-    # line (same counters, same LRU dict operations, same pipe-charge
-    # order: write-back before fill), trading the two hottest remaining
-    # call chains for direct dict work.
+    def _partition_access(
+        self, now: float, home: int, line_addr: int, is_write: bool
+    ) -> float:
+        """Look the line up in the home L2; a miss fills it from DRAM.
 
-    def _partition_read(self, now: float, home: int, line_addr: int) -> float:
+        The L2 is write-back and write-allocate, so a store miss fetches
+        the line before the merge exactly like a load miss.  A dirty
+        victim's write-back is charged before the fill.
+        """
         gpm = self._gpms[home]
-        l2 = gpm.l2
-        stats = l2.stats
         time = now + gpm.l2_hit_latency
-        n_sets = l2.n_sets
+        hit, writeback = gpm.l2.access(line_addr, is_write)
+        if hit:
+            return time
         dram = gpm.dram
-        if n_sets:
-            cache_set = l2._sets[line_addr % n_sets]
-            if line_addr in cache_set:
-                stats.hits += 1
-                cache_set[line_addr] = cache_set.pop(line_addr)
-                return time
-            stats.misses += 1
-            if len(cache_set) >= l2.ways:
-                if cache_set.pop(next(iter(cache_set))):
-                    stats.writebacks += 1
-                    dram.writes += 1
-                    dram.pipe.transfer(time, dram.line_bytes)
-            cache_set[line_addr] = False
-        else:
-            stats.misses += 1
-        dram.reads += 1
-        return dram.pipe.transfer(time, dram.line_bytes) + dram.latency_cycles
-
-    def _partition_write(self, now: float, home: int, line_addr: int) -> float:
-        gpm = self._gpms[home]
-        l2 = gpm.l2
-        stats = l2.stats
-        time = now + gpm.l2_hit_latency
-        n_sets = l2.n_sets
-        dram = gpm.dram
-        track_dirty = l2._track_dirty
-        if n_sets:
-            cache_set = l2._sets[line_addr % n_sets]
-            if line_addr in cache_set:
-                stats.hits += 1
-                stats.write_hits += 1
-                cache_set[line_addr] = cache_set.pop(line_addr) or track_dirty
-                return time
-            stats.misses += 1
-            stats.write_misses += 1
-            if len(cache_set) >= l2.ways:
-                if cache_set.pop(next(iter(cache_set))):
-                    stats.writebacks += 1
-                    dram.writes += 1
-                    dram.pipe.transfer(time, dram.line_bytes)
-            cache_set[line_addr] = track_dirty
-        else:
-            stats.misses += 1
-            stats.write_misses += 1
-        # Write-allocate: the line is fetched into the L2 before the merge.
-        dram.reads += 1
-        return dram.pipe.transfer(time, dram.line_bytes) + dram.latency_cycles
+        if writeback is not None:
+            dram.write_line(time)
+        return dram.read_line(time)
 
     # ------------------------------------------------------------------
-
-    @property
-    def accesses(self) -> int:
-        """Total loads and stores observed."""
-        return self.loads + self.stores
 
     def counter_snapshot(self):
         """``(loads, stores, remote_loads, remote_stores)`` right now.
@@ -296,15 +251,6 @@ class MemorySystem:
         deltas; it is read-only and never touches timing state.
         """
         return (self.loads, self.stores, self.remote_loads, self.remote_stores)
-
-    @property
-    def remote_fraction(self) -> float:
-        """Fraction of L1-missing traffic whose home partition was remote."""
-        routed = sum(gpm.xbar.total_requests for gpm in self.system.gpms)
-        if not routed:
-            return 0.0
-        remote = sum(gpm.xbar.remote_requests for gpm in self.system.gpms)
-        return remote / routed
 
     def reset(self) -> None:
         """Clear counters for a fresh simulation."""

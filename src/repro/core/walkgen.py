@@ -25,10 +25,10 @@ system-invariant decision resolved at build time:
 * pipe byte/transfer counters derived once per kernel from per-home
   tallies (ring message sizes are fixed per direction), and ``busy_until``
   tracked in shared max-cells folded once per kernel;
-* a record's local DRAM line charges collapsed into one ``transfer_run``:
-  they charge the same pipe at the same cycle with the same byte count, so
-  the greedy bucket fill is associative and only the last finish is
-  observable;
+* a record's DRAM line charges at one pipe and cycle collapsed into one
+  reservation of their summed bytes: the greedy bucket fill is
+  associative, so only the last finish is observable and it equals
+  ``BandwidthPipe.reserve(t, n * count)`` floored at one line's time;
 * all pure-count statistics accumulated in one shared per-GPM counter list
   and folded into the real stats objects at kernel boundaries.
 
@@ -50,11 +50,6 @@ from typing import Dict, List
 class UnsupportedWalk(Exception):
     """Raised when a system's shape cannot be specialized; the engine then
     runs every access on the per-line reference path."""
-
-
-def _l1_shape(sm) -> tuple:
-    l1 = sm.l1
-    return (l1.n_sets, l1.ways, l1._track_dirty, sm.l1_hit_latency)
 
 
 def _ind(level: int, text: str) -> str:
@@ -101,7 +96,11 @@ class _GpmCodegen:
         self.page_map_get = page_map.get if page_map is not None else None
 
         gpm = self.gpm
-        self.l1_n_sets, self.l1_ways, self.l1_track, self.l1_hit = _l1_shape(gpm.sms[0])
+        # Every SM of a GPM is built from one SMConfig, so the first SM's
+        # L1 shape is every SM's.
+        sm = gpm.sms[0]
+        self.l1_n_sets, self.l1_ways = sm.l1.n_sets, sm.l1.ways
+        self.l1_track, self.l1_hit = sm.l1._track_dirty, sm.l1_hit_latency
 
         self.has_l15 = gpm.has_l15
         self.caches_local = gpm.l15_caches_local
@@ -148,7 +147,6 @@ class _GpmCodegen:
             "P": self.bind(f"_P{k}", pipe),
             "A": self.bind(f"_A{k}", pipe._advance_full_prefix),
             "R": self.bind(f"_R{k}", pipe.reserve),
-            "RN": self.bind(f"_RN{k}", pipe.reserve_run),
             "M": self.bind(f"_M{k}", cell[1]),
             "bc": repr(pipe.bucket_cycles),
             "cap": repr(pipe.bucket_capacity),
@@ -159,55 +157,36 @@ class _GpmCodegen:
 
     # -- charge emission -------------------------------------------------
 
-    def _emit_charge(self, out, ind, pipe, tvar, n_bytes):
+    def _emit_charge(self, out, ind, pipe, tvar, n_bytes, count_var=None):
         """Inline ``pipe.transfer(tvar, n_bytes)``; floored finish in ``_f``.
 
+        With ``count_var``, inline that many back-to-back transfers as one
+        reservation of ``n_bytes * count_var`` floored at one charge's
+        time: the run's last finish (see ``BandwidthPipe.reserve``).
         Counters and ``busy_until`` are deferred: byte/transfer totals are
         derived from the per-home tallies at fold time, and the max-cell
         update here feeds the once-per-kernel ``busy_until`` fold.
         """
         p = self.pipe_names(pipe)
         floor = repr(n_bytes / p["bw"])
+        size = n_bytes
+        if count_var is not None:
+            out.append(_ind(ind, f"_n2 = {n_bytes} * {count_var}"))
+            size = "_n2"
         out += [
             _ind(ind, f"_b = int({tvar} / {p['bc']})"),
             _ind(ind, f"_fp = {p['P']}._full_prefix"),
             _ind(ind, "if _b < _fp:"),
             _ind(ind + 1, "_b = _fp"),
             _ind(ind, f"_o = {p['G']}(_b, 0.0)"),
-            _ind(ind, f"_n = _o + {n_bytes}"),
+            _ind(ind, f"_n = _o + {size}"),
             _ind(ind, f"if _n <= {p['cap']}:"),
             _ind(ind + 1, f"{p['U']}[_b] = _n"),
             _ind(ind + 1, f"_f = (_b + _n / {p['cap']}) * {p['bc']}"),
             _ind(ind + 1, f"if _n >= {p['cap']} and _b == _fp:"),
             _ind(ind + 2, f"{p['A']}(_b + 1)"),
             _ind(ind, "else:"),
-            _ind(ind + 1, f"_f = {p['R']}({tvar}, {n_bytes})"),
-            _ind(ind, f"_g = {tvar} + {floor}"),
-            _ind(ind, "if _f < _g:"),
-            _ind(ind + 1, "_f = _g"),
-            _ind(ind, f"if _f > {p['M']}[0]:"),
-            _ind(ind + 1, f"{p['M']}[0] = _f"),
-        ]
-
-    def _emit_run_charge(self, out, ind, pipe, tvar, n_bytes, count_var):
-        """Inline ``pipe.transfer_run(tvar, n_bytes, count_var)`` likewise."""
-        p = self.pipe_names(pipe)
-        floor = repr(n_bytes / p["bw"])
-        out += [
-            _ind(ind, f"_n2 = {n_bytes} * {count_var}"),
-            _ind(ind, f"_b = int({tvar} / {p['bc']})"),
-            _ind(ind, f"_fp = {p['P']}._full_prefix"),
-            _ind(ind, "if _b < _fp:"),
-            _ind(ind + 1, "_b = _fp"),
-            _ind(ind, f"_o = {p['G']}(_b, 0.0)"),
-            _ind(ind, "_n = _o + _n2"),
-            _ind(ind, f"if _n <= {p['cap']}:"),
-            _ind(ind + 1, f"{p['U']}[_b] = _n"),
-            _ind(ind + 1, f"_f = (_b + _n / {p['cap']}) * {p['bc']}"),
-            _ind(ind + 1, f"if _n >= {p['cap']} and _b == _fp:"),
-            _ind(ind + 2, f"{p['A']}(_b + 1)"),
-            _ind(ind, "else:"),
-            _ind(ind + 1, f"_f = {p['RN']}({tvar}, {n_bytes}, {count_var})"),
+            _ind(ind + 1, f"_f = {p['R']}({tvar}, {size})"),
             _ind(ind, f"_g = {tvar} + {floor}"),
             _ind(ind, "if _f < _g:"),
             _ind(ind + 1, "_f = _g"),
@@ -350,7 +329,7 @@ class _GpmCodegen:
             out.append(_ind(ind, f"{c(f'l2m{home}')} += 1"))
             out.append(_ind(ind, "_fl = 1"))
         out.append(_ind(ind, f"{c(f'dr{home}')} += 1"))
-        self._emit_run_charge(out, ind, dram.pipe, "_t", dram.line_bytes, "_fl")
+        self._emit_charge(out, ind, dram.pipe, "_t", dram.line_bytes, "_fl")
         out.append(_ind(ind, f"_t = _f + {dram.latency_cycles!r}"))
         self._emit_hops(out, ind, resp, "response_pipe", self.response_bytes, "_t")
         out.append(_ind(ind, "if _t > mem_done:"))
@@ -432,7 +411,7 @@ class _GpmCodegen:
             out.append(_ind(ind, f"{c(f'l2wm{home}')} += 1"))
             out.append(_ind(ind, "_fl = 1"))
         out.append(_ind(ind, f"{c(f'dr{home}')} += 1"))
-        self._emit_run_charge(out, ind, dram.pipe, "_t", dram.line_bytes, "_fl")
+        self._emit_charge(out, ind, dram.pipe, "_t", dram.line_bytes, "_fl")
 
     # -- walker assembly -------------------------------------------------
 
@@ -497,8 +476,8 @@ class _GpmCodegen:
                             self._emit_remote_read)
         out.append(_ind(miss_ind, "if local_fills:"))
         own = self.own_dram
-        self._emit_run_charge(out, miss_ind + 1, own.pipe, "local_time",
-                              own.line_bytes, "local_fills")
+        self._emit_charge(out, miss_ind + 1, own.pipe, "local_time",
+                          own.line_bytes, "local_fills")
         out += [
             _ind(miss_ind + 1, f"done = _f + {own.latency_cycles!r}"),
             _ind(miss_ind + 1, "if done > mem_done:"),
@@ -528,8 +507,8 @@ class _GpmCodegen:
         self._emit_dispatch(out, 4, self._emit_local_store,
                             self._emit_remote_store)
         out.append(_ind(3, "if local_fills:"))
-        self._emit_run_charge(out, 4, own.pipe, "local_write_time",
-                              own.line_bytes, "local_fills")
+        self._emit_charge(out, 4, own.pipe, "local_write_time",
+                          own.line_bytes, "local_fills")
         out.append(_ind(2, "return mem_done"))
 
     def build(self):
@@ -696,21 +675,16 @@ def build_walkers(memsys):
 
     Registers the deferred-counter folds on ``memsys._walker_flushes`` (the
     engine runs them at the end of every kernel drain).  This is the one
-    place that decides walker support: it raises :class:`UnsupportedWalk`,
-    with the reason, for
-
-    * migrating placement, whose page copies interleave with line charges
-      and whose homing does per-access work;
-    * a GPM whose SMs have non-uniform L1 shapes.
+    place that decides walker support: it raises :class:`UnsupportedWalk`
+    for migrating placement, whose page copies interleave with line charges
+    and whose homing does per-access work.  Every other system, probed or
+    not, runs on the walkers.
     """
     from .memsys import LINE_BYTES, REQUEST_HEADER_BYTES
 
     if memsys._migrating_policy is not None:
         raise UnsupportedWalk("migrating placement")
     gpms = memsys._gpms
-    for gpm in gpms:
-        if len({_l1_shape(sm) for sm in gpm.sms}) != 1:
-            raise UnsupportedWalk(f"gpm {gpm.gpm_id}: non-uniform L1 shapes")
 
     pipe_cells: dict = {}
     walkers = []

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..analysis.report import format_table
-from ..core.analytical import average_hops
 from ..core.presets import baseline_mcm_gpu
+from ..interconnect.topology import average_hops
 from ..workloads.suite import suite_workloads
 from .common import ExperimentPlan
 
@@ -67,7 +67,7 @@ def plan(fast_factor: Optional[float] = None) -> ExperimentPlan:
 def report(totals: FabricTotals) -> str:
     """Render link traffic against the analytical hop counts."""
     rows: List[List[object]] = [
-        [t, average_hops(N_GPMS, t), totals.hop_ratio(t), totals.link_bytes[t], totals.cycles[t]]
+        [t, average_hops(t, N_GPMS), totals.hop_ratio(t), totals.link_bytes[t], totals.cycles[t]]
         for t in totals.link_bytes
     ]
     return format_table(

@@ -43,15 +43,6 @@ RETICLE_LIMIT_MM2 = 800
 MAX_BUILDABLE_SMS = 128
 
 
-def transistor_growth_factors() -> List[float]:
-    """Generation-over-generation transistor growth (the slowing curve)."""
-    rows = TABLE1
-    return [
-        rows[i + 1].transistors_billion / rows[i].transistors_billion
-        for i in range(len(rows) - 1)
-    ]
-
-
 def die_size_headroom() -> float:
     """Fraction of the reticle limit the latest GPU already occupies."""
     return TABLE1[-1].die_mm2 / RETICLE_LIMIT_MM2

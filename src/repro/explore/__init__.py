@@ -31,7 +31,7 @@ from .sensitivity import (
     find_crossover,
     oat_sensitivity,
 )
-from .spec import Axis, Candidate, SweepSpec, config_get, config_replace
+from .spec import Axis, Candidate, SweepSpec, config_replace
 
 __all__ = [
     "AnalyticalScreen",
@@ -51,7 +51,6 @@ __all__ = [
     "SweepSpec",
     "bisect_crossover",
     "build_plan",
-    "config_get",
     "config_replace",
     "default_runner",
     "dominates",

@@ -23,21 +23,6 @@ from ..core.config import SystemConfig
 STRATEGIES = ("grid", "random")
 
 
-def config_get(config: Any, path: str) -> Any:
-    """Read a dot-path (e.g. ``gpm.l15.size_bytes``) out of a config tree."""
-    node = config
-    for part in path.split("."):
-        if node is None:
-            raise ValueError(
-                f"cannot read {path!r}: intermediate field is None "
-                f"(is the L1.5 absent on this configuration?)"
-            )
-        if not hasattr(node, part):
-            raise ValueError(f"no field {part!r} along path {path!r}")
-        node = getattr(node, part)
-    return node
-
-
 def config_replace(config: Any, path: str, value: Any) -> Any:
     """Functionally set one dot-path on a (frozen, nested) config dataclass.
 

@@ -41,18 +41,6 @@ class GPMCrossbar:
             self.remote_requests += 1
         return local
 
-    @property
-    def total_requests(self) -> int:
-        """All requests routed through this crossbar."""
-        return self.local_requests + self.remote_requests
-
-    @property
-    def locality_fraction(self) -> float:
-        """Fraction of routed requests that stayed on-die."""
-        if not self.total_requests:
-            return 0.0
-        return self.local_requests / self.total_requests
-
     def reset(self) -> None:
         """Clear routing counters."""
         self.local_requests = 0

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from ..memory.bandwidth import BandwidthPipe
 
-#: Channel selectors for :meth:`Link.traverse`.
+#: Virtual-network selectors for ``GraphNetwork.transfer``.
 REQUEST = "request"
 RESPONSE = "response"
 
@@ -59,22 +59,10 @@ class Link:
         self.request_pipe = BandwidthPipe(bandwidth_bytes_per_cycle, name=f"{name}.req")
         self.response_pipe = BandwidthPipe(bandwidth_bytes_per_cycle, name=f"{name}.rsp")
 
-    def traverse(self, now: float, n_bytes: int, channel: str = REQUEST) -> float:
-        """Send ``n_bytes`` across the link; returns the delivery cycle."""
-        pipe = self.response_pipe if channel == RESPONSE else self.request_pipe
-        return pipe.transfer(now, n_bytes) + self.latency_cycles
-
     @property
     def bytes_transferred(self) -> int:
         """Total payload carried by this direction (both networks)."""
         return self.request_pipe.bytes_transferred + self.response_pipe.bytes_transferred
-
-    def utilization(self, elapsed_cycles: float) -> float:
-        """Peak-bandwidth fraction used by the busier virtual network."""
-        return max(
-            self.request_pipe.utilization(elapsed_cycles),
-            self.response_pipe.utilization(elapsed_cycles),
-        )
 
     def reset(self) -> None:
         """Clear timing and counters."""

@@ -79,117 +79,13 @@ class BandwidthPipe:
     def transfer(self, now: float, n_bytes: int) -> float:
         """Reserve capacity for ``n_bytes`` starting no earlier than ``now``.
 
-        Returns the cycle at which the last byte has been delivered.  The
+        Returns the cycle at which the last byte has been delivered, never
+        sooner than ``n_bytes`` at full bandwidth after ``now``.  The
         caller adds any fixed propagation latency on top.
         """
-        if now < 0:
-            raise ValueError(f"transfer time must be non-negative, got {now}")
+        finish = self.reserve(now, n_bytes)
         self.bytes_transferred += n_bytes
         self.transfers += 1
-
-        used = self._used
-        capacity = self.bucket_capacity
-        bucket_cycles = self.bucket_cycles
-        full_prefix = self._full_prefix
-        bucket = int(now / bucket_cycles)
-        if bucket < full_prefix:
-            bucket = full_prefix
-
-        # Fast path: the whole transfer fits in its first candidate bucket.
-        occupied = used.get(bucket, 0.0)
-        new_occupancy = occupied + n_bytes
-        if new_occupancy <= capacity:
-            used[bucket] = new_occupancy
-            finish = (bucket + new_occupancy / capacity) * bucket_cycles
-            if new_occupancy >= capacity and bucket == full_prefix:
-                self._advance_full_prefix(bucket + 1)
-        else:
-            remaining = float(n_bytes)
-            while True:
-                free = capacity - occupied
-                if free > 0.0:
-                    take = remaining if remaining < free else free
-                    occupied += take
-                    used[bucket] = occupied
-                    remaining -= take
-                    if remaining <= 0.0:
-                        finish = (bucket + occupied / capacity) * bucket_cycles
-                        if occupied >= capacity and bucket == self._full_prefix:
-                            self._advance_full_prefix(bucket + 1)
-                        break
-                if occupied >= capacity and bucket == self._full_prefix:
-                    # Route through _advance_full_prefix so the prefix also
-                    # skips any contiguous run of buckets already filled by
-                    # out-of-order charges; a bare ``bucket + 1`` here left
-                    # backlogged pipes rescanning that run on every transfer.
-                    self._advance_full_prefix(bucket + 1)
-                bucket += 1
-                if bucket < self._full_prefix:
-                    bucket = self._full_prefix
-                occupied = used.get(bucket, 0.0)
-
-        floor = now + n_bytes / self.bytes_per_cycle
-        if finish < floor:
-            finish = floor
-        if finish > self.busy_until:
-            self.busy_until = finish
-        return finish
-
-    def transfer_run(self, now: float, n_bytes: int, count: int) -> float:
-        """Reserve ``count`` back-to-back transfers of ``n_bytes`` each.
-
-        Bit-identical to ``count`` sequential :meth:`transfer` calls at the
-        same ``now`` — the greedy bucket fill is associative, every charge
-        shares the same bandwidth floor, and per-charge finish times are
-        monotone in charge order — so only the *last* finish (the value a
-        caller charging a run actually consumes) needs computing.  Returns
-        that last finish time.  The array-backed memory walker uses this to
-        collapse a record's DRAM line charges into one reservation.
-        """
-        if now < 0:
-            raise ValueError(f"transfer time must be non-negative, got {now}")
-        total = n_bytes * count
-        self.bytes_transferred += total
-        self.transfers += count
-
-        used = self._used
-        capacity = self.bucket_capacity
-        bucket_cycles = self.bucket_cycles
-        full_prefix = self._full_prefix
-        bucket = int(now / bucket_cycles)
-        if bucket < full_prefix:
-            bucket = full_prefix
-
-        occupied = used.get(bucket, 0.0)
-        new_occupancy = occupied + total
-        if new_occupancy <= capacity:
-            used[bucket] = new_occupancy
-            finish = (bucket + new_occupancy / capacity) * bucket_cycles
-            if new_occupancy >= capacity and bucket == full_prefix:
-                self._advance_full_prefix(bucket + 1)
-        else:
-            remaining = float(total)
-            while True:
-                free = capacity - occupied
-                if free > 0.0:
-                    take = remaining if remaining < free else free
-                    occupied += take
-                    used[bucket] = occupied
-                    remaining -= take
-                    if remaining <= 0.0:
-                        finish = (bucket + occupied / capacity) * bucket_cycles
-                        if occupied >= capacity and bucket == self._full_prefix:
-                            self._advance_full_prefix(bucket + 1)
-                        break
-                if occupied >= capacity and bucket == self._full_prefix:
-                    self._advance_full_prefix(bucket + 1)
-                bucket += 1
-                if bucket < self._full_prefix:
-                    bucket = self._full_prefix
-                occupied = used.get(bucket, 0.0)
-
-        # The floor of the *last* charge in the run: it starts at ``now``
-        # like the others and moves n_bytes at full bandwidth.
         floor = now + n_bytes / self.bytes_per_cycle
         if finish < floor:
             finish = floor
@@ -198,14 +94,19 @@ class BandwidthPipe:
         return finish
 
     def reserve(self, now: float, n_bytes: int) -> float:
-        """Bucket walk of :meth:`transfer` without the bookkeeping.
+        """The bucket walk behind :meth:`transfer`; returns the finish time.
 
-        Reserves capacity exactly like :meth:`transfer` but leaves the
-        byte/transfer counters and ``busy_until`` untouched and does *not*
-        apply the bandwidth floor — the generated memory walkers charge
-        pipes inline, derive the counters per kernel from their own tallies,
-        and apply the floor themselves.  Internal fast-path API: callers
-        outside the walker codegen should use :meth:`transfer`.
+        Consumes free capacity from ``now``'s bucket forward and returns
+        where the last byte lands, without the byte/transfer counters,
+        ``busy_until`` or the bandwidth floor.  :meth:`transfer` adds those;
+        the generated memory walkers inline the one-bucket case, call this
+        on a spill, derive the counters per kernel from their own tallies
+        and apply the floor themselves.
+
+        The greedy fill is associative, so ``reserve(now, n * count)``
+        floored at ``now + n / bytes_per_cycle`` equals the last finish of
+        ``count`` sequential ``transfer(now, n)`` calls and leaves the same
+        bucket map: the walkers charge a record's DRAM lines that way.
         """
         if now < 0:
             raise ValueError(f"transfer time must be non-negative, got {now}")
@@ -239,15 +140,14 @@ class BandwidthPipe:
                         self._advance_full_prefix(bucket + 1)
                     return finish
             if occupied >= capacity and bucket == self._full_prefix:
+                # Route through _advance_full_prefix so the prefix also
+                # skips any contiguous run of buckets already filled by
+                # out-of-order charges (backlogged pipes would rescan it).
                 self._advance_full_prefix(bucket + 1)
             bucket += 1
             if bucket < self._full_prefix:
                 bucket = self._full_prefix
             occupied = used.get(bucket, 0.0)
-
-    def reserve_run(self, now: float, n_bytes: int, count: int) -> float:
-        """Counter-free flavor of :meth:`transfer_run` (see :meth:`reserve`)."""
-        return self.reserve(now, n_bytes * count)
 
     def _advance_full_prefix(self, start: int) -> None:
         """Move ``_full_prefix`` to ``start``, then past any contiguous run

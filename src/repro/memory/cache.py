@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .address import is_power_of_two
 
@@ -59,7 +59,8 @@ class CacheStats:
     that is exactly the store probe-misses that are forwarded downstream
     untouched, so every store is accounted for as either a ``write_hit``
     or a ``bypass``.  The paper's Figure 6/7 hit-rate quantities are
-    *load* hit rates; use :attr:`load_hit_rate` for those.
+    *load* hit rates: ``hits - write_hits`` over ``accesses -
+    write_hits - write_misses``, as telemetry's window rates report them.
     """
 
     hits: int = 0
@@ -83,38 +84,13 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Hit ratio over *all* lookups (loads and write touches alike).
 
-        0.0 when the cache was never accessed.  For the load-only quantity
-        the paper reports in Figures 6/7, use :attr:`load_hit_rate`.
+        0.0 when the cache was never accessed.  The load-only quantity
+        the paper reports in Figures 6/7 excludes the write touches (see
+        the class docstring).
         """
         if not self.accesses:
             return 0.0
         return self.hits / self.accesses
-
-    @property
-    def read_hits(self) -> int:
-        """Lookup hits that served a load."""
-        return self.hits - self.write_hits
-
-    @property
-    def read_misses(self) -> int:
-        """Lookup misses taken by a load."""
-        return self.misses - self.write_misses
-
-    @property
-    def read_accesses(self) -> int:
-        """Load lookups only (no write touches)."""
-        return self.read_hits + self.read_misses
-
-    @property
-    def load_hit_rate(self) -> float:
-        """Load-only hit ratio — the Figure 6/7 quantity.
-
-        Excludes write touches entirely; 0.0 when no load was looked up.
-        """
-        reads = self.read_hits + self.read_misses
-        if not reads:
-            return 0.0
-        return self.read_hits / reads
 
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Return a new ``CacheStats`` with counters from both operands."""
@@ -200,15 +176,13 @@ class SetAssocCache:
         """Total number of lines the cache can hold."""
         return self.n_sets * self.ways
 
-    def _set_for(self, line_addr: int) -> Dict[int, bool]:
-        return self._sets[line_addr % self.n_sets]
-
-    def access(self, line_addr: int, is_write: bool = False, allocate: bool = True):
-        """Look up ``line_addr``, optionally allocating it on a miss.
+    def access(self, line_addr: int, is_write: bool = False):
+        """Look up ``line_addr``, allocating it on a miss.
 
         Returns a ``(hit, writeback_line)`` tuple; when a dirty line is
         displaced by the allocation its address is reported as
-        ``writeback_line`` (otherwise ``None``).
+        ``writeback_line`` (otherwise ``None``).  No-allocate stores take
+        :meth:`touch_store` instead.
 
         A write to a ``WRITE_THROUGH`` cache updates the line (if present or
         allocated) but never marks it dirty — the caller must forward the
@@ -216,13 +190,6 @@ class SetAssocCache:
         """
         stats = self.stats
         if not self._sets:
-            if not allocate:
-                # A disabled level holds nothing, so a no-allocate probe is
-                # a bypass exactly as it is on an enabled level (and as
-                # ``touch_store`` already counts it): the request forwards
-                # downstream without touching the lookup-path counters.
-                stats.bypasses += 1
-                return MISS
             stats.misses += 1
             if is_write:
                 stats.write_misses += 1
@@ -239,12 +206,6 @@ class SetAssocCache:
             cache_set[line_addr] = dirty
             return HIT
 
-        if not allocate:
-            # No-allocate requests that find nothing are bypasses, not
-            # lookup misses: the request is forwarded downstream untouched
-            # and must not dilute the hit rate (see CacheStats docstring).
-            stats.bypasses += 1
-            return MISS
         stats.misses += 1
         if is_write:
             stats.write_misses += 1
@@ -261,18 +222,11 @@ class SetAssocCache:
             return MISS
         return (False, writeback)
 
-    def probe(self, line_addr: int) -> bool:
-        """Return True when the line is resident, without touching LRU state."""
-        if not self.enabled:
-            return False
-        return line_addr in self._set_for(line_addr)
-
     def touch_store(self, line_addr: int) -> bool:
         """Fused probe + write-touch for the no-allocate store path.
 
-        One dict lookup replaces the ``probe()`` / ``access(is_write=True,
-        allocate=False)`` pair the store path used to make per line — this
-        is the hottest cache operation in a simulation.  A resident line
+        One dict lookup per line — this is the hottest cache operation in
+        a simulation.  A resident line
         counts a hit (tracked as a write hit), is refreshed in LRU order,
         and is marked dirty only in write-back caches; an absent line
         counts a ``bypass`` — the store is forwarded downstream without

@@ -67,11 +67,6 @@ class DRAMPartition:
         """Total bytes written to the array."""
         return self.writes * self.line_bytes
 
-    @property
-    def total_bytes(self) -> int:
-        """All traffic through the partition."""
-        return self.pipe.bytes_transferred
-
     def reset(self) -> None:
         """Clear counters and timing state."""
         self.pipe.reset()

@@ -94,12 +94,3 @@ class MigratingFirstTouch(PlacementPolicy):
         self.first_touch_allocations = 0
         self.migrations = 0
         self.pending_migration = None
-
-    @property
-    def pages_mapped(self) -> int:
-        """Number of distinct pages allocated so far."""
-        return len(self._page_home)
-
-    def home_of(self, page_addr: int) -> Optional[int]:
-        """Current home of ``page_addr`` (None if untouched)."""
-        return self._page_home.get(page_addr)

@@ -32,11 +32,6 @@ class PageTable:
         self.local_resolutions = 0
         self.remote_resolutions = 0
 
-    @property
-    def n_partitions(self) -> int:
-        """Number of DRAM partitions addresses can map to."""
-        return self.policy.n_partitions
-
     def home_partition(self, line_addr: int, requester_gpm: int) -> int:
         """Home partition of ``line_addr`` for a request from ``requester_gpm``.
 
@@ -53,14 +48,6 @@ class PageTable:
         else:
             self.remote_resolutions += 1
         return partition
-
-    @property
-    def locality_fraction(self) -> float:
-        """Fraction of resolutions that landed on the requester's partition."""
-        total = self.local_resolutions + self.remote_resolutions
-        if not total:
-            return 0.0
-        return self.local_resolutions / total
 
     def reset(self) -> None:
         """Clear mappings and counters for a fresh simulation."""

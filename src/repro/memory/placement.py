@@ -29,11 +29,6 @@ class PlacementPolicy(ABC):
     def reset(self) -> None:
         """Forget all mappings (new simulation on the same system)."""
 
-    @property
-    def name(self) -> str:
-        """Short identifier used in configuration digests and reports."""
-        return type(self).__name__
-
 
 class FineGrainInterleave(PlacementPolicy):
     """Baseline policy: line-granularity interleave across partitions.
@@ -81,18 +76,6 @@ class FirstTouchPlacement(PlacementPolicy):
         self._page_map.clear()
         self.first_touch_allocations = 0
 
-    @property
-    def pages_mapped(self) -> int:
-        """Number of distinct pages allocated so far."""
-        return len(self._page_map)
-
-    def partition_histogram(self) -> Dict[int, int]:
-        """Pages per partition — useful for balance diagnostics."""
-        histogram = {partition: 0 for partition in range(self.n_partitions)}
-        for partition in self._page_map.values():
-            histogram[partition] += 1
-        return histogram
-
 
 class RoundRobinPagePlacement(PlacementPolicy):
     """Pages assigned to partitions round-robin in first-touch order.
@@ -118,11 +101,6 @@ class RoundRobinPagePlacement(PlacementPolicy):
     def reset(self) -> None:
         self._page_map.clear()
         self._next_partition = 0
-
-    @property
-    def pages_mapped(self) -> int:
-        """Number of distinct pages allocated so far."""
-        return len(self._page_map)
 
 
 def _make_migrating(n_partitions: int):

@@ -48,13 +48,6 @@ class DistributedScheduler(CTAScheduler):
         count = base + (1 if gpm_id < extra else 0)
         return range(start, start + count)
 
-    def gpm_of_cta(self, cta_index: int) -> int:
-        """GPM that CTA ``cta_index`` is bound to (stable across launches)."""
-        for gpm_id in range(self.system.n_gpms):
-            if cta_index in self.batch_bounds(gpm_id):
-                return gpm_id
-        raise ValueError(f"CTA {cta_index} out of range for kernel of {self.n_ctas}")
-
     def next_cta(self, sm: "SM") -> Optional[int]:
         gpm_id = sm.gpm_id
         index = self._next_index[gpm_id]

@@ -118,7 +118,3 @@ class DynamicScheduler(CTAScheduler):
     def initial_fill_order(self) -> List["SM"]:
         """GPM-major SM order, like the static distributed scheduler."""
         return self.system.all_sms()
-
-    def pending_per_gpm(self) -> List[int]:
-        """Undispatched CTAs currently queued per GPM (diagnostics)."""
-        return [sum(len(batch) for batch in queue) for queue in self._queues]

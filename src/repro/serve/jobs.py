@@ -260,10 +260,6 @@ class JobStore:
             tally[job.state] += 1
         return tally
 
-    def jobs(self) -> List[Job]:
-        """Every job, in creation order."""
-        return list(self._jobs.values())
-
     def snapshot(self) -> Dict[str, object]:
         """JSON-safe dump of the whole store (the drain artifact)."""
         return {

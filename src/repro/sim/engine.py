@@ -34,7 +34,8 @@ def _perline_requested() -> bool:
     """True when ``REPRO_SIM_PERLINE`` forces the reference per-line path.
 
     Verification knob: the generated walkers are the production default
-    wherever the system supports them; the per-line path is the
+    wherever ``walkgen.build_walkers`` supports the system (everything but
+    migrating placement, probed or not); the per-line path is the
     executable specification the bit-identity suite diffs them against
     (tests/test_perf_identity.py).
     """
@@ -152,12 +153,12 @@ class SimulationEngine:
 
         # Walkers are built once per engine and reused across runs — every
         # object a walker binds (cache sets, stats, pipes, page maps,
-        # routes) is reset in place by ``system.reset()``.  An attached
-        # probe, ``batched`` off, or a system the walker generator rejects
-        # takes the per-line reference over the same records.
+        # routes) is reset in place by ``system.reset()``.  ``batched`` off
+        # or a system the walker generator rejects takes the per-line
+        # reference over the same records.
         memsys = self.system.memsys
         self._geometry = memsys.walk_geometry()
-        if telemetry is None and self.batched:
+        if self.batched:
             cached = self._fast_cache
             if cached is None:
                 cached = self._fast_cache = (memsys.make_walkers(),)
@@ -260,7 +261,10 @@ class SimulationEngine:
             # Heap pops are monotone in ready time (pushes always re-arm at
             # finish >= the current pop), so crossing a window boundary here
             # closes the window exactly once.  Dormant (+inf) without a probe.
+            # The walkers' deferred counters are folded first, so the window
+            # reads what the per-line path would have counted by now.
             if ready >= next_sample:
+                memsys.flush_walk_counters()
                 next_sample = telemetry.take_window(
                     ready, self.system, self.records_executed + records_executed
                 )

@@ -82,13 +82,6 @@ class SimResult:
         return self.dram_bytes_read + self.dram_bytes_written
 
     @property
-    def dram_bandwidth(self) -> float:
-        """Average DRAM traffic in bytes/cycle."""
-        if self.cycles <= 0:
-            return 0.0
-        return self.dram_bytes / self.cycles
-
-    @property
     def remote_access_fraction(self) -> float:
         """Fraction of routed (post-L1) requests with a remote home."""
         total = self.page_local + self.page_remote

@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from ..analysis.report import format_table
 from ..analysis.speedup import geomean
-from ..core.analytical import average_hops
 from ..experiments import (
     EXPERIMENTS,
     fabric_hops,
@@ -35,6 +34,7 @@ from ..experiments import (
     table3_baseline,
     table4_workloads,
 )
+from ..interconnect.topology import average_hops
 from ..workloads.synthetic import Category
 
 #: CTA scale factor for the fast gate.
@@ -345,7 +345,7 @@ CLAIMS: Sequence[Claim] = (
               lambda t, topology=topology: t.hop_ratio(topology),
               hops * (1.0 - TOPOLOGY_HOP_SLACK), hops * (1.0 + TOPOLOGY_HOP_SLACK), "topology")
         for topology in ("ring", "mesh", "torus", "hierarchical")
-        for hops in (average_hops(fabric_hops.N_GPMS, topology),)
+        for hops in (average_hops(topology, fabric_hops.N_GPMS),)
     ),
     Claim("topo-hier-board-cost", "board bottleneck", "fabric-hops",
           lambda t: t.cycles["hierarchical"] / t.cycles["ring"] if t.cycles["ring"] else 0.0,

@@ -69,15 +69,6 @@ class AccessPattern(ABC):
     ) -> np.ndarray:
         """Line addresses (int64 array of length ``n_accesses``)."""
 
-    def params(self) -> Dict[str, object]:
-        """Parameters for digests/reports; override when parameterized."""
-        return {}
-
-    def digest(self) -> str:
-        """Stable identity string."""
-        inner = ",".join(f"{key}={value}" for key, value in sorted(self.params().items()))
-        return f"{type(self).__name__}({inner})"
-
 
 #: Registry for configuration-by-name.  Populated by
 #: :func:`register_pattern` at class-definition time, so a new family is
@@ -140,9 +131,6 @@ class StreamingPattern(AccessPattern):
         offsets = (np.arange(n_accesses, dtype=np.int64) * self.stride) % chunk_len
         return chunk.start + offsets
 
-    def params(self):
-        return {"stride": self.stride}
-
 
 @register_pattern("stencil")
 class StencilPattern(AccessPattern):
@@ -186,9 +174,6 @@ class StencilPattern(AccessPattern):
                     halo_addrs[i] = nb_chunk.start + rng.integers(depth)
             addrs[positions] = halo_addrs
         return addrs
-
-    def params(self):
-        return {"halo_fraction": self.halo_fraction, "halo_lines": self.halo_lines}
 
 
 @register_pattern("irregular")
@@ -237,13 +222,6 @@ class IrregularPattern(AccessPattern):
             addrs[hot_mask] = rng.integers(0, hot_lines, size=n_hot, dtype=np.int64)
         return addrs
 
-    def params(self):
-        return {
-            "hot_fraction": self.hot_fraction,
-            "hot_lines": self.hot_lines,
-            "local_bias": self.local_bias,
-        }
-
 
 @register_pattern("hotset")
 class HotsetPattern(AccessPattern):
@@ -274,9 +252,6 @@ class HotsetPattern(AccessPattern):
         if n_hot:
             addrs[hot_mask] = rng.integers(0, hot_lines, size=n_hot, dtype=np.int64)
         return addrs
-
-    def params(self):
-        return {"hot_fraction": self.hot_fraction, "hot_lines": self.hot_lines}
 
 
 @register_pattern("banded")
@@ -353,14 +328,6 @@ class BandedPattern(AccessPattern):
             addrs[band_mask] = band_base + offsets
         return addrs
 
-    def params(self):
-        return {
-            "band_fraction": self.band_fraction,
-            "band_width_ctas": self.band_width_ctas,
-            "band_lines": self.band_lines,
-            "band_skew": self.band_skew,
-        }
-
 
 @register_pattern("global_stride")
 class GlobalStridePattern(AccessPattern):
@@ -396,9 +363,6 @@ class GlobalStridePattern(AccessPattern):
         step = n_ctas * self.stride_ctas
         offsets = np.arange(n_accesses, dtype=np.int64) * step + lane
         return offsets % footprint_lines
-
-    def params(self):
-        return {"stride_ctas": self.stride_ctas, "shuffle": self.shuffle}
 
 
 @register_pattern("gemm_tile")
@@ -461,9 +425,6 @@ class GemmTilePattern(AccessPattern):
         tail = n_accesses - produced
         parts.append(c_base + c_tile.start + (np.arange(tail, dtype=np.int64) % len(c_tile)))
         return np.concatenate(parts) % footprint_lines
-
-    def params(self):
-        return {"k_steps": self.k_steps, "c_fraction": self.c_fraction}
 
 
 @register_pattern("attention")
@@ -536,15 +497,6 @@ class AttentionPattern(AccessPattern):
             addrs[gather_mask] = gathered
         return addrs % footprint_lines
 
-    def params(self):
-        return {
-            "kv_fraction": self.kv_fraction,
-            "gather_fraction": self.gather_fraction,
-            "recency_skew": self.recency_skew,
-            "sink_lines": self.sink_lines,
-            "sink_fraction": self.sink_fraction,
-        }
-
 
 @register_pattern("allreduce")
 class AllReducePattern(AccessPattern):
@@ -592,9 +544,6 @@ class AllReducePattern(AccessPattern):
             longer = sweep_remote if n_remote > n_own else sweep_own
             addrs[n_accesses - leftover :] = longer[len(longer) - leftover :]
         return addrs % footprint_lines
-
-    def params(self):
-        return {"accum_ratio": self.accum_ratio}
 
 
 @register_pattern("zipfian")
@@ -655,9 +604,6 @@ class ZipfianPattern(AccessPattern):
                 )
         return addrs % footprint_lines
 
-    def params(self):
-        return {"alpha": self.alpha, "stream_fraction": self.stream_fraction}
-
 
 @register_pattern("bursty")
 class BurstyPattern(AccessPattern):
@@ -707,14 +653,6 @@ class BurstyPattern(AccessPattern):
             )
         runs = bases[:, None] + np.arange(self.burst_lines, dtype=np.int64)[None, :]
         return runs.reshape(-1)[:n_accesses] % footprint_lines
-
-    def params(self):
-        return {
-            "burst_lines": self.burst_lines,
-            "hot_fraction": self.hot_fraction,
-            "n_hot": self.n_hot,
-            "hot_region_lines": self.hot_region_lines,
-        }
 
 
 def make_pattern(name: str, **params: object) -> AccessPattern:

@@ -416,13 +416,6 @@ class TraceMemo:
 
         return trace_fn
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        """Drop all memoized traces (they regenerate on demand)."""
-        self._cache.clear()
-
 
 class Workload:
     """Base interface: a named, categorized sequence of kernel launches."""

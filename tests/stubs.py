@@ -1,4 +1,5 @@
-"""Stub suite results: drive an experiment plan's ``reduce`` without simulating."""
+"""Test helpers: stub suite results that drive an experiment plan's
+``reduce`` without simulating, and a side-effect-free cache residency check."""
 
 from repro.memory.cache import CacheStats
 from repro.sim.result import SimResult
@@ -44,3 +45,8 @@ def stub_suites(slots, cycles):
 def reduce_stubbed(plan, cycles):
     """``plan``'s output over :func:`stub_suites`."""
     return plan.reduce(stub_suites(plan.slots, cycles))
+
+
+def resident(cache, line_addr):
+    """True when ``cache`` holds ``line_addr``; touches neither LRU nor stats."""
+    return bool(cache.n_sets) and line_addr in cache._sets[line_addr % cache.n_sets]

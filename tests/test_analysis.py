@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.report import format_series, format_table, paper_vs_measured
+from repro.analysis.report import format_series, format_table
 from repro.analysis.speedup import (
     average_bandwidth_tbps,
     bandwidth_reduction_factor,
@@ -162,11 +162,6 @@ class TestReport:
         text = format_series("s", list(range(25)), per_line=10)
         assert "(25 points)" in text
         assert len(text.splitlines()) == 4
-
-    def test_paper_vs_measured(self):
-        text = paper_vs_measured([["speedup", "1.228", "1.24"]])
-        assert "paper" in text
-        assert "measured" in text
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.core.analytical import (
-    average_hops,
     expected_slowdown_bound,
     required_link_bandwidth,
     supply_bandwidth_per_partition,
-    topology_link_count,
-    topology_ports,
 )
+from repro.interconnect.topology import average_hops, link_count, mean_ports
 
 
 class TestSupplyBandwidth:
@@ -27,49 +25,49 @@ class TestSupplyBandwidth:
 
 class TestRingHops:
     def test_four_gpm_ring(self):
-        assert average_hops(4, "ring") == pytest.approx(4.0 / 3.0)
+        assert average_hops("ring", 4) == pytest.approx(4.0 / 3.0)
 
     def test_two_nodes(self):
-        assert average_hops(2, "ring") == 1.0
+        assert average_hops("ring", 2) == 1.0
 
     def test_single_node(self):
-        assert average_hops(1, "ring") == 0.0
+        assert average_hops("ring", 1) == 0.0
 
 
 class TestTopologyCounts:
     def test_ring_ports_and_links(self):
-        assert topology_ports(4) == 4
-        assert topology_link_count(4) == 8
+        assert mean_ports("ring", 4) == 4
+        assert link_count("ring", 4) == 8
         # The degenerate two-node "ring" has one neighbor pair.
-        assert topology_ports(2) == 2
-        assert topology_link_count(2) == 2
-        assert topology_ports(1) == 0
-        assert topology_link_count(1) == 0
+        assert mean_ports("ring", 2) == 2
+        assert link_count("ring", 2) == 2
+        assert mean_ports("ring", 1) == 0
+        assert link_count("ring", 1) == 0
 
     def test_fully_connected_ports_and_links(self):
-        assert topology_ports(4, "fully_connected") == 6
-        assert topology_link_count(4, "fully_connected") == 12
-        assert average_hops(4, "fully_connected") == 1.0
-        assert average_hops(1, "fully_connected") == 0.0
+        assert mean_ports("fully_connected", 4) == 6
+        assert link_count("fully_connected", 4) == 12
+        assert average_hops("fully_connected", 4) == 1.0
+        assert average_hops("fully_connected", 1) == 0.0
 
     def test_unknown_topology_rejected(self):
         # "torus" is a registered fabric now; a genuinely unknown name
         # must still fail loudly everywhere the registry dispatches.
         with pytest.raises(ValueError, match="topology"):
-            topology_ports(4, "hypercube")
+            mean_ports("hypercube", 4)
         with pytest.raises(ValueError, match="topology"):
-            topology_link_count(4, "hypercube")
+            link_count("hypercube", 4)
         with pytest.raises(ValueError, match="topology"):
-            average_hops(4, "hypercube")
+            average_hops("hypercube", 4)
 
     def test_registry_fabrics_dispatch(self):
         # The registry answers for every fabric: a 4-node torus is a
         # doubled ring (each wraparound fuses with the mesh edge), and
         # the 2x2 mesh is a 4-cycle.
-        assert topology_ports(4, "mesh") == 4
-        assert topology_link_count(4, "mesh") == 8
-        assert average_hops(4, "mesh") == pytest.approx(4.0 / 3.0)
-        assert average_hops(9, "torus") < average_hops(9, "mesh")
+        assert mean_ports("mesh", 4) == 4
+        assert link_count("mesh", 4) == 8
+        assert average_hops("mesh", 4) == pytest.approx(4.0 / 3.0)
+        assert average_hops("torus", 9) < average_hops("mesh", 9)
 
 
 class TestRequiredBandwidth:

@@ -278,19 +278,12 @@ class TestConservation:
             pipe.transfer(now, size)
         self._assert_conserved(pipe, sum(size for _, size in charges))
 
-    def test_transfer_run_conserves(self):
-        pipe = BandwidthPipe(4.0, bucket_cycles=16.0)
-        pipe.transfer_run(0.0, 128, 7)
-        assert sum(pipe._used.values()) == 128 * 7
-        assert pipe.bytes_transferred == 128 * 7
-        assert pipe.transfers == 7
-        assert pipe.overfull_buckets() == []
 
 
 class TestReserveMatchesTransfer:
-    """``reserve``/``reserve_run`` (the walker codegen's inline fallback)
-    must reproduce ``transfer``'s bucket walk exactly; only the floor,
-    counters, and busy_until bookkeeping are left to the caller."""
+    """``reserve`` (the walker codegen's spill call) must reproduce
+    ``transfer``'s bucket walk exactly; only the floor, counters, and
+    busy_until bookkeeping are left to the caller."""
 
     def test_reserve_finish_and_buckets_match_transfer(self):
         import random
@@ -315,11 +308,37 @@ class TestReserveMatchesTransfer:
         assert fast.transfers == 0
         assert fast.busy_until == 0.0
 
-    def test_reserve_run_matches_transfer_run(self):
-        ref = BandwidthPipe(4.0, bucket_cycles=16.0)
-        fast = BandwidthPipe(4.0, bucket_cycles=16.0)
-        expected = ref.transfer_run(3.0, 128, 5)
-        finish = fast.reserve_run(3.0, 128, 5)
-        floor = 3.0 + 128 / fast.bytes_per_cycle
+    @settings(max_examples=80, deadline=None)
+    @given(
+        earlier=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=600.0, allow_nan=False),
+                st.integers(min_value=1, max_value=512),
+            ),
+            max_size=40,
+        ),
+        now=st.floats(min_value=0.0, max_value=600.0, allow_nan=False),
+        n_bytes=st.sampled_from([64, 128, 192]),
+        count=st.integers(min_value=1, max_value=12),
+        # Whole-byte bucket capacities, as every DRAM pipe of the presets has.
+        bandwidth=st.sampled_from([0.5, 4.0, 37.5, 192.0, 768.0]),
+    )
+    def test_one_reservation_matches_a_run_of_transfers(
+        self, earlier, now, n_bytes, count, bandwidth
+    ):
+        """The walkers charge ``count`` lines to one pipe at one cycle as
+        ``reserve(now, n * count)`` floored at one line's time; that must
+        be the last finish of ``count`` sequential ``transfer(now, n)``
+        calls and leave the same bucket map."""
+        ref = BandwidthPipe(bandwidth, bucket_cycles=16.0)
+        fast = BandwidthPipe(bandwidth, bucket_cycles=16.0)
+        for at, size in earlier:
+            ref.transfer(at, size)
+            fast.transfer(at, size)
+        for _ in range(count):
+            expected = ref.transfer(now, n_bytes)
+        finish = fast.reserve(now, n_bytes * count)
+        floor = now + n_bytes / bandwidth
         assert max(finish, floor) == expected
         assert fast._used == ref._used
+        assert fast._full_prefix == ref._full_prefix

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.memory.cache import CacheStats, SetAssocCache, WritePolicy
 
+from .stubs import resident
+
 
 def make_cache(lines=16, ways=4, policy=WritePolicy.WRITE_BACK):
     return SetAssocCache(
@@ -30,14 +32,12 @@ class TestConstruction:
         assert not hit
 
     def test_disabled_cache_no_allocate_probe_is_bypass(self):
-        """Regression: the zero-capacity early return used to count every
-        access as a miss even under ``allocate=False``, where an enabled
-        cache (and ``touch_store``) counts a bypass — breaking the
-        "every store is a write_hit or a bypass" law at disabled levels."""
+        """Regression: a disabled level used to count a no-allocate store
+        probe as a miss, where an enabled cache counts a bypass — breaking
+        the "every store is a write_hit or a bypass" law at disabled
+        levels.  ``touch_store`` is the no-allocate store path."""
         cache = SetAssocCache(size_bytes=0)
-        hit, writeback = cache.access(5, is_write=True, allocate=False)
-        assert not hit
-        assert writeback is None
+        assert not cache.touch_store(5)
         assert cache.stats.bypasses == 1
         assert cache.stats.misses == 0
         assert cache.stats.write_misses == 0
@@ -77,20 +77,9 @@ class TestHitMiss:
 
     def test_no_allocate_miss_does_not_install(self):
         cache = make_cache()
-        cache.access(7, allocate=False)
-        assert not cache.probe(7)
+        assert not cache.touch_store(7)
+        assert not resident(cache, 7)
         assert cache.stats.bypasses == 1
-
-    def test_probe_does_not_touch_lru(self):
-        cache = make_cache(lines=4, ways=2)
-        # Set 0 holds lines 0 and 2 (2 sets); fill one set.
-        cache.access(0)
-        cache.access(2)
-        cache.probe(0)  # must NOT refresh line 0
-        cache.access(4)  # evicts LRU of set 0 = line 0
-        assert not cache.probe(0)
-        assert cache.probe(2)
-        assert cache.probe(4)
 
 
 class TestLRU:
@@ -100,10 +89,10 @@ class TestLRU:
             cache.access(line)
         cache.access(0)  # refresh 0 -> LRU is now 1
         cache.access(99)  # evict 1
-        assert cache.probe(0)
-        assert not cache.probe(1)
-        assert cache.probe(2)
-        assert cache.probe(99)
+        assert resident(cache, 0)
+        assert not resident(cache, 1)
+        assert resident(cache, 2)
+        assert resident(cache, 99)
 
     def test_set_isolation(self):
         cache = SetAssocCache(size_bytes=8 * 128, ways=4)  # 2 sets
@@ -111,8 +100,8 @@ class TestLRU:
         for line in (0, 2, 4, 6, 8):
             cache.access(line)
         cache.access(1)
-        assert cache.probe(1)
-        assert not cache.probe(0)  # evicted from set 0
+        assert resident(cache, 1)
+        assert not resident(cache, 0)  # evicted from set 0
 
 
 class TestWriteback:

@@ -14,6 +14,8 @@ from repro.core.presets import (
     multi_gpu,
 )
 
+from .stubs import resident
+
 
 class TestSM:
     def test_slot_accounting(self):
@@ -50,7 +52,7 @@ class TestSM:
         assert sm.clock == 0.0
         assert sm.free_cta_slots == sm.config.max_resident_ctas
         assert sm.l1.stats.accesses == 0
-        assert not sm.l1.probe(5)
+        assert not resident(sm.l1, 5)
 
 
 class TestGPM:
@@ -74,9 +76,9 @@ class TestGPM:
         gpm.l15.access(2)
         gpm.l2.access(3)
         gpm.kernel_boundary_flush()
-        assert not gpm.sms[0].l1.probe(1)
-        assert not gpm.l15.probe(2)
-        assert gpm.l2.probe(3)  # memory-side L2 is not flushed
+        assert not resident(gpm.sms[0].l1, 1)
+        assert not resident(gpm.l15, 2)
+        assert resident(gpm.l2, 3)  # memory-side L2 is not flushed
 
     def test_aggregate_l1_stats(self):
         system = build_system(baseline_mcm_gpu(n_gpms=2, sms_per_gpm=4))
@@ -122,8 +124,9 @@ class TestGPUSystem:
         assert system.memsys.loads == 0
         assert system.ring.total_link_bytes == 0
         assert system.page_table.local_resolutions == 0
-        assert system.gpms[0].dram.total_bytes == 0
-        assert system.gpms[0].xbar.total_requests == 0
+        assert system.gpms[0].dram.pipe.bytes_transferred == 0
+        assert system.gpms[0].xbar.local_requests == 0
+        assert system.gpms[0].xbar.remote_requests == 0
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"

@@ -39,12 +39,12 @@ class TestAccounting:
         assert dram.writes == 1
         assert dram.bytes_read == 256
         assert dram.bytes_written == 128
-        assert dram.total_bytes == 384
+        assert dram.pipe.bytes_transferred == 384
 
     def test_reset(self):
         dram = DRAMPartition(768.0)
         dram.read_line(0.0)
         dram.reset()
         assert dram.reads == 0
-        assert dram.total_bytes == 0
+        assert dram.pipe.bytes_transferred == 0
         assert dram.pipe.busy_until == 0.0

@@ -68,9 +68,13 @@ class TestBatching:
         system = small_system()
         scheduler = DynamicScheduler(system, batches_per_gpm=1, steal=False)
         scheduler.start_kernel(40)
-        assert scheduler.pending_per_gpm() == [10, 10, 10, 10]
+
+        def pending():
+            return [sum(len(batch) for batch in queue) for queue in scheduler._queues]
+
+        assert pending() == [10, 10, 10, 10]
         scheduler.next_cta(system.gpms[2].sms[0])
-        assert scheduler.pending_per_gpm() == [10, 10, 9, 10]
+        assert pending() == [10, 10, 9, 10]
 
 
 class TestStealing:

@@ -9,6 +9,8 @@ from repro.sim.simulator import simulate
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 from repro.workloads.trace import KernelLaunch, TraceRecord, Workload
 
+from .stubs import resident
+
 
 class ExplicitWorkload(Workload):
     name = "edge"
@@ -181,8 +183,8 @@ class TestL15AllPolicyPath:
         )
         sm = system.gpms[0].sms[0]
         system.memsys.load(0.0, sm, 0)
-        assert system.gpms[0].l15.probe(0)
+        assert resident(system.gpms[0].l15, 0)
         system.memsys.store(1.0, sm, 0)
         # Write-through: still resident, never dirty.
-        assert system.gpms[0].l15.probe(0)
+        assert resident(system.gpms[0].l15, 0)
         assert system.gpms[0].l15.flush() == []

@@ -25,11 +25,6 @@ class TestTable1:
     def test_die_size_near_reticle_limit(self):
         assert 0.7 < table1_history.die_size_headroom() < 1.0
 
-    def test_transistor_growth_slowing(self):
-        factors = table1_history.transistor_growth_factors()
-        assert len(factors) == 3
-        assert all(f > 1.0 for f in factors)
-
     def test_report_renders(self):
         text = table1_history.report(output(table1_history))
         assert "Fermi" in text and "Pascal" in text

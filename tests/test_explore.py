@@ -12,7 +12,6 @@ from repro.explore import (
     Objective,
     SweepSpec,
     bisect_crossover,
-    config_get,
     config_replace,
     default_runner,
     dominates,
@@ -57,7 +56,7 @@ def tiny_base(name="xp-base"):
 class TestConfigPaths:
     def test_get_and_replace_top_level(self):
         config = tiny_base()
-        assert config_get(config, "link_bandwidth") == 768.0
+        assert config.link_bandwidth == 768.0
         swept = config_replace(config, "link_bandwidth", 384.0)
         assert swept.link_bandwidth == 384.0
         assert config.link_bandwidth == 768.0  # original untouched
@@ -76,8 +75,6 @@ class TestConfigPaths:
     def test_unknown_field_raises(self):
         with pytest.raises(ValueError, match="no field"):
             config_replace(tiny_base(), "gpm.no_such_knob", 1)
-        with pytest.raises(ValueError, match="no field"):
-            config_get(tiny_base(), "gpm.no_such_knob")
 
 
 class TestSweepSpec:

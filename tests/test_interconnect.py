@@ -28,21 +28,23 @@ def direction_bytes(ring, step):
 
 
 class TestLink:
+    # A two-node ring is one link pair: node 0 -> 1 crosses exactly one link.
     def test_traverse_adds_latency(self):
-        link = Link(128.0, latency_cycles=32.0)
-        arrival = link.traverse(0.0, 128)
+        ring = build_network("ring", 2, 256.0, 32.0)  # 128 B/cycle per direction
+        arrival = ring.transfer(0.0, 0, 1, 128)
         assert arrival == pytest.approx(33.0)
 
     def test_channels_are_independent(self):
-        link = Link(1.0, latency_cycles=0.0)
-        link.traverse(0.0, 1000, REQUEST)
-        prompt = link.traverse(0.0, 1, RESPONSE)
+        ring = build_network("ring", 2, 2.0, 0.0)  # 1 B/cycle per direction
+        ring.transfer(0.0, 0, 1, 1000, REQUEST)
+        prompt = ring.transfer(0.0, 0, 1, 1, RESPONSE)
         assert prompt < 100.0  # response channel unaffected by request backlog
 
     def test_bytes_sum_channels(self):
-        link = Link(128.0)
-        link.traverse(0.0, 100, REQUEST)
-        link.traverse(0.0, 50, RESPONSE)
+        ring = build_network("ring", 2, 256.0, 32.0)
+        ring.transfer(0.0, 0, 1, 100, REQUEST)
+        ring.transfer(0.0, 0, 1, 50, RESPONSE)
+        (link,) = [link for link in ring.links if link.name == "ring.0->1"]
         assert link.bytes_transferred == 150
 
     def test_rejects_negative_latency(self):
@@ -113,16 +115,12 @@ class TestCrossbar:
         assert xbar.classify(2) is False
         assert xbar.local_requests == 1
         assert xbar.remote_requests == 2
-        assert xbar.locality_fraction == pytest.approx(1 / 3)
-
-    def test_empty_locality_fraction(self):
-        assert GPMCrossbar(0).locality_fraction == 0.0
 
     def test_reset(self):
         xbar = GPMCrossbar(0)
         xbar.classify(0)
         xbar.reset()
-        assert xbar.total_requests == 0
+        assert xbar.local_requests == xbar.remote_requests == 0
 
 
 class TestBoard:

@@ -6,6 +6,8 @@ from repro.core.gpu import build_system
 from repro.core.memsys import LINE_BYTES, REQUEST_HEADER_BYTES
 from repro.core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
 
+from .stubs import resident
+
 
 def interleaved_system(**kwargs):
     return build_system(baseline_mcm_gpu(**kwargs))
@@ -119,7 +121,7 @@ class TestStorePath:
         sm = system.gpms[0].sms[0]
         line = line_homed_at(0)
         system.memsys.store(0.0, sm, line)
-        assert system.gpms[0].l2.probe(line)
+        assert resident(system.gpms[0].l2, line)
         assert system.gpms[0].dram.reads == 1  # fetch-on-write
 
     def test_dirty_l2_eviction_writes_back(self):
@@ -140,7 +142,7 @@ class TestStorePath:
         system = interleaved_system()
         sm = system.gpms[0].sms[0]
         system.memsys.store(0.0, sm, 99 * 4)
-        assert not sm.l1.probe(99 * 4)
+        assert not resident(sm.l1, 99 * 4)
 
 
 class TestCounters:
@@ -149,5 +151,8 @@ class TestCounters:
         sm = system.gpms[0].sms[0]
         for line in range(16):
             system.memsys.load(0.0, sm, line)
-        assert system.memsys.remote_fraction == pytest.approx(0.75)
-        assert system.memsys.accesses == 16
+        # Every load misses L1 and is routed by GPM 0's crossbar.
+        xbar = system.gpms[0].xbar
+        routed = xbar.local_requests + xbar.remote_requests
+        assert xbar.remote_requests / routed == pytest.approx(0.75)
+        assert system.memsys.loads == 16

@@ -28,7 +28,7 @@ class TestPolicyUnit:
         assert policy.partition_of_page(5, 1) == 1
         assert policy.migrations == 1
         assert policy.pending_migration == (5, 0, 1)
-        assert policy.home_of(5) == 1
+        assert policy._page_home.get(5) == 1
 
     def test_local_access_resets_pressure(self):
         policy = MigratingFirstTouch(4, threshold=3)
@@ -54,18 +54,18 @@ class TestPolicyUnit:
         policy.partition_of_page(5, 1)
         policy.partition_of_page(5, 1)  # -> migrates to 1
         policy.pending_migration = None
-        assert policy.home_of(5) == 1
+        assert policy._page_home.get(5) == 1
         for _ in range(10):
             policy.partition_of_page(5, 2)
-        assert policy.home_of(5) == 1  # cap reached, stays put
+        assert policy._page_home.get(5) == 1  # cap reached, stays put
         assert policy.migrations == 1
 
     def test_reset(self):
         policy = MigratingFirstTouch(4, threshold=2)
         policy.partition_of_page(5, 0)
         policy.reset()
-        assert policy.pages_mapped == 0
-        assert policy.home_of(5) is None
+        assert policy._page_home == {}
+        assert policy._page_home.get(5) is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="threshold"):

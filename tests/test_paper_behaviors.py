@@ -156,4 +156,4 @@ class TestWriteTrafficMechanism:
         wl = custom(write_fraction=0.5, compute_per_record=0.5, kernel_iterations=1)
         result = simulate(wl, baseline_mcm_gpu())
         # DRAM bandwidth within physical limits proves drain accounting.
-        assert result.dram_bandwidth <= 3072.0 * 1.01
+        assert result.dram_bytes / result.cycles <= 3072.0 * 1.01

@@ -122,9 +122,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown pattern"):
             make_pattern("zigzag")
 
-    def test_digest_includes_params(self):
-        assert "0.3" in StencilPattern(halo_fraction=0.3).digest()
-
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -3,8 +3,8 @@
 A memory access has exactly two implementations: the per-line reference
 (``MemorySystem.load``/``store``) and the generated per-GPM walkers
 (:mod:`repro.core.walkgen`).  One drain loop runs both; a warp group
-takes the walkers when the system supports them and no telemetry probe
-is attached, and the reference otherwise.
+takes the walkers when the system supports them, probed or not, and the
+reference otherwise.
 
 Four contracts:
 
@@ -12,9 +12,10 @@ Four contracts:
    ``SimResult`` identical *field for field* to the per-line reference
    (``engine.batched = False`` / the ``REPRO_SIM_PERLINE`` env knob), on
    ring, monolithic, multi-GPU, mesh, torus, hierarchical and
-   fully-connected fabrics, under migrating placement, and with a probe.
+   fully-connected fabrics, under migrating placement, and with a probe,
+   whose windows, phases and summary match too.
 2. **Dispatch** — ring, mesh, torus, hierarchical and fully-connected
-   machines take the walkers; migrating and probed machines take the
+   machines take the walkers, probed or not; migrating machines take the
    reference, as does any system ``build_walkers`` rejects.
 3. **Trace memoization** — materialized CTA traces are reused across
    kernel iterations and across runs (``materializations`` stays flat),
@@ -39,8 +40,11 @@ from repro.core.presets import (
 from repro.memory.cache import CacheStats, SetAssocCache
 from repro.sim.simulator import Simulator
 from repro.telemetry import Telemetry
+from repro.telemetry.probe import WindowSample
 from repro.validate.invariants import check_result
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
+
+from .stubs import resident
 
 
 def tiny_workload(name="pi-w", pattern="streaming", write_fraction=0.25, iterations=2):
@@ -84,10 +88,14 @@ class Probed:
         self.config = config
 
 
+#: Short enough that every probed case closes several windows.
+PROBE_WINDOW_CYCLES = 64.0
+
+
 def unwrap(machine):
     """``(config, probe)`` for a ``CONFIG_MAKERS`` result."""
     if isinstance(machine, Probed):
-        return machine.config, Telemetry(window_cycles=256.0)
+        return machine.config, Telemetry(window_cycles=PROBE_WINDOW_CYCLES)
     return machine, None
 
 
@@ -113,6 +121,15 @@ CONFIG_MAKERS = [
     pytest.param(
         lambda: Probed(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)), id="probed-ring"
     ),
+    pytest.param(
+        lambda: Probed(
+            mcm_gpu_with_l15(
+                8, remote_only=True, scheduler="distributed", n_gpms=4, sms_per_gpm=2
+            )
+        ),
+        id="probed-l15",
+    ),
+    pytest.param(lambda: Probed(migrating()), id="probed-migrating"),
 ]
 
 WORKLOAD_MAKERS = [
@@ -134,7 +151,10 @@ class TestBatchedPerLineIdentity:
     def test_results_identical_field_for_field(self, make_config, make_workload):
         config, probe = unwrap(make_config())
         production = simulate_with_path(make_workload(), config, batched=True, probe=probe)
-        perline = simulate_with_path(make_workload(), config, batched=False)
+        perline_probe = None if probe is None else Telemetry(probe.window_cycles)
+        perline = simulate_with_path(
+            make_workload(), config, batched=False, probe=perline_probe
+        )
         production_fields = asdict(production)
         perline_fields = asdict(perline)
         assert production_fields.keys() == perline_fields.keys()
@@ -143,9 +163,17 @@ class TestBatchedPerLineIdentity:
                 f"field {name!r} differs: production={production_fields[name]!r} "
                 f"per-line={perline_fields[name]!r}"
             )
+        if probe is not None:
+            # The walkers defer counters; every window must still read what
+            # the reference had counted when the window closed.
+            assert len(probe.windows) >= 3
+            assert probe.windows == perline_probe.windows
+            assert probe.phases == perline_probe.phases
+            assert probe.pipe_occupancy == perline_probe.pipe_occupancy
+            assert probe.summary() == perline_probe.summary()
 
     def test_probed_run_matches_walkers(self):
-        # A probe forces the per-line reference; results must not move.
+        # A probe rides the walkers too; results must not move.
         config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
         fast = simulate_with_path(tiny_workload(), config, batched=True)
         simulator = Simulator(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
@@ -221,21 +249,15 @@ class TestEnginePathDispatch:
         system.reset()
         with pytest.raises(walkgen.UnsupportedWalk, match=reason):
             walkgen.build_walkers(system.memsys)
-        assert reference_loads(config) > 0
-
-    def test_probed_ring_takes_reference(self):
-        config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
-        assert walkers_for(config) is not None
-        assert reference_loads(config, probe=Telemetry()) > 0
-
-    def test_non_uniform_l1_is_unsupported(self):
-        system = build_system(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
-        system.reset()
-        system.gpms[1].sms[1].l1_hit_latency += 1
-        with pytest.raises(walkgen.UnsupportedWalk, match="gpm 1: non-uniform L1"):
-            walkgen.build_walkers(system.memsys)
+        # A rejected build leaves no half-registered counter folds behind.
         assert system.memsys.make_walkers() is None
         assert system.memsys._walker_flushes == []
+        assert reference_loads(config) > 0
+
+    def test_probed_ring_takes_walkers(self):
+        config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
+        assert walkers_for(config) is not None
+        assert reference_loads(config, probe=Telemetry()) == 0
 
     def test_rejected_build_falls_back_to_reference(self, monkeypatch):
         def reject(memsys):
@@ -331,8 +353,8 @@ class TestStoreAccounting:
         cache.access(1)
         cache.touch_store(0)  # line 0 becomes MRU
         cache.access(2)  # evicts LRU = line 1
-        assert cache.probe(0)
-        assert not cache.probe(1)
+        assert resident(cache, 0)
+        assert not resident(cache, 1)
 
     def test_disabled_cache_store_is_bypass(self):
         cache = SetAssocCache(size_bytes=0, name="off")
@@ -345,20 +367,28 @@ class TestLoadOnlyRates:
     def test_load_hit_rate_excludes_write_touches(self):
         stats = CacheStats(hits=10, misses=6, write_hits=4)
         assert stats.hit_rate == pytest.approx(10 / 16)
-        assert stats.load_hit_rate == pytest.approx(6 / 12)
-        assert stats.read_hits == 6
-        assert stats.read_accesses == 12
+        window = WindowSample(
+            start=0.0, end=1.0, records=0, loads=12, stores=4, remote_loads=0,
+            remote_stores=0, l1_hits=10, l1_misses=6, l15_hits=10, l15_misses=6,
+            l2_hits=0, l2_misses=0, local_requests=0, remote_requests=0,
+            issue_busy_cycles=0.0, dram_bytes=0, link_bytes=0, n_sms=1,
+            l1_write_hits=4, l15_write_hits=4,
+        )
+        assert window.l1_hit_rate == pytest.approx(6 / 12)
+        assert window.l15_hit_rate == pytest.approx(6 / 12)
 
     def test_simulated_l15_rate_is_load_only(self):
         # Pin the reported quantity: the L1.5 hit rate used for Figure 6/7
         # analysis must not be inflated by store touch-hits.
         config = mcm_gpu_with_l15(8, remote_only=False, n_gpms=4, sms_per_gpm=2)
-        result = Simulator(config).run(tiny_workload("rate-w", "hotset"))
+        simulator = Simulator(config, telemetry=Telemetry(window_cycles=1e12))
+        result = simulator.run(tiny_workload("rate-w", "hotset"))
+        (window,) = simulator.system.telemetry.windows
         stats = result.l15
-        loads_seen = stats.accesses - stats.write_hits
-        if loads_seen:
-            expected = (stats.hits - stats.write_hits) / loads_seen
-            assert stats.load_hit_rate == pytest.approx(expected)
+        assert stats.write_hits > 0
+        assert window.l15_write_hits == stats.write_hits
+        load_hits = stats.hits - stats.write_hits
+        assert window.l15_hit_rate == pytest.approx(load_hits / (load_hits + stats.misses))
 
     def test_telemetry_window_rates_are_load_only(self):
         simulator = Simulator(baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2))
@@ -369,12 +399,10 @@ class TestLoadOnlyRates:
         # counters) while the derived rates subtract the write share.
         assert sum(w.l1_hits for w in probe.windows) == result.l1.hits
         assert sum(w.l1_write_hits for w in probe.windows) == result.l1.write_hits
-        total = CacheStats(
-            hits=sum(w.l1_hits for w in probe.windows),
-            misses=sum(w.l1_misses for w in probe.windows),
-            write_hits=sum(w.l1_write_hits for w in probe.windows),
+        load_hits = result.l1.hits - result.l1.write_hits
+        assert probe.summary()["l1_hit_rate"] == pytest.approx(
+            load_hits / (load_hits + result.l1.misses)
         )
-        assert probe.summary()["l1_hit_rate"] == pytest.approx(total.load_hit_rate)
 
     def test_merge_carries_write_split(self):
         merged = CacheStats(hits=2, write_hits=1, bypasses=3).merge(

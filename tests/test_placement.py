@@ -36,14 +36,15 @@ class TestFirstTouch:
         policy = FirstTouchPlacement(4)
         for page in range(8):
             assert policy.partition_of_page(page, page % 4) == page % 4
-        assert policy.pages_mapped == 8
+        assert len(policy._page_map) == 8
 
     def test_histogram(self):
         policy = FirstTouchPlacement(2)
         policy.partition_of_page(0, 0)
         policy.partition_of_page(1, 1)
         policy.partition_of_page(2, 1)
-        assert policy.partition_histogram() == {0: 1, 1: 2}
+        # Pages per partition: one on partition 0, two on partition 1.
+        assert sorted(policy._page_map.values()) == [0, 1, 1]
 
     def test_reset_forgets(self):
         policy = FirstTouchPlacement(4)
@@ -85,7 +86,7 @@ class TestPageTable:
         assert table.remote_resolutions == 1
         assert table.home_partition(4, 0) == 0
         assert table.local_resolutions == 1
-        assert table.locality_fraction == 0.5
+        assert table.local_resolutions == table.remote_resolutions == 1
 
     def test_first_touch_keeps_whole_page_together(self):
         amap = AddressMap(page_bytes=2048)  # 16 lines/page
@@ -123,7 +124,7 @@ def test_first_touch_is_stable(touches):
         else:
             assert partition == requester
             seen[page] = partition
-    assert policy.pages_mapped == len(seen)
+    assert len(policy._page_map) == len(seen)
 
 
 @settings(max_examples=50, deadline=None)

@@ -50,7 +50,7 @@ class TestDerivedMetrics:
     def test_dram_totals(self):
         result = make_result()
         assert result.dram_bytes == 192000
-        assert result.dram_bandwidth == pytest.approx(192.0)
+        assert result.dram_bytes / result.cycles == pytest.approx(192.0)
 
     def test_remote_fraction(self):
         assert make_result().remote_access_fraction == pytest.approx(0.75)

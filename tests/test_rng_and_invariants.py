@@ -83,7 +83,7 @@ class TestConservationInvariants:
     def test_bandwidth_within_physical_limits(self):
         _, _, result = run_spec(write_fraction=0.4, compute_per_record=0.5)
         config_total = 4 * 768.0
-        assert result.dram_bandwidth <= config_total * 1.01
+        assert result.dram_bytes / result.cycles <= config_total * 1.01
 
 
 @settings(max_examples=10, deadline=None)

@@ -77,17 +77,18 @@ class TestDistributed:
         """Figure 12: CTA index -> GPM binding repeats on re-launch."""
         system = small_system()
         sched = DistributedScheduler(system)
-        sched.start_kernel(16)
-        first = {cta: sched.gpm_of_cta(cta) for cta in range(16)}
-        sched.start_kernel(16)
-        second = {cta: sched.gpm_of_cta(cta) for cta in range(16)}
-        assert first == second
 
-    def test_gpm_of_cta_out_of_range(self):
-        sched = DistributedScheduler(small_system())
-        sched.start_kernel(8)
-        with pytest.raises(ValueError, match="out of range"):
-            sched.gpm_of_cta(8)
+        def dispatch_all():
+            sched.start_kernel(16)
+            bound = {}
+            for gpm in system.gpms:
+                while (cta := sched.next_cta(gpm.sms[0])) is not None:
+                    bound[cta] = gpm.gpm_id
+            return bound
+
+        first = dispatch_all()
+        assert sorted(first) == list(range(16))
+        assert dispatch_all() == first
 
 
 class TestFactory:
