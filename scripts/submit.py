@@ -200,7 +200,8 @@ def _run_sweeps(client, opts) -> int:
     """Run each requested sweep through the server via ``remote_runner``."""
     from pathlib import Path
 
-    from repro.explore import BUILTIN_SWEEPS, build_plan, remote_runner, run_sweep
+    from repro.explore import BUILTIN_SWEEPS, build_plan, run_sweep
+    from repro.explore.remote import remote_runner
     from repro.explore.report import render_text, write_artifacts
     from repro.parallel import GLOBAL_METRICS
 

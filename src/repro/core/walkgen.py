@@ -34,7 +34,10 @@ system-invariant decision resolved at build time:
 
 Each SM gets exactly one walker, and every kernel runs it: the L1 and
 L1.5 probes are always emitted, even for kernels whose addresses never
-repeat (and so can never hit there).
+repeat (and so can never hit there).  A GPM's bound names (its L1.5 and
+L2 sets, every pipe on its routes, the counter list) become closure cells
+once per GPM; each SM's walker closes over those same cells and adds only
+its own L1 sets and stats and its five L1 counters.
 
 Everything observable — SimResult fields, cache/DRAM/pipe counters, LRU
 state of the persistent L2 — is bit-identical to the per-line reference
@@ -66,7 +69,7 @@ def _compile(source: str, filename: str):
 
 
 class _GpmCodegen:
-    """Emits one GPM's ``_factory(sm, ctx) -> (walk, flush)``."""
+    """Emits one GPM's ``_gpm(ctx)``, which returns ``_factory(sm) -> (walk, flush)``."""
 
     def __init__(self, memsys, gpm_id, pipe_cells, line_bytes, header_bytes):
         self.memsys = memsys
@@ -512,24 +515,28 @@ class _GpmCodegen:
         out.append(_ind(2, "return mem_done"))
 
     def build(self):
-        """Compile the factory; returns ``(factory, ctx_tuple, gc_list)``."""
+        """Compile ``_gpm`` and bind it once; returns ``(factory, gc_list)``.
+
+        ``walk`` reads GPM-wide and per-SM names alike with ``LOAD_DEREF``,
+        so sharing the GPM's cells leaves the hot loop's bytecode as it was.
+        """
         self.bind("_GC", self.gc)
         body: List[str] = []
         self._emit_walk(body)
 
         lines = [
-            "def _factory(sm, ctx):",
+            "def _gpm(ctx):",
             _ind(1, "(" + ", ".join(self.ctx_names) + ",) = ctx"),
-            _ind(1, "l1_sets = sm.l1._sets"),
-            _ind(1, "l1_stats = sm.l1.stats"),
-            _ind(1, "c_l1h = 0"),
-            _ind(1, "c_l1m = 0"),
-            _ind(1, "c_l1wb = 0"),
-            _ind(1, "c_l1byp = 0"),
-            _ind(1, "c_l1wh = 0"),
+            _ind(1, "def _factory(sm):"),
+            _ind(2, "l1_sets = sm.l1._sets"),
+            _ind(2, "l1_stats = sm.l1.stats"),
+            _ind(2, "c_l1h = 0"),
+            _ind(2, "c_l1m = 0"),
+            _ind(2, "c_l1wb = 0"),
+            _ind(2, "c_l1byp = 0"),
+            _ind(2, "c_l1wh = 0"),
         ]
-        lines += body
-        lines += [
+        body += [
             _ind(1, "def flush():"),
             _ind(2, "nonlocal c_l1h, c_l1m, c_l1wb, c_l1byp, c_l1wh"),
             _ind(2, "if c_l1h or c_l1m or c_l1byp:"),
@@ -546,11 +553,13 @@ class _GpmCodegen:
             _ind(3, "c_l1wh = 0"),
             _ind(1, "return walk, flush"),
         ]
+        lines += [_ind(1, line) for line in body]
+        lines.append(_ind(1, "return _factory"))
         source = "\n".join(lines)
         namespace: dict = {}
         exec(_compile(source, f"<walker-gpm{self.gid}>"), namespace)
         self.gc.extend([0] * len(self.counters))
-        return namespace["_factory"], tuple(self.ctx_values), self.gc
+        return namespace["_gpm"](tuple(self.ctx_values)), self.gc
 
 
 def _make_gpm_fold(memsys, gpm_id, gc, idx, line_bytes, header_bytes):
@@ -693,9 +702,9 @@ def build_walkers(memsys):
         generator = _GpmCodegen(
             memsys, gpm.gpm_id, pipe_cells, LINE_BYTES, REQUEST_HEADER_BYTES
         )
-        factory, ctx, gc = generator.build()
+        factory, gc = generator.build()
         for sm in gpm.sms:
-            walk, l1_flush = factory(sm, ctx)
+            walk, l1_flush = factory(sm)
             walkers.append(walk)
             flushes.append(l1_flush)
         flushes.append(

@@ -229,10 +229,15 @@ class ResultCache:
         return result
 
     def put(self, result: SimResult) -> None:
-        """Store a result in memory and append it to the cache file."""
-        self._load()
+        """Append a result to the cache file, and to memory once loaded.
+
+        A put never loads: a write-only shard (a pool worker's) parses no
+        other shard and holds no result in memory.  A later :meth:`get`
+        loads the directory, this entry included.
+        """
         key = self.key(result.workload_digest, result.system_digest)
-        self._memory[key] = result
+        if self._loaded:
+            self._memory[key] = result
         self.directory.mkdir(parents=True, exist_ok=True)
         line = json.dumps(
             {"key": key, "schema": RESULT_SCHEMA, "result": result.to_dict()}

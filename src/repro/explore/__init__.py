@@ -13,7 +13,6 @@ sensitivity`), and write deterministic ``explore/<sweep>/`` artifacts
 from .analytical import AnalyticalScreen, ScreenOutcome
 from .builtin import BUILTIN_SWEEPS, SweepPlan, build_plan, run_sweep, screen_for_plan
 from .pareto import DEFAULT_OBJECTIVES, Objective, dominates, pareto_front, pareto_indices
-from .remote import remote_runner
 from .report import SweepReport, render_text, write_artifacts
 from .search import (
     HalvingResult,
@@ -59,7 +58,6 @@ __all__ = [
     "pareto_front",
     "pareto_indices",
     "promotion_count",
-    "remote_runner",
     "render_text",
     "run_sweep",
     "screen_for_plan",

@@ -39,15 +39,6 @@ class DistributedScheduler(CTAScheduler):
             self._limit.append(start + count)
             start += count
 
-    def batch_bounds(self, gpm_id: int) -> range:
-        """CTA index range assigned to ``gpm_id`` for the current kernel."""
-        # Reconstruct the static split (independent of dispatch progress).
-        n_gpms = self.system.n_gpms
-        base, extra = divmod(self.n_ctas, n_gpms)
-        start = gpm_id * base + min(gpm_id, extra)
-        count = base + (1 if gpm_id < extra else 0)
-        return range(start, start + count)
-
     def next_cta(self, sm: "SM") -> Optional[int]:
         gpm_id = sm.gpm_id
         index = self._next_index[gpm_id]

@@ -102,6 +102,23 @@ class TestResultCache:
         merged = ResultCache(tmp_path)
         assert merged.get(workload.digest(), config.digest()) is not None
 
+    def test_shard_writer_appends_without_loading(self, tmp_path):
+        config = tiny_config()
+        workloads = [tiny_workload("shard-a"), tiny_workload("shard-b")]
+        first, second = (run_one(w, config, cache=None) for w in workloads)
+        ResultCache(tmp_path, shard="w1").put(first)
+        writer = ResultCache(tmp_path, shard="w2")
+        writer.put(second)
+        # The writer parsed no shard and holds nothing in memory.
+        assert writer._shard_state == {}
+        assert writer._memory == {}
+        reader = ResultCache(tmp_path)
+        assert len(reader) == 2
+        for workload in workloads:
+            assert reader.get(workload.digest(), config.digest()) is not None
+        # A write-only shard still reads back its own entry once asked.
+        assert writer.get(workloads[1].digest(), config.digest()) == second
+
     def test_duplicate_keys_last_wins(self, tmp_path):
         workload = tiny_workload("dup-wl")
         config = tiny_config()

@@ -1,9 +1,14 @@
 """Tests for the design-space exploration subsystem (repro.explore)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.presets import baseline_mcm_gpu, mcm_gpu_with_l15
 from repro.experiments.common import ResultCache
 from repro.explore import (
@@ -433,3 +438,23 @@ class TestBuiltinSweeps:
         assert run_data["cache"]["entries"] > 0
         # The deterministic artifact must not leak runtime quantities.
         assert "wall_seconds" not in json.dumps(data)
+
+
+class TestImportFootprint:
+    def test_import_leaves_the_serve_client_stack_unloaded(self):
+        # Every sweep imports repro.explore, and pool workers fork from it.
+        script = (
+            "import sys, repro.explore\n"
+            "print(' '.join(name for name in ('ssl', 'asyncio', 'http.client', "
+            "'repro.serve') if name in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""

@@ -287,6 +287,48 @@ class TestWalkerCodeCache:
         assert walkgen._compile.cache_info().currsize == bound
 
 
+#: The only names a walker closes over that each SM owns.
+PER_SM_NAMES = {"l1_sets", "l1_stats", "c_l1h", "c_l1m", "c_l1wb", "c_l1byp", "c_l1wh"}
+
+
+def closure_cells(fn):
+    return dict(zip(fn.__code__.co_freevars, fn.__closure__))
+
+
+class TestWalkerSharing:
+    """SMs of one GPM share its bound names' cells; each keeps only its L1."""
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [lambda: baseline_mcm_gpu(n_gpms=4, sms_per_gpm=3), lambda: on_fabric("mesh", 8)],
+        ids=["ring-4", "mesh-8"],
+    )
+    def test_gpm_names_bound_once_per_gpm(self, make_config):
+        system = build_system(make_config())
+        system.reset()
+        walkers = system.memsys.make_walkers()
+        per_gpm = []
+        for gpm in system.memsys._gpms:
+            cells = [closure_cells(walkers[sm.sm_id]) for sm in gpm.sms]
+            first = cells[0]
+            # Only ``flush`` reads ``l1_stats``.
+            own = first.keys() & PER_SM_NAMES
+            assert own == PER_SM_NAMES - {"l1_stats"}
+            shared = first.keys() - own
+            assert "_GC" in shared
+            for other in cells[1:]:
+                assert other.keys() == first.keys()
+                for name in shared:
+                    assert other[name] is first[name], name
+                for name in own:
+                    assert other[name] is not first[name], name
+            per_gpm.append({name: first[name] for name in shared})
+        for i, mine in enumerate(per_gpm):
+            for theirs in per_gpm[i + 1:]:
+                for name in mine.keys() & theirs.keys():
+                    assert mine[name] is not theirs[name], name
+
+
 class TestTraceMemo:
     def test_iterative_kernels_materialize_once(self):
         workload = tiny_workload("memo-w", "streaming", iterations=3)

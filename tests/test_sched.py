@@ -39,22 +39,34 @@ class TestCentralized:
             sched.start_kernel(0)
 
 
+def drain_per_gpm(sched, system):
+    """The CTAs ``next_cta`` hands each GPM's SMs, in dispatch order."""
+    batches = []
+    for gpm in system.gpms:
+        batch = []
+        while (cta := sched.next_cta(gpm.sms[len(batch) % len(gpm.sms)])) is not None:
+            batch.append(cta)
+        batches.append(batch)
+    return batches
+
+
 class TestDistributed:
     def test_contiguous_batches_per_gpm(self):
         """Figure 8(b): each GPM owns one contiguous CTA index range."""
         system = small_system()
         sched = DistributedScheduler(system)
         sched.start_kernel(16)
-        assert list(sched.batch_bounds(0)) == [0, 1, 2, 3]
-        assert list(sched.batch_bounds(3)) == [12, 13, 14, 15]
+        batches = drain_per_gpm(sched, system)
+        assert batches[0] == [0, 1, 2, 3]
+        assert batches[3] == [12, 13, 14, 15]
+        assert sched.exhausted
 
     def test_uneven_split_spreads_remainder(self):
         system = small_system()
         sched = DistributedScheduler(system)
         sched.start_kernel(10)
-        sizes = [len(sched.batch_bounds(g)) for g in range(4)]
-        assert sorted(sizes) == [2, 2, 3, 3]
-        assert sum(sizes) == 10
+        batches = drain_per_gpm(sched, system)
+        assert batches == [[0, 1, 2], [3, 4, 5], [6, 7], [8, 9]]
 
     def test_sm_draws_from_its_gpm_batch(self):
         system = small_system()
@@ -62,7 +74,9 @@ class TestDistributed:
         sched.start_kernel(16)
         sm_gpm2 = system.gpms[2].sms[0]
         cta = sched.next_cta(sm_gpm2)
-        assert cta in sched.batch_bounds(2)
+        assert cta == 8
+        # Every SM of GPM 2 draws the rest of batch 2 and nothing else.
+        assert drain_per_gpm(sched, system)[2] == [9, 10, 11]
 
     def test_no_stealing_returns_none_when_batch_empty(self):
         system = small_system()
@@ -105,14 +119,13 @@ class TestFactory:
 @settings(max_examples=30, deadline=None)
 @given(n_ctas=st.integers(min_value=1, max_value=200))
 def test_distributed_covers_every_cta_exactly_once(n_ctas):
-    """Property: the batches partition [0, n_ctas)."""
+    """Property: the dispatched batches partition [0, n_ctas) in order."""
     system = small_system()
     sched = DistributedScheduler(system)
     sched.start_kernel(n_ctas)
-    seen = []
-    for gpm_id in range(4):
-        seen.extend(sched.batch_bounds(gpm_id))
-    assert sorted(seen) == list(range(n_ctas))
+    seen = [cta for batch in drain_per_gpm(sched, system) for cta in batch]
+    assert seen == list(range(n_ctas))
+    assert sched.exhausted
 
 
 @settings(max_examples=30, deadline=None)

@@ -725,7 +725,7 @@ class TestDrain:
 
 class TestRemoteRunner:
     def test_matches_local_run_suites_and_accounts_metrics(self, server):
-        from repro.explore import remote_runner
+        from repro.explore.remote import remote_runner
 
         configs = [tiny_config(), tiny_config(link_bandwidth=384.0)]
         workloads = [
