@@ -91,19 +91,6 @@ def register_pattern(name: str):
     return wrap
 
 
-def line_array(addrs) -> np.ndarray:
-    """Normalize a generator's output to a contiguous int64 column.
-
-    Every built-in pattern already emits int64 arrays; this is the
-    boundary contract for the columnar trace core — third-party patterns
-    may return lists or narrower dtypes, and the downstream whole-column
-    record building (``ColumnarCTATrace.from_flat`` and the records its
-    views cut from the addresses) assumes a flat int64 ndarray.  No copy
-    is made when the input already conforms.
-    """
-    return np.ascontiguousarray(addrs, dtype=np.int64).reshape(-1)
-
-
 def _chunk_bounds(cta_index: int, n_ctas: int, footprint_lines: int) -> range:
     """Contiguous slice of the footprint owned by ``cta_index``.
 
@@ -211,14 +198,14 @@ class IrregularPattern(AccessPattern):
         if self.local_bias:
             chunk = _chunk_bounds(cta_index, n_ctas, footprint_lines)
             local_mask = rng.random(n_accesses) < self.local_bias
-            n_local = int(local_mask.sum())
+            n_local = int(np.count_nonzero(local_mask))
             if n_local:
                 addrs[local_mask] = chunk.start + rng.integers(
                     0, len(chunk), size=n_local, dtype=np.int64
                 )
         if hot_lines and self.hot_fraction:
             hot_mask = rng.random(n_accesses) < self.hot_fraction
-            n_hot = int(hot_mask.sum())
+            n_hot = int(np.count_nonzero(hot_mask))
             addrs[hot_mask] = rng.integers(0, hot_lines, size=n_hot, dtype=np.int64)
         return addrs
 
@@ -248,7 +235,7 @@ class HotsetPattern(AccessPattern):
         chunk_len = len(chunk)
         addrs = hot_lines + chunk.start + (np.arange(n_accesses, dtype=np.int64) % chunk_len)
         hot_mask = rng.random(n_accesses) < self.hot_fraction
-        n_hot = int(hot_mask.sum())
+        n_hot = int(np.count_nonzero(hot_mask))
         if n_hot:
             addrs[hot_mask] = rng.integers(0, hot_lines, size=n_hot, dtype=np.int64)
         return addrs
@@ -321,7 +308,7 @@ class BandedPattern(AccessPattern):
             np.arange(n_accesses, dtype=np.int64) % chunk_len
         )
         band_mask = rng.random(n_accesses) < self.band_fraction
-        n_band = int(band_mask.sum())
+        n_band = int(np.count_nonzero(band_mask))
         if n_band:
             band_base = self.band_of_cta(cta_index) % n_bands * band_lines
             offsets = (rng.random(n_band) ** self.band_skew * band_lines).astype(np.int64)
@@ -480,7 +467,7 @@ class AttentionPattern(AccessPattern):
             np.arange(n_accesses, dtype=np.int64) % len(chunk)
         )
         gather_mask = rng.random(n_accesses) < self.gather_fraction
-        n_gather = int(gather_mask.sum())
+        n_gather = int(np.count_nonzero(gather_mask))
         if n_gather:
             # Causal prefix: query block i attends to keys [0, prefix).
             prefix = max(1, (kv_lines * (cta_index + 1)) // n_ctas)
@@ -489,7 +476,7 @@ class AttentionPattern(AccessPattern):
             sinks = min(self.sink_lines, kv_lines)
             if sinks and self.sink_fraction:
                 sink_mask = rng.random(n_gather) < self.sink_fraction
-                n_sink = int(sink_mask.sum())
+                n_sink = int(np.count_nonzero(sink_mask))
                 if n_sink:
                     gathered[sink_mask] = rng.integers(
                         0, sinks, size=n_sink, dtype=np.int64
@@ -596,7 +583,7 @@ class ZipfianPattern(AccessPattern):
         addrs = (ranks * multiplier) % footprint_lines
         if self.stream_fraction:
             stream_mask = rng.random(n_accesses) < self.stream_fraction
-            n_stream = int(stream_mask.sum())
+            n_stream = int(np.count_nonzero(stream_mask))
             if n_stream:
                 chunk = _chunk_bounds(cta_index, n_ctas, footprint_lines)
                 addrs[stream_mask] = chunk.start + (
@@ -642,7 +629,7 @@ class BurstyPattern(AccessPattern):
         n_bursts = -(-n_accesses // self.burst_lines)
         bases = rng.integers(0, footprint_lines, size=n_bursts, dtype=np.int64)
         hot_mask = rng.random(n_bursts) < self.hot_fraction
-        n_hot_bursts = int(hot_mask.sum())
+        n_hot_bursts = int(np.count_nonzero(hot_mask))
         if n_hot_bursts:
             region = min(self.hot_region_lines, max(1, footprint_lines // self.n_hot))
             experts = rng.integers(0, self.n_hot, size=n_hot_bursts)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional
 
-from .patterns import AccessPattern, line_array, make_pattern
-from .rng import rng_for
+from .patterns import AccessPattern, make_pattern
+from .rng import kernel_rngs
 from .trace import (
     ColumnarCTATrace,
     KernelLaunch,
@@ -163,28 +163,32 @@ class SyntheticWorkload(Workload):
             kernel_index if (pattern.kernel_variant or kernel_indexed) else 0
         )
 
+        # The kernel's per-CTA generators come from one seeding pass on its
+        # first trace miss; traces themselves stay lazy, one CTA per miss.
+        rngs = None
+
         def build_trace(cta_index: int) -> ColumnarCTATrace:
+            nonlocal rngs
+            if rngs is None:
+                rngs = kernel_rngs(spec.name, spec.seed, seed_kernel, n_ctas=spec.n_ctas)
             records_per_group = spec.records_for_cta(cta_index)
             per_group_accesses = records_per_group * spec.accesses_per_record
             total_accesses = per_group_accesses * spec.groups_per_cta
-            rng = rng_for(spec.name, spec.seed, seed_kernel, cta_index)
             extra = {"kernel_index": kernel_index} if kernel_indexed else {}
-            lines = line_array(
+            # Keep the generator's vectorization: the whole CTA stream
+            # stays one numpy column block (``from_flat`` normalizes it to
+            # int64); per-record views (classic TraceRecords or
+            # geometry-specialized fast records) are derived lazily by the
+            # trace itself.
+            return ColumnarCTATrace.from_flat(
                 pattern.generate(
                     cta_index,
                     spec.n_ctas,
                     total_accesses,
                     spec.footprint_lines,
-                    rng,
+                    rngs(cta_index),
                     **extra,
-                )
-            )
-            # Keep the generator's vectorization: the whole CTA stream
-            # stays one numpy column block; per-record views (classic
-            # TraceRecords or geometry-specialized fast records) are
-            # derived lazily by the trace itself.
-            return ColumnarCTATrace.from_flat(
-                lines,
+                ),
                 spec.groups_per_cta,
                 write_period,
                 spec.accesses_per_record,

@@ -244,6 +244,10 @@ class ColumnarCTATrace:
         order ahead of stores within a record.  The layout depends only on
         the group length, ``write_period`` and ``accesses_per_record``, so
         traces of one shape share it (and its read-only ``is_write``).
+
+        ``lines`` is a pattern's raw output: any int array or sequence is
+        taken in C order as int64 (no copy when it already conforms), so
+        third-party patterns may emit lists or narrower dtypes.
         """
         if accesses_per_record <= 0:
             raise ValueError(

@@ -443,10 +443,14 @@ class TestBuiltinSweeps:
 class TestImportFootprint:
     def test_import_leaves_the_serve_client_stack_unloaded(self):
         # Every sweep imports repro.explore, and pool workers fork from it.
+        # Neither it nor the server front end generates a trace, so neither
+        # loads numpy.random (trace generation imports it on first use).
         script = (
             "import sys, repro.explore\n"
             "print(' '.join(name for name in ('ssl', 'asyncio', 'http.client', "
-            "'repro.serve') if name in sys.modules))"
+            "'repro.serve') if name in sys.modules))\n"
+            "import repro.serve\n"
+            "print('numpy.random' in sys.modules)"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
         done = subprocess.run(
@@ -457,4 +461,4 @@ class TestImportFootprint:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == ""
+        assert done.stdout.splitlines() == ["", "False"]

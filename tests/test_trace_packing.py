@@ -13,6 +13,7 @@ Example counts scale with the loaded Hypothesis profile
 """
 
 import gc
+import os
 import subprocess
 import sys
 import textwrap
@@ -434,7 +435,7 @@ class TestSharedLineTables:
         assert first.fast_groups(GEOMETRY) != second.fast_groups(slower)  # busy differs
 
     def test_a_table_lives_exactly_as_long_as_its_traces(self):
-        env = {"PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", LIFETIME_SCRIPT],
             env=env,
