@@ -47,6 +47,7 @@ path; tests/test_perf_identity.py pins this across the config matrix.
 from __future__ import annotations
 
 import functools
+import hashlib
 from typing import Dict, List
 
 
@@ -557,7 +558,11 @@ class _GpmCodegen:
         lines.append(_ind(1, "return _factory"))
         source = "\n".join(lines)
         namespace: dict = {}
-        exec(_compile(source, f"<walker-gpm{self.gid}>"), namespace)
+        # The digest gives every distinct source its own file name, so
+        # profilers keying by (file, line, name) keep same-index GPMs of
+        # different machines apart.
+        digest = hashlib.blake2b(source.encode(), digest_size=4).hexdigest()
+        exec(_compile(source, f"<walker-gpm{self.gid}-{digest}>"), namespace)
         self.gc.extend([0] * len(self.counters))
         return namespace["_gpm"](tuple(self.ctx_values)), self.gc
 

@@ -179,7 +179,11 @@ def profile_workload(workload: Workload, max_ctas: int = 64) -> WorkloadProfile:
     compute = 0.0
     records = 0
     sampled = 0
-    for cta_index in _sample_ctas(kernel, max_ctas):
+    sample = list(_sample_ctas(kernel, max_ctas))
+    if kernel.prefetch is not None:
+        # Build just the sampled traces, as one batch, not the whole kernel.
+        kernel.prefetch(sample)
+    for cta_index in sample:
         sampled += 1
         for group in kernel.trace_fn(cta_index):
             for record in group:

@@ -1,8 +1,8 @@
 """Memory access-pattern generators for the synthetic workload suite.
 
-Each pattern produces, for one CTA, the flat sequence of line addresses its
-warp groups will touch.  The patterns model the application classes named
-in the paper's evaluation:
+Each pattern produces the flat sequence of line addresses a CTA's warp
+groups will touch, for a whole batch of CTAs at once.  The patterns model
+the application classes named in the paper's evaluation:
 
 * :class:`StreamingPattern` — bulk sequential sweeps (Stream triad,
   NN-Conv activations, Srad): each CTA owns a contiguous chunk.
@@ -28,6 +28,16 @@ Post-2017 ML-era families extend the suite beyond the paper's evaluation:
 * :class:`BurstyPattern` — short dense runs at hot bases (MoE expert
   dispatch, KV-block paging).
 
+Every pattern has one generator, :meth:`AccessPattern.generate_batch`: it
+takes any set of CTAs with equal access counts, draws from each CTA's own
+generator exactly what that CTA's stream needs (in the same order whatever
+the batch), and does everything else — chunk bounds, sweeps, masks,
+per-CTA counts, skews and scatters — once for the whole batch as 2-D
+numpy.  A CTA's stream is therefore the same in any batch, and
+:meth:`AccessPattern.generate` is only that batch for one CTA.  Patterns
+that draw nothing never iterate ``rngs``, so no generator is built for
+them.
+
 Whether a pattern re-rolls its addresses on every kernel launch is part of
 its semantics (``kernel_variant``): solvers re-touch the same data each
 iteration; graph frontiers move.  Patterns whose stream is a
@@ -39,35 +49,57 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
 
 class AccessPattern(ABC):
-    """Produces per-CTA line-address sequences."""
+    """Produces per-CTA line-address sequences, a batch of CTAs at a time."""
 
     #: When True the address stream differs between kernel launches
     #: (the generator RNG is seeded with the kernel index as well).
     kernel_variant = False
 
-    #: When True, :meth:`generate` accepts a ``kernel_index`` keyword and
-    #: the stream is a deterministic function of it (phase-structured
+    #: When True, :meth:`generate_batch` accepts a ``kernel_index`` keyword
+    #: and the stream is a deterministic function of it (phase-structured
     #: algorithms like ring allreduce).  Distinct from ``kernel_variant``:
     #: an indexed pattern replayed at the same index reproduces the same
     #: stream, so trace memoization still applies per launch position.
     kernel_indexed = False
 
     @abstractmethod
+    def generate_batch(
+        self,
+        ctas: np.ndarray,
+        n_ctas: int,
+        n_accesses: int,
+        footprint_lines: int,
+        rngs: Iterable["np.random.Generator"],
+    ) -> np.ndarray:
+        """Line addresses of ``ctas``: an int64 ``(len(ctas), n_accesses)`` array.
+
+        ``ctas`` is an int64 array of CTA indices of an ``n_ctas``-CTA
+        kernel, in any order; row ``i`` is CTA ``ctas[i]``'s stream, so
+        the array in C order is the batch's concatenated stream.  ``rngs``
+        yields each CTA's generator in ``ctas`` order; a pattern iterates
+        it at most once, and only if it draws.
+        """
+
     def generate(
         self,
         cta_index: int,
         n_ctas: int,
         n_accesses: int,
         footprint_lines: int,
-        rng: np.random.Generator,
+        rng: "np.random.Generator",
+        **kwargs: int,
     ) -> np.ndarray:
-        """Line addresses (int64 array of length ``n_accesses``)."""
+        """One CTA's line addresses: :meth:`generate_batch` over a batch of one."""
+        ctas = np.array([cta_index], dtype=np.int64)
+        return self.generate_batch(
+            ctas, n_ctas, n_accesses, footprint_lines, [rng], **kwargs
+        )[0]
 
 
 #: Registry for configuration-by-name.  Populated by
@@ -91,16 +123,56 @@ def register_pattern(name: str):
     return wrap
 
 
-def _chunk_bounds(cta_index: int, n_ctas: int, footprint_lines: int) -> range:
-    """Contiguous slice of the footprint owned by ``cta_index``.
+def _chunk_bounds(
+    ctas: np.ndarray, n_ctas: int, footprint_lines: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Start and length of the footprint slice each of ``ctas`` owns.
 
     Uses the same balanced split as the distributed scheduler so chunk and
     CTA-batch boundaries align the way real block-partitioned kernels do.
+    Lengths are at least one line.
     """
     base, extra = divmod(footprint_lines, n_ctas)
-    start = cta_index * base + min(cta_index, extra)
-    count = base + (1 if cta_index < extra else 0)
-    return range(start, start + max(1, count))
+    starts = ctas * base + np.minimum(ctas, extra)
+    return starts, np.maximum(1, base + (ctas < extra))
+
+
+def _sweep(starts: np.ndarray, lengths: np.ndarray, n_accesses: int) -> np.ndarray:
+    """Row ``i`` walks its chunk from ``starts[i]``, wrapping every ``lengths[i]``."""
+    return starts[:, None] + np.arange(n_accesses, dtype=np.int64) % lengths[:, None]
+
+
+def _uniforms(rngs: List["np.random.Generator"], n: int) -> np.ndarray:
+    """Row ``i`` holds the next ``n`` uniforms of ``rngs[i]``."""
+    out = np.empty((len(rngs), n))
+    for rng, row in zip(rngs, out):
+        rng.random(out=row)
+    return out
+
+
+def _row_counts(mask: np.ndarray) -> List[int]:
+    """True entries per row of a 2-D mask."""
+    return np.count_nonzero(mask, axis=1).tolist()
+
+
+def _uniforms_each(rngs, counts: List[int]) -> np.ndarray:
+    """``rngs[i].random(counts[i])`` concatenated, skipping empty draws."""
+    parts = [rng.random(count) for rng, count in zip(rngs, counts) if count]
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _integers_each(rngs, counts: List[int], high) -> np.ndarray:
+    """``rngs[i].integers(0, high, size=counts[i])`` concatenated, skipping empty draws.
+
+    ``high`` is one bound for every CTA or a list of per-CTA bounds.
+    """
+    highs = high if isinstance(high, list) else [high] * len(counts)
+    parts = [
+        rng.integers(0, bound, size=count, dtype=np.int64)
+        for rng, bound, count in zip(rngs, highs, counts)
+        if count
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
 @register_pattern("streaming")
@@ -112,11 +184,10 @@ class StreamingPattern(AccessPattern):
             raise ValueError(f"stride must be positive, got {stride}")
         self.stride = stride
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
-        chunk = _chunk_bounds(cta_index, n_ctas, footprint_lines)
-        chunk_len = len(chunk)
-        offsets = (np.arange(n_accesses, dtype=np.int64) * self.stride) % chunk_len
-        return chunk.start + offsets
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        starts, lengths = _chunk_bounds(ctas, n_ctas, footprint_lines)
+        offsets = np.arange(n_accesses, dtype=np.int64) * self.stride
+        return starts[:, None] + offsets % lengths[:, None]
 
 
 @register_pattern("stencil")
@@ -138,28 +209,39 @@ class StencilPattern(AccessPattern):
         self.halo_fraction = halo_fraction
         self.halo_lines = halo_lines
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
-        chunk = _chunk_bounds(cta_index, n_ctas, footprint_lines)
-        chunk_len = len(chunk)
-        addrs = chunk.start + (np.arange(n_accesses, dtype=np.int64) % chunk_len)
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        addrs = _sweep(*_chunk_bounds(ctas, n_ctas, footprint_lines), n_accesses)
         n_halo = int(n_accesses * self.halo_fraction)
         if n_halo and n_ctas > 1:
-            positions = rng.choice(n_accesses, size=n_halo, replace=False)
-            neighbors = np.where(
-                rng.random(n_halo) < 0.5,
-                (cta_index - 1) % n_ctas,
-                (cta_index + 1) % n_ctas,
+            rngs = list(rngs)
+            positions = np.empty((len(rngs), n_halo), dtype=np.int64)
+            coins = np.empty((len(rngs), n_halo))
+            for rng, row, coin in zip(rngs, positions, coins):
+                row[:] = rng.choice(n_accesses, size=n_halo, replace=False)
+                rng.random(out=coin)
+            # Each halo access reads the border of the previous or the next
+            # CTA's chunk, the one facing this CTA; with two CTAs both are
+            # the same chunk, read from its end.
+            left = coins < 0.5
+            if n_ctas == 2:
+                left[:] = True
+            left_start, left_len = _chunk_bounds((ctas - 1) % n_ctas, n_ctas, footprint_lines)
+            right_start, right_len = _chunk_bounds((ctas + 1) % n_ctas, n_ctas, footprint_lines)
+            depths = np.where(
+                left,
+                np.minimum(self.halo_lines, left_len)[:, None],
+                np.minimum(self.halo_lines, right_len)[:, None],
             )
-            halo_addrs = np.empty(n_halo, dtype=np.int64)
-            for i, neighbor in enumerate(neighbors):
-                nb_chunk = _chunk_bounds(int(neighbor), n_ctas, footprint_lines)
-                # Border of the neighbor chunk facing this CTA.
-                depth = min(self.halo_lines, len(nb_chunk))
-                if neighbor == (cta_index - 1) % n_ctas:
-                    halo_addrs[i] = nb_chunk.stop - 1 - rng.integers(depth)
-                else:
-                    halo_addrs[i] = nb_chunk.start + rng.integers(depth)
-            addrs[positions] = halo_addrs
+            # One bounded draw per halo access, in access order.
+            depth_draws = np.stack(
+                [rng.integers(0, depth) for rng, depth in zip(rngs, depths)]
+            )
+            halo = np.where(
+                left,
+                (left_start + left_len - 1)[:, None] - depth_draws,
+                right_start[:, None] + depth_draws,
+            )
+            np.put_along_axis(addrs, positions, halo, axis=1)
         return addrs
 
 
@@ -192,21 +274,25 @@ class IrregularPattern(AccessPattern):
         self.hot_lines = hot_lines
         self.local_bias = local_bias
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        rngs = list(rngs)
         hot_lines = min(self.hot_lines, footprint_lines)
-        addrs = rng.integers(0, footprint_lines, size=n_accesses, dtype=np.int64)
+        addrs = np.stack(
+            [
+                rng.integers(0, footprint_lines, size=n_accesses, dtype=np.int64)
+                for rng in rngs
+            ]
+        )
         if self.local_bias:
-            chunk = _chunk_bounds(cta_index, n_ctas, footprint_lines)
-            local_mask = rng.random(n_accesses) < self.local_bias
-            n_local = int(np.count_nonzero(local_mask))
-            if n_local:
-                addrs[local_mask] = chunk.start + rng.integers(
-                    0, len(chunk), size=n_local, dtype=np.int64
-                )
+            starts, lengths = _chunk_bounds(ctas, n_ctas, footprint_lines)
+            local_mask = _uniforms(rngs, n_accesses) < self.local_bias
+            counts = _row_counts(local_mask)
+            addrs[local_mask] = np.repeat(starts, counts) + _integers_each(
+                rngs, counts, lengths.tolist()
+            )
         if hot_lines and self.hot_fraction:
-            hot_mask = rng.random(n_accesses) < self.hot_fraction
-            n_hot = int(np.count_nonzero(hot_mask))
-            addrs[hot_mask] = rng.integers(0, hot_lines, size=n_hot, dtype=np.int64)
+            hot_mask = _uniforms(rngs, n_accesses) < self.hot_fraction
+            addrs[hot_mask] = _integers_each(rngs, _row_counts(hot_mask), hot_lines)
         return addrs
 
 
@@ -228,16 +314,13 @@ class HotsetPattern(AccessPattern):
         self.hot_fraction = hot_fraction
         self.hot_lines = hot_lines
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        rngs = list(rngs)
         hot_lines = min(self.hot_lines, max(1, footprint_lines - n_ctas))
         cold_lines = footprint_lines - hot_lines
-        chunk = _chunk_bounds(cta_index, n_ctas, cold_lines)
-        chunk_len = len(chunk)
-        addrs = hot_lines + chunk.start + (np.arange(n_accesses, dtype=np.int64) % chunk_len)
-        hot_mask = rng.random(n_accesses) < self.hot_fraction
-        n_hot = int(np.count_nonzero(hot_mask))
-        if n_hot:
-            addrs[hot_mask] = rng.integers(0, hot_lines, size=n_hot, dtype=np.int64)
+        addrs = hot_lines + _sweep(*_chunk_bounds(ctas, n_ctas, cold_lines), n_accesses)
+        hot_mask = _uniforms(rngs, n_accesses) < self.hot_fraction
+        addrs[hot_mask] = _integers_each(rngs, _row_counts(hot_mask), hot_lines)
         return addrs
 
 
@@ -299,20 +382,18 @@ class BandedPattern(AccessPattern):
         band_lines = min(self.band_lines, max(1, footprint_lines // (2 * n_bands)))
         return n_bands, band_lines, n_bands * band_lines
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        rngs = list(rngs)
         n_bands, band_lines, band_region = self._layout(n_ctas, footprint_lines)
         private_lines = footprint_lines - band_region
-        chunk = _chunk_bounds(cta_index, n_ctas, private_lines)
-        chunk_len = len(chunk)
-        addrs = band_region + chunk.start + (
-            np.arange(n_accesses, dtype=np.int64) % chunk_len
+        addrs = band_region + _sweep(
+            *_chunk_bounds(ctas, n_ctas, private_lines), n_accesses
         )
-        band_mask = rng.random(n_accesses) < self.band_fraction
-        n_band = int(np.count_nonzero(band_mask))
-        if n_band:
-            band_base = self.band_of_cta(cta_index) % n_bands * band_lines
-            offsets = (rng.random(n_band) ** self.band_skew * band_lines).astype(np.int64)
-            addrs[band_mask] = band_base + offsets
+        band_mask = _uniforms(rngs, n_accesses) < self.band_fraction
+        counts = _row_counts(band_mask)
+        band_bases = self.band_of_cta(ctas) % n_bands * band_lines
+        offsets = (_uniforms_each(rngs, counts) ** self.band_skew * band_lines).astype(np.int64)
+        addrs[band_mask] = np.repeat(band_bases, counts) + offsets
         return addrs
 
 
@@ -343,12 +424,12 @@ class GlobalStridePattern(AccessPattern):
         self.stride_ctas = stride_ctas
         self.shuffle = shuffle
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
-        lane = cta_index
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        lanes = ctas
         if self.shuffle:
-            lane = (cta_index * self.LANE_SHUFFLE_PRIME) % n_ctas
+            lanes = (ctas * self.LANE_SHUFFLE_PRIME) % n_ctas
         step = n_ctas * self.stride_ctas
-        offsets = np.arange(n_accesses, dtype=np.int64) * step + lane
+        offsets = np.arange(n_accesses, dtype=np.int64) * step + lanes[:, None]
         return offsets % footprint_lines
 
 
@@ -382,36 +463,37 @@ class GemmTilePattern(AccessPattern):
         self.k_steps = k_steps
         self.c_fraction = c_fraction
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
         grid_cols = max(1, int(math.isqrt(n_ctas)))
         grid_rows = -(-n_ctas // grid_cols)
-        row, col = divmod(cta_index, grid_cols)
+        rows, cols = np.divmod(ctas, grid_cols)
         c_lines = max(1, int(footprint_lines * self.c_fraction))
         panel_lines = max(1, (footprint_lines - c_lines) // 2)
         a_base, b_base = 0, panel_lines
         c_base = min(2 * panel_lines, footprint_lines - 1)
         c_lines = footprint_lines - c_base
-        a_panel = _chunk_bounds(row % grid_rows, grid_rows, panel_lines)
-        b_panel = _chunk_bounds(col % grid_cols, grid_cols, panel_lines)
-        c_tile = _chunk_bounds(cta_index, n_ctas, c_lines)
+        a_start, a_len = _chunk_bounds(rows % grid_rows, grid_rows, panel_lines)
+        b_start, b_len = _chunk_bounds(cols % grid_cols, grid_cols, panel_lines)
+        c_start, c_len = _chunk_bounds(ctas, n_ctas, c_lines)
         n_c = max(1, int(n_accesses * self.c_fraction))
         n_panels = n_accesses - n_c
         per_step = max(1, n_panels // (2 * self.k_steps))
-        parts = []
-        produced = 0
-        for step in range(self.k_steps):
-            for base, panel in ((a_base, a_panel), (b_base, b_panel)):
-                if produced >= n_panels:
-                    break
-                count = min(per_step, n_panels - produced)
-                # Each k-step walks the next slice of the panel; slices
-                # wrap, so small panels are simply re-swept (reuse).
-                offsets = (np.arange(count, dtype=np.int64) + step * per_step) % len(panel)
-                parts.append(base + panel.start + offsets)
-                produced += count
-        tail = n_accesses - produced
-        parts.append(c_base + c_tile.start + (np.arange(tail, dtype=np.int64) % len(c_tile)))
-        return np.concatenate(parts) % footprint_lines
+        # The panel accesses come first, in slices of ``per_step``: k-step
+        # ``s`` reads slice ``2s`` from A and ``2s + 1`` from B.  Each
+        # k-step walks the next slice of the panel; slices wrap, so small
+        # panels are simply re-swept (reuse).  The private C tile sweep
+        # takes the rest.
+        produced = min(n_panels, 2 * self.k_steps * per_step)
+        position = np.arange(n_accesses, dtype=np.int64)
+        slices = position // per_step
+        offsets = position - slices * per_step + slices // 2 * per_step
+        panel_addrs = np.where(
+            slices % 2 == 1,
+            b_base + b_start[:, None] + offsets % b_len[:, None],
+            a_base + a_start[:, None] + offsets % a_len[:, None],
+        )
+        tile_addrs = c_base + c_start[:, None] + (position - produced) % c_len[:, None]
+        return np.where(position < produced, panel_addrs, tile_addrs) % footprint_lines
 
 
 @register_pattern("attention")
@@ -459,29 +541,28 @@ class AttentionPattern(AccessPattern):
         self.sink_lines = sink_lines
         self.sink_fraction = sink_fraction
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        rngs = list(rngs)
         kv_lines = max(1, int(footprint_lines * self.kv_fraction))
         private_lines = max(1, footprint_lines - kv_lines)
-        chunk = _chunk_bounds(cta_index, n_ctas, private_lines)
-        addrs = kv_lines + chunk.start + (
-            np.arange(n_accesses, dtype=np.int64) % len(chunk)
+        addrs = kv_lines + _sweep(
+            *_chunk_bounds(ctas, n_ctas, private_lines), n_accesses
         )
-        gather_mask = rng.random(n_accesses) < self.gather_fraction
-        n_gather = int(np.count_nonzero(gather_mask))
-        if n_gather:
-            # Causal prefix: query block i attends to keys [0, prefix).
-            prefix = max(1, (kv_lines * (cta_index + 1)) // n_ctas)
-            recency = (1.0 - rng.random(n_gather) ** self.recency_skew) * prefix
-            gathered = recency.astype(np.int64)
-            sinks = min(self.sink_lines, kv_lines)
-            if sinks and self.sink_fraction:
-                sink_mask = rng.random(n_gather) < self.sink_fraction
-                n_sink = int(np.count_nonzero(sink_mask))
-                if n_sink:
-                    gathered[sink_mask] = rng.integers(
-                        0, sinks, size=n_sink, dtype=np.int64
-                    )
-            addrs[gather_mask] = gathered
+        gather_mask = _uniforms(rngs, n_accesses) < self.gather_fraction
+        counts = _row_counts(gather_mask)
+        # Causal prefix: query block i attends to keys [0, prefix).
+        prefixes = np.maximum(1, (kv_lines * (ctas + 1)) // n_ctas)
+        recency = (1.0 - _uniforms_each(rngs, counts) ** self.recency_skew) * np.repeat(
+            prefixes, counts
+        )
+        gathered = recency.astype(np.int64)
+        sinks = min(self.sink_lines, kv_lines)
+        if sinks and self.sink_fraction:
+            sink_mask = _uniforms_each(rngs, counts) < self.sink_fraction
+            sinking = np.zeros_like(gather_mask)
+            sinking[gather_mask] = sink_mask
+            gathered[sink_mask] = _integers_each(rngs, _row_counts(sinking), sinks)
+        addrs[gather_mask] = gathered
         return addrs % footprint_lines
 
 
@@ -509,27 +590,27 @@ class AllReducePattern(AccessPattern):
             raise ValueError(f"accum_ratio must be in (0, 1), got {accum_ratio}")
         self.accum_ratio = accum_ratio
 
-    def generate(
-        self, cta_index, n_ctas, n_accesses, footprint_lines, rng, kernel_index=0
+    def generate_batch(
+        self, ctas, n_ctas, n_accesses, footprint_lines, rngs, kernel_index=0
     ):
-        own = _chunk_bounds(cta_index, n_ctas, footprint_lines)
-        peer = (cta_index - kernel_index - 1) % n_ctas
-        remote = _chunk_bounds(peer, n_ctas, footprint_lines)
+        own_start, own_len = _chunk_bounds(ctas, n_ctas, footprint_lines)
+        peers = (ctas - kernel_index - 1) % n_ctas
+        remote_start, remote_len = _chunk_bounds(peers, n_ctas, footprint_lines)
         n_own = max(1, int(n_accesses * self.accum_ratio))
         n_remote = n_accesses - n_own
-        sweep_remote = remote.start + (
-            np.arange(n_remote, dtype=np.int64) % len(remote)
-        )
-        sweep_own = own.start + (np.arange(n_own, dtype=np.int64) % len(own))
         # Interleave so peer pulls and local accumulation overlap in time
-        # the way a fused reduce kernel issues them.
-        addrs = np.empty(n_accesses, dtype=np.int64)
-        addrs[: 2 * min(n_own, n_remote) : 2] = sweep_remote[: min(n_own, n_remote)]
-        addrs[1 : 2 * min(n_own, n_remote) : 2] = sweep_own[: min(n_own, n_remote)]
-        leftover = abs(n_remote - n_own)
-        if leftover:
-            longer = sweep_remote if n_remote > n_own else sweep_own
-            addrs[n_accesses - leftover :] = longer[len(longer) - leftover :]
+        # the way a fused reduce kernel issues them: paired positions
+        # alternate a peer-shard read (even) with an own-shard access
+        # (odd), and the longer sweep finishes alone.
+        paired = 2 * min(n_own, n_remote)
+        position = np.arange(n_accesses, dtype=np.int64)
+        index = np.where(position < paired, position // 2, position - paired // 2)
+        remote = np.where(position < paired, position % 2 == 0, n_remote > n_own)
+        addrs = np.where(
+            remote,
+            remote_start[:, None] + index % remote_len[:, None],
+            own_start[:, None] + index % own_len[:, None],
+        )
         return addrs % footprint_lines
 
 
@@ -573,22 +654,21 @@ class ZipfianPattern(AccessPattern):
             self._cdf_cache[footprint_lines] = cdf
         return cdf
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        rngs = list(rngs)
         ranks = np.searchsorted(
-            self._cdf(footprint_lines), rng.random(n_accesses), side="left"
+            self._cdf(footprint_lines), _uniforms(rngs, n_accesses), side="left"
         ).astype(np.int64)
         multiplier = self.SCATTER_MULTIPLIER % footprint_lines
         while multiplier < 1 or math.gcd(multiplier, footprint_lines) != 1:
             multiplier += 1
         addrs = (ranks * multiplier) % footprint_lines
         if self.stream_fraction:
-            stream_mask = rng.random(n_accesses) < self.stream_fraction
-            n_stream = int(np.count_nonzero(stream_mask))
-            if n_stream:
-                chunk = _chunk_bounds(cta_index, n_ctas, footprint_lines)
-                addrs[stream_mask] = chunk.start + (
-                    np.arange(n_stream, dtype=np.int64) % len(chunk)
-                )
+            # The k-th streamed access of a CTA reads line k of its chunk.
+            stream_mask = _uniforms(rngs, n_accesses) < self.stream_fraction
+            starts, lengths = _chunk_bounds(ctas, n_ctas, footprint_lines)
+            sweep = np.cumsum(stream_mask, axis=1) - 1
+            addrs[stream_mask] = (starts[:, None] + sweep % lengths[:, None])[stream_mask]
         return addrs % footprint_lines
 
 
@@ -625,21 +705,20 @@ class BurstyPattern(AccessPattern):
         self.n_hot = n_hot
         self.hot_region_lines = hot_region_lines
 
-    def generate(self, cta_index, n_ctas, n_accesses, footprint_lines, rng):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+        rngs = list(rngs)
         n_bursts = -(-n_accesses // self.burst_lines)
-        bases = rng.integers(0, footprint_lines, size=n_bursts, dtype=np.int64)
-        hot_mask = rng.random(n_bursts) < self.hot_fraction
-        n_hot_bursts = int(np.count_nonzero(hot_mask))
-        if n_hot_bursts:
-            region = min(self.hot_region_lines, max(1, footprint_lines // self.n_hot))
-            experts = rng.integers(0, self.n_hot, size=n_hot_bursts)
-            spacing = max(1, footprint_lines // self.n_hot)
-            starts = (experts * spacing) % footprint_lines
-            bases[hot_mask] = starts + rng.integers(
-                0, region, size=n_hot_bursts, dtype=np.int64
-            )
-        runs = bases[:, None] + np.arange(self.burst_lines, dtype=np.int64)[None, :]
-        return runs.reshape(-1)[:n_accesses] % footprint_lines
+        bases = np.stack(
+            [rng.integers(0, footprint_lines, size=n_bursts, dtype=np.int64) for rng in rngs]
+        )
+        hot_mask = _uniforms(rngs, n_bursts) < self.hot_fraction
+        counts = _row_counts(hot_mask)
+        region = min(self.hot_region_lines, max(1, footprint_lines // self.n_hot))
+        spacing = max(1, footprint_lines // self.n_hot)
+        starts = (_integers_each(rngs, counts, self.n_hot) * spacing) % footprint_lines
+        bases[hot_mask] = starts + _integers_each(rngs, counts, region)
+        runs = bases[:, :, None] + np.arange(self.burst_lines, dtype=np.int64)
+        return runs.reshape(len(rngs), -1)[:, :n_accesses] % footprint_lines
 
 
 def make_pattern(name: str, **params: object) -> AccessPattern:

@@ -6,14 +6,17 @@ access pattern and footprint (locality and cacheability), compute density
 (bandwidth sensitivity), store ratio (write-back pressure), kernel
 iteration count (cross-kernel reuse), and per-CTA work imbalance (the
 distributed scheduler's weak spot).  :class:`SyntheticWorkload` turns a
-spec into the lazy, deterministic kernel-launch traces the engine consumes.
+spec into the deterministic kernel-launch traces the engine consumes,
+built a kernel (or a sampled CTA set) at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .patterns import AccessPattern, make_pattern
 from .rng import kernel_rngs
@@ -141,11 +144,13 @@ class SyntheticWorkload(Workload):
 
     def kernels(self) -> Iterator[KernelLaunch]:
         for kernel_index in range(self.spec.kernel_iterations):
+            trace_fn, prefetch = self._trace_builder(kernel_index)
             yield KernelLaunch(
                 n_ctas=self.spec.n_ctas,
                 groups_per_cta=self.spec.groups_per_cta,
-                trace_fn=self._trace_builder(kernel_index),
+                trace_fn=trace_fn,
                 label=f"{self.name}.k{kernel_index}",
+                prefetch=prefetch,
             )
 
     def _trace_builder(self, kernel_index: int):
@@ -162,40 +167,49 @@ class SyntheticWorkload(Workload):
         seed_kernel = (
             kernel_index if (pattern.kernel_variant or kernel_indexed) else 0
         )
+        extra = {"kernel_index": kernel_index} if kernel_indexed else {}
+        rngs_of = None
 
-        # The kernel's per-CTA generators come from one seeding pass on its
-        # first trace miss; traces themselves stay lazy, one CTA per miss.
-        rngs = None
+        def cta_rngs(ctas: np.ndarray):
+            # A generator function: the kernel is seeded in one pass the
+            # first time a pattern iterates ``rngs``, so patterns that draw
+            # nothing seed nothing and build no generator.
+            nonlocal rngs_of
+            if rngs_of is None:
+                rngs_of = kernel_rngs(spec.name, spec.seed, seed_kernel, n_ctas=spec.n_ctas)
+            yield from map(rngs_of, ctas.tolist())
 
-        def build_trace(cta_index: int) -> ColumnarCTATrace:
-            nonlocal rngs
-            if rngs is None:
-                rngs = kernel_rngs(spec.name, spec.seed, seed_kernel, n_ctas=spec.n_ctas)
-            records_per_group = spec.records_for_cta(cta_index)
-            per_group_accesses = records_per_group * spec.accesses_per_record
-            total_accesses = per_group_accesses * spec.groups_per_cta
-            extra = {"kernel_index": kernel_index} if kernel_indexed else {}
-            # Keep the generator's vectorization: the whole CTA stream
-            # stays one numpy column block (``from_flat`` normalizes it to
-            # int64); per-record views (classic TraceRecords or
-            # geometry-specialized fast records) are derived lazily by the
-            # trace itself.
-            return ColumnarCTATrace.from_flat(
-                pattern.generate(
-                    cta_index,
+        def build(ctas: Sequence[int]):
+            # One pattern call and one block of traces per access count:
+            # with ``imbalance`` the CTAs' record counts differ.
+            if spec.imbalance:
+                by_records: dict = {}
+                for cta in ctas:
+                    by_records.setdefault(spec.records_for_cta(cta), []).append(cta)
+            else:
+                by_records = {spec.records_for_cta(0): ctas}
+            for records_per_group, group in by_records.items():
+                group = np.asarray(group, dtype=np.int64)
+                per_group = records_per_group * spec.accesses_per_record
+                lines = pattern.generate_batch(
+                    group,
                     spec.n_ctas,
-                    total_accesses,
+                    per_group * spec.groups_per_cta,
                     spec.footprint_lines,
-                    rngs(cta_index),
+                    cta_rngs(group),
                     **extra,
-                ),
-                spec.groups_per_cta,
-                write_period,
-                spec.accesses_per_record,
-                spec.compute_per_record,
-            )
+                )
+                block = np.asarray(lines, dtype=np.int64).reshape(
+                    len(group), spec.groups_per_cta, per_group
+                )
+                yield from zip(
+                    group.tolist(),
+                    ColumnarCTATrace.from_block(
+                        block, write_period, spec.accesses_per_record, spec.compute_per_record
+                    ),
+                )
 
-        return self._trace_memo.wrap(seed_kernel, build_trace)
+        return self._trace_memo.wrap(seed_kernel, spec.n_ctas, build)
 
     def digest(self) -> str:
         return self.spec.digest()

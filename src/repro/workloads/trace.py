@@ -2,10 +2,12 @@
 
 A workload is a sequence of kernel launches; a kernel launch is a CTA count
 plus a function producing, for any CTA index, the memory/compute trace of
-each of its warp groups.  Traces are generated lazily (at CTA dispatch
-time) and deterministically (same CTA index -> same trace), which both
-bounds memory use and gives iterative kernels their cross-kernel locality
-for free.
+each of its warp groups.  Traces are generated deterministically (same CTA
+index -> same trace), which gives iterative kernels their cross-kernel
+locality for free, and on demand: a synthetic kernel's traces are built
+in one batch on its first trace request (or ahead of it, for a sampled CTA
+set, through :attr:`KernelLaunch.prefetch`), and
+:meth:`ColumnarCTATrace.from_block` packs a whole batch's rows at once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +99,7 @@ class _RecordLayout:
     spans and ``is_write`` the read-only store mask; ``order`` (the
     read-only column permutation that puts each record's loads ahead of
     its stores) is set for layouts built by
-    :meth:`ColumnarCTATrace.from_flat`, which shares one layout between
+    :meth:`ColumnarCTATrace.from_block`, which shares one layout between
     every trace of the same shape.  ``read_slices``/``write_slices`` cut
     each record's loads and stores out of one group's row; they and the
     per-issue-rate record plans are kept here, so they too are built once
@@ -146,7 +148,7 @@ class _RecordLayout:
 
 @lru_cache(maxsize=256)
 def _flat_layout(per_group: int, write_period: int, accesses_per_record: int) -> _RecordLayout:
-    """The memoised :meth:`ColumnarCTATrace.from_flat` layout of one shape."""
+    """The memoised :meth:`ColumnarCTATrace.from_block` layout of one shape."""
     positions = np.arange(1, per_group + 1, dtype=np.int64)
     if write_period:
         mask = positions % write_period == 0
@@ -186,7 +188,7 @@ class ColumnarCTATrace:
     ints interned through the live :class:`_LineTable`, which the trace
     pins.  A line that many CTAs and workloads touch is therefore one int
     object.  The record structure is the :class:`_RecordLayout` every
-    group shares, and :meth:`from_flat` shares one layout between all
+    group shares, and :meth:`from_block` shares one layout between all
     traces of a shape.  Three views are derived on demand, none cached:
 
     * :meth:`fast_groups` — the engine's ``(plan, row)`` per group for
@@ -214,17 +216,54 @@ class ColumnarCTATrace:
         spans: Sequence[Tuple[int, int, int]],
         compute_cycles: float,
     ) -> None:
-        self._init(
-            addrs, _RecordLayout(tuple(map(tuple, spans)), is_write), compute_cycles
-        )
-
-    def _init(self, block: "np.ndarray", layout: _RecordLayout, compute_cycles: float) -> None:
         self.compute_cycles = compute_cycles
-        self.n_groups = block.shape[0]
-        self._layout = layout
+        self.n_groups = addrs.shape[0]
+        self._layout = _RecordLayout(tuple(map(tuple, spans)), is_write)
         self._table = table = _line_table()
         intern = table.ints.setdefault
-        self._rows = tuple([tuple(map(intern, row, row)) for row in block.tolist()])
+        self._rows = tuple([tuple(map(intern, row, row)) for row in addrs.tolist()])
+
+    @classmethod
+    def from_block(
+        cls,
+        block: "np.ndarray",
+        write_period: int,
+        accesses_per_record: int,
+        compute_cycles: float,
+    ) -> List["ColumnarCTATrace"]:
+        """One trace per CTA of an int64 ``(n, n_groups, per_group)`` block.
+
+        ``block[i]`` is CTA ``i``'s stream split into its equal-length
+        groups.  Every ``write_period``-th access (1-indexed within its
+        group) is a store, records batch ``accesses_per_record`` accesses
+        with the partial tail kept, and loads keep their relative order
+        ahead of stores within a record, as ``records_from_arrays`` packs
+        each group.  The layout depends only on the group length,
+        ``write_period`` and ``accesses_per_record``, so traces of one
+        shape share it (and its read-only ``is_write``).  The layout's
+        column order is applied, the block converted to ints and the rows
+        interned once for all ``n`` traces.
+        """
+        if accesses_per_record <= 0:
+            raise ValueError(
+                f"accesses_per_record must be positive, got {accesses_per_record}"
+            )
+        n, n_groups, per_group = block.shape
+        layout = _flat_layout(per_group, write_period, accesses_per_record)
+        table = _line_table()
+        intern = table.ints.setdefault
+        ordered = block[:, :, layout.order].reshape(n * n_groups, per_group)
+        rows = [tuple(map(intern, row, row)) for row in ordered.tolist()]
+        traces = []
+        for first in range(0, n * n_groups, n_groups):
+            trace = cls.__new__(cls)
+            trace.compute_cycles = compute_cycles
+            trace.n_groups = n_groups
+            trace._layout = layout
+            trace._table = table
+            trace._rows = tuple(rows[first : first + n_groups])
+            traces.append(trace)
+        return traces
 
     @classmethod
     def from_flat(
@@ -235,24 +274,13 @@ class ColumnarCTATrace:
         accesses_per_record: int,
         compute_cycles: float,
     ) -> "ColumnarCTATrace":
-        """Build from a flat per-CTA address stream.
+        """Build one CTA's trace from its flat address stream (see :meth:`from_block`).
 
-        Mirrors ``records_from_arrays`` applied to each equal-length group
-        slice of ``lines``: every ``write_period``-th access (1-indexed
-        within its group) is a store, records batch ``accesses_per_record``
-        accesses with the partial tail kept, and loads keep their relative
-        order ahead of stores within a record.  The layout depends only on
-        the group length, ``write_period`` and ``accesses_per_record``, so
-        traces of one shape share it (and its read-only ``is_write``).
-
-        ``lines`` is a pattern's raw output: any int array or sequence is
-        taken in C order as int64 (no copy when it already conforms), so
-        third-party patterns may emit lists or narrower dtypes.
+        ``lines`` is split into ``n_groups`` equal groups.  Any int array
+        or sequence is taken in C order as int64 (no copy when it already
+        conforms), so third-party patterns may emit lists or narrower
+        dtypes.
         """
-        if accesses_per_record <= 0:
-            raise ValueError(
-                f"accesses_per_record must be positive, got {accesses_per_record}"
-            )
         if n_groups <= 0:
             raise ValueError(f"n_groups must be positive, got {n_groups}")
         flat = np.asarray(lines, dtype=np.int64)
@@ -261,10 +289,11 @@ class ColumnarCTATrace:
             raise ValueError(
                 f"{flat.size} accesses do not divide into {n_groups} equal groups"
             )
-        layout = _flat_layout(per_group, write_period, accesses_per_record)
-        trace = cls.__new__(cls)
-        trace._init(
-            flat.reshape(n_groups, per_group)[:, layout.order], layout, compute_cycles
+        (trace,) = cls.from_block(
+            flat.reshape(1, n_groups, per_group),
+            write_period,
+            accesses_per_record,
+            compute_cycles,
         )
         return trace
 
@@ -362,12 +391,19 @@ class KernelLaunch:
         ``trace_fn(cta_index) -> CTATrace``; must be deterministic.
     label:
         Human-readable identifier ("kmeans.k2" etc.).
+    prefetch:
+        Optional ``prefetch(ctas)``: build those CTAs' traces as one batch
+        before ``trace_fn`` hands them out.
     """
 
     n_ctas: int
     groups_per_cta: int
     trace_fn: Callable[[int], CTATrace]
     label: str = "kernel"
+    #: ``prefetch(ctas)`` builds the traces of a CTA set in one batch, for
+    #: a consumer that reads only those CTAs; None when the kernel's
+    #: traces are not built in batches.
+    prefetch: Optional[Callable[[Sequence[int]], None]] = None
 
     def __post_init__(self) -> None:
         if self.n_ctas <= 0:
@@ -387,38 +423,71 @@ class TraceMemo:
     systems back to back).  Trace generation — RNG streams, pattern
     synthesis, row interning — disappears from every walk but the first.
 
+    Traces are built a batch at a time: every consumer but the sampling
+    profiler walks every CTA of a kernel, so the first miss builds the
+    whole kernel, and ``prefetch`` builds just a sampled CTA set.  Built
+    traces wait in a second map until their first hand-out.
+
     Memory stays bounded by the workload itself: the memo holds at most
     one trace per (trace seed, CTA index) pair, i.e. the same volume of
     records the engine must materialize anyway for a single pass over the
     workload's distinct kernels.
     """
 
-    __slots__ = ("_cache", "materializations", "reuses")
+    __slots__ = ("_cache", "_built", "materializations", "reuses")
 
     def __init__(self) -> None:
         self._cache: dict = {}
-        #: Builder invocations (cache misses) — tests assert reuse by
+        #: Traces built in a batch but not yet handed out.
+        self._built: dict = {}
+        #: First hand-outs of built traces — tests assert reuse by
         #: checking this stays flat across repeated walks.
         self.materializations = 0
-        #: Traces served from the memo without regeneration.
+        #: Traces served from the memo again.
         self.reuses = 0
 
-    def wrap(self, trace_seed: int, builder: Callable[[int], CTATrace]):
-        """A memoizing ``trace_fn`` for the kernel variant ``trace_seed``."""
+    def wrap(
+        self,
+        trace_seed: int,
+        n_ctas: int,
+        build: Callable[[Sequence[int]], Iterable[Tuple[int, CTATrace]]],
+    ):
+        """``(trace_fn, prefetch)`` for the kernel variant ``trace_seed``.
+
+        ``build(ctas)`` yields ``(cta, trace)`` for every CTA of ``ctas``.
+        ``trace_fn(cta)`` memoizes, building all ``n_ctas`` CTAs not yet
+        built on its first miss; ``prefetch(ctas)`` builds the ones of
+        ``ctas`` not yet built.
+        """
         cache = self._cache
+        built = self._built
+
+        def prefetch(ctas: Sequence[int]) -> None:
+            missing = [
+                cta
+                for cta in dict.fromkeys(ctas)
+                if (trace_seed, cta) not in cache and (trace_seed, cta) not in built
+            ]
+            if missing:
+                built.update(((trace_seed, cta), trace) for cta, trace in build(missing))
 
         def trace_fn(cta_index: int) -> CTATrace:
             key = (trace_seed, cta_index)
             trace = cache.get(key)
-            if trace is None:
-                trace = builder(cta_index)
-                cache[key] = trace
-                self.materializations += 1
-            else:
+            if trace is not None:
                 self.reuses += 1
+                return trace
+            trace = built.pop(key, None)
+            if trace is None:
+                if not 0 <= cta_index < n_ctas:
+                    raise IndexError(f"CTA {cta_index} outside a {n_ctas}-CTA kernel")
+                prefetch(range(n_ctas))
+                trace = built.pop(key)
+            cache[key] = trace
+            self.materializations += 1
             return trace
 
-        return trace_fn
+        return trace_fn, prefetch
 
 
 class Workload:

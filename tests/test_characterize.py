@@ -44,6 +44,15 @@ class TestProfileBasics:
         profile = profile_spec(spec(n_ctas=32), max_ctas=8)
         assert profile.sampled_ctas == 8
 
+    def test_sampling_builds_only_the_sampled_traces(self):
+        # The sample is built as one batch; a whole-kernel build on the
+        # first miss would leave the other CTAs' traces waiting in the memo.
+        workload = SyntheticWorkload(spec(pattern="irregular", n_ctas=256))
+        profile_workload(workload, max_ctas=8)
+        memo = workload._trace_memo
+        assert (memo.materializations, memo.reuses) == (8, 0)
+        assert not memo._built
+
 
 class TestLocalityMetrics:
     def test_streaming_has_no_sharing(self):

@@ -4,7 +4,8 @@
 (``kernel_rngs``): one running CRC for the seeds, one vectorized
 ``SeedSequence`` mix for PCG64's state words.  ``rng_for`` stays the
 definition of every stream; these tests hold the fast path to it, word for
-word and trace for trace.
+word and trace for trace (the traces against the per-CTA pattern oracle in
+``tests/pattern_oracle.py``).
 
 Example counts scale with the loaded Hypothesis profile
 (``HYPOTHESIS_PROFILE=deep``, see ``tests/conftest.py``).
@@ -19,6 +20,8 @@ from repro.workloads.patterns import PATTERNS, make_pattern
 from repro.workloads.rng import kernel_rngs, rng_for, seed_state_words, stable_seed
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 from repro.workloads.trace import ColumnarCTATrace, write_period_from_fraction
+
+from .pattern_oracle import reference_generate
 
 SEEDS_32 = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -88,12 +91,13 @@ def _spec(pattern: str) -> WorkloadSpec:
 
 
 def _reference_trace(spec: WorkloadSpec, kernel_index: int, cta: int) -> ColumnarCTATrace:
-    """The trace ``rng_for`` defines, built without the workload's memo."""
+    """The trace ``rng_for`` and the per-CTA oracle define, built alone."""
     pattern = spec.build_pattern()
     varies = pattern.kernel_variant or pattern.kernel_indexed
     extra = {"kernel_index": kernel_index} if pattern.kernel_indexed else {}
     total = spec.records_for_cta(cta) * spec.accesses_per_record * spec.groups_per_cta
-    lines = pattern.generate(
+    lines = reference_generate(
+        pattern,
         cta,
         spec.n_ctas,
         total,

@@ -254,6 +254,17 @@ class TestEnginePathDispatch:
         assert system.memsys._walker_flushes == []
         assert reference_loads(config) > 0
 
+    def test_walker_sources_compile_under_distinct_file_names(self):
+        # cProfile keys stats by (file, line, name): GPM 0 of two machines
+        # must not share a file name, and the bench's "<walker-gpm" layer
+        # prefix must hold.
+        names = set()
+        for config in (on_fabric("mesh", 8), on_fabric("torus", 8)):
+            walk = walkers_for(config)[0]
+            assert walk.__code__.co_filename.startswith("<walker-gpm0-")
+            names.add(walk.__code__.co_filename)
+        assert len(names) == 2
+
     def test_probed_ring_takes_walkers(self):
         config = baseline_mcm_gpu(n_gpms=4, sms_per_gpm=2)
         assert walkers_for(config) is not None
