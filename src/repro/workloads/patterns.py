@@ -29,14 +29,15 @@ Post-2017 ML-era families extend the suite beyond the paper's evaluation:
   dispatch, KV-block paging).
 
 Every pattern has one generator, :meth:`AccessPattern.generate_batch`: it
-takes any set of CTAs with equal access counts, draws from each CTA's own
-generator exactly what that CTA's stream needs (in the same order whatever
-the batch), and does everything else — chunk bounds, sweeps, masks,
-per-CTA counts, skews and scatters — once for the whole batch as 2-D
-numpy.  A CTA's stream is therefore the same in any batch, and
-:meth:`AccessPattern.generate` is only that batch for one CTA.  Patterns
-that draw nothing never iterate ``rngs``, so no generator is built for
-them.
+takes any set of CTAs with equal access counts and their random streams as
+one :class:`~repro.workloads.streams.CTAStreams` batch.  Each draw takes
+from every CTA's own stream exactly what that CTA's stream needs (in the
+same order whatever the batch), and the draws and everything else — chunk
+bounds, sweeps, masks, per-CTA counts, skews and scatters — run once for
+the whole batch as 2-D numpy.  A CTA's stream is therefore the same in any
+batch, and :meth:`AccessPattern.generate` is only that batch for one CTA.
+Patterns that draw nothing never touch their streams, so no generator is
+seeded for them.
 
 Whether a pattern re-rolls its addresses on every kernel launch is part of
 its semantics (``kernel_variant``): solvers re-touch the same data each
@@ -49,9 +50,11 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
+
+from .streams import CTAStreams
 
 
 class AccessPattern(ABC):
@@ -75,15 +78,15 @@ class AccessPattern(ABC):
         n_ctas: int,
         n_accesses: int,
         footprint_lines: int,
-        rngs: Iterable["np.random.Generator"],
+        streams: CTAStreams,
     ) -> np.ndarray:
         """Line addresses of ``ctas``: an int64 ``(len(ctas), n_accesses)`` array.
 
         ``ctas`` is an int64 array of CTA indices of an ``n_ctas``-CTA
         kernel, in any order; row ``i`` is CTA ``ctas[i]``'s stream, so
-        the array in C order is the batch's concatenated stream.  ``rngs``
-        yields each CTA's generator in ``ctas`` order; a pattern iterates
-        it at most once, and only if it draws.
+        the array in C order is the batch's concatenated stream.  Row
+        ``i`` of ``streams`` is CTA ``ctas[i]``'s random stream; a pattern
+        draws from it only if its addresses are random.
         """
 
     def generate(
@@ -95,11 +98,18 @@ class AccessPattern(ABC):
         rng: "np.random.Generator",
         **kwargs: int,
     ) -> np.ndarray:
-        """One CTA's line addresses: :meth:`generate_batch` over a batch of one."""
+        """One CTA's line addresses: :meth:`generate_batch` over a batch of one.
+
+        ``rng`` (a PCG64 ``Generator``) ends where drawing the stream from
+        it directly would leave it.
+        """
         ctas = np.array([cta_index], dtype=np.int64)
-        return self.generate_batch(
-            ctas, n_ctas, n_accesses, footprint_lines, [rng], **kwargs
+        streams = CTAStreams.wrapping([rng])
+        lines = self.generate_batch(
+            ctas, n_ctas, n_accesses, footprint_lines, streams, **kwargs
         )[0]
+        streams.settle()
+        return lines
 
 
 #: Registry for configuration-by-name.  Populated by
@@ -142,37 +152,9 @@ def _sweep(starts: np.ndarray, lengths: np.ndarray, n_accesses: int) -> np.ndarr
     return starts[:, None] + np.arange(n_accesses, dtype=np.int64) % lengths[:, None]
 
 
-def _uniforms(rngs: List["np.random.Generator"], n: int) -> np.ndarray:
-    """Row ``i`` holds the next ``n`` uniforms of ``rngs[i]``."""
-    out = np.empty((len(rngs), n))
-    for rng, row in zip(rngs, out):
-        rng.random(out=row)
-    return out
-
-
-def _row_counts(mask: np.ndarray) -> List[int]:
+def _row_counts(mask: np.ndarray) -> np.ndarray:
     """True entries per row of a 2-D mask."""
-    return np.count_nonzero(mask, axis=1).tolist()
-
-
-def _uniforms_each(rngs, counts: List[int]) -> np.ndarray:
-    """``rngs[i].random(counts[i])`` concatenated, skipping empty draws."""
-    parts = [rng.random(count) for rng, count in zip(rngs, counts) if count]
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _integers_each(rngs, counts: List[int], high) -> np.ndarray:
-    """``rngs[i].integers(0, high, size=counts[i])`` concatenated, skipping empty draws.
-
-    ``high`` is one bound for every CTA or a list of per-CTA bounds.
-    """
-    highs = high if isinstance(high, list) else [high] * len(counts)
-    parts = [
-        rng.integers(0, bound, size=count, dtype=np.int64)
-        for rng, bound, count in zip(rngs, highs, counts)
-        if count
-    ]
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return np.count_nonzero(mask, axis=1)
 
 
 @register_pattern("streaming")
@@ -184,7 +166,7 @@ class StreamingPattern(AccessPattern):
             raise ValueError(f"stride must be positive, got {stride}")
         self.stride = stride
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         starts, lengths = _chunk_bounds(ctas, n_ctas, footprint_lines)
         offsets = np.arange(n_accesses, dtype=np.int64) * self.stride
         return starts[:, None] + offsets % lengths[:, None]
@@ -209,16 +191,13 @@ class StencilPattern(AccessPattern):
         self.halo_fraction = halo_fraction
         self.halo_lines = halo_lines
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         addrs = _sweep(*_chunk_bounds(ctas, n_ctas, footprint_lines), n_accesses)
         n_halo = int(n_accesses * self.halo_fraction)
         if n_halo and n_ctas > 1:
-            rngs = list(rngs)
-            positions = np.empty((len(rngs), n_halo), dtype=np.int64)
-            coins = np.empty((len(rngs), n_halo))
-            for rng, row, coin in zip(rngs, positions, coins):
-                row[:] = rng.choice(n_accesses, size=n_halo, replace=False)
-                rng.random(out=coin)
+            streams.reserve(uniforms=n_halo, integers=3 * n_halo)
+            positions = streams.choice(n_accesses, n_halo)
+            coins = streams.random(n_halo)
             # Each halo access reads the border of the previous or the next
             # CTA's chunk, the one facing this CTA; with two CTAs both are
             # the same chunk, read from its end.
@@ -233,9 +212,7 @@ class StencilPattern(AccessPattern):
                 np.minimum(self.halo_lines, right_len)[:, None],
             )
             # One bounded draw per halo access, in access order.
-            depth_draws = np.stack(
-                [rng.integers(0, depth) for rng, depth in zip(rngs, depths)]
-            )
+            depth_draws = streams.integers(depths, n_halo)
             halo = np.where(
                 left,
                 (left_start + left_len - 1)[:, None] - depth_draws,
@@ -274,25 +251,20 @@ class IrregularPattern(AccessPattern):
         self.hot_lines = hot_lines
         self.local_bias = local_bias
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
-        rngs = list(rngs)
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         hot_lines = min(self.hot_lines, footprint_lines)
-        addrs = np.stack(
-            [
-                rng.integers(0, footprint_lines, size=n_accesses, dtype=np.int64)
-                for rng in rngs
-            ]
-        )
+        streams.reserve(uniforms=2 * n_accesses, integers=3 * n_accesses)
+        addrs = streams.integers(footprint_lines, n_accesses)
         if self.local_bias:
             starts, lengths = _chunk_bounds(ctas, n_ctas, footprint_lines)
-            local_mask = _uniforms(rngs, n_accesses) < self.local_bias
+            local_mask = streams.random(n_accesses) < self.local_bias
             counts = _row_counts(local_mask)
-            addrs[local_mask] = np.repeat(starts, counts) + _integers_each(
-                rngs, counts, lengths.tolist()
+            addrs[local_mask] = np.repeat(starts, counts) + streams.integers_each(
+                lengths, counts
             )
         if hot_lines and self.hot_fraction:
-            hot_mask = _uniforms(rngs, n_accesses) < self.hot_fraction
-            addrs[hot_mask] = _integers_each(rngs, _row_counts(hot_mask), hot_lines)
+            hot_mask = streams.random(n_accesses) < self.hot_fraction
+            addrs[hot_mask] = streams.integers_each(hot_lines, _row_counts(hot_mask))
         return addrs
 
 
@@ -314,13 +286,13 @@ class HotsetPattern(AccessPattern):
         self.hot_fraction = hot_fraction
         self.hot_lines = hot_lines
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
-        rngs = list(rngs)
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         hot_lines = min(self.hot_lines, max(1, footprint_lines - n_ctas))
         cold_lines = footprint_lines - hot_lines
         addrs = hot_lines + _sweep(*_chunk_bounds(ctas, n_ctas, cold_lines), n_accesses)
-        hot_mask = _uniforms(rngs, n_accesses) < self.hot_fraction
-        addrs[hot_mask] = _integers_each(rngs, _row_counts(hot_mask), hot_lines)
+        streams.reserve(uniforms=n_accesses, integers=n_accesses)
+        hot_mask = streams.random(n_accesses) < self.hot_fraction
+        addrs[hot_mask] = streams.integers_each(hot_lines, _row_counts(hot_mask))
         return addrs
 
 
@@ -382,17 +354,17 @@ class BandedPattern(AccessPattern):
         band_lines = min(self.band_lines, max(1, footprint_lines // (2 * n_bands)))
         return n_bands, band_lines, n_bands * band_lines
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
-        rngs = list(rngs)
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         n_bands, band_lines, band_region = self._layout(n_ctas, footprint_lines)
         private_lines = footprint_lines - band_region
         addrs = band_region + _sweep(
             *_chunk_bounds(ctas, n_ctas, private_lines), n_accesses
         )
-        band_mask = _uniforms(rngs, n_accesses) < self.band_fraction
+        streams.reserve(uniforms=2 * n_accesses)
+        band_mask = streams.random(n_accesses) < self.band_fraction
         counts = _row_counts(band_mask)
         band_bases = self.band_of_cta(ctas) % n_bands * band_lines
-        offsets = (_uniforms_each(rngs, counts) ** self.band_skew * band_lines).astype(np.int64)
+        offsets = (streams.random_each(counts) ** self.band_skew * band_lines).astype(np.int64)
         addrs[band_mask] = np.repeat(band_bases, counts) + offsets
         return addrs
 
@@ -424,7 +396,7 @@ class GlobalStridePattern(AccessPattern):
         self.stride_ctas = stride_ctas
         self.shuffle = shuffle
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         lanes = ctas
         if self.shuffle:
             lanes = (ctas * self.LANE_SHUFFLE_PRIME) % n_ctas
@@ -463,7 +435,7 @@ class GemmTilePattern(AccessPattern):
         self.k_steps = k_steps
         self.c_fraction = c_fraction
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         grid_cols = max(1, int(math.isqrt(n_ctas)))
         grid_rows = -(-n_ctas // grid_cols)
         rows, cols = np.divmod(ctas, grid_cols)
@@ -541,27 +513,27 @@ class AttentionPattern(AccessPattern):
         self.sink_lines = sink_lines
         self.sink_fraction = sink_fraction
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
-        rngs = list(rngs)
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         kv_lines = max(1, int(footprint_lines * self.kv_fraction))
         private_lines = max(1, footprint_lines - kv_lines)
         addrs = kv_lines + _sweep(
             *_chunk_bounds(ctas, n_ctas, private_lines), n_accesses
         )
-        gather_mask = _uniforms(rngs, n_accesses) < self.gather_fraction
+        streams.reserve(uniforms=3 * n_accesses, integers=n_accesses)
+        gather_mask = streams.random(n_accesses) < self.gather_fraction
         counts = _row_counts(gather_mask)
         # Causal prefix: query block i attends to keys [0, prefix).
         prefixes = np.maximum(1, (kv_lines * (ctas + 1)) // n_ctas)
-        recency = (1.0 - _uniforms_each(rngs, counts) ** self.recency_skew) * np.repeat(
+        recency = (1.0 - streams.random_each(counts) ** self.recency_skew) * np.repeat(
             prefixes, counts
         )
         gathered = recency.astype(np.int64)
         sinks = min(self.sink_lines, kv_lines)
         if sinks and self.sink_fraction:
-            sink_mask = _uniforms_each(rngs, counts) < self.sink_fraction
+            sink_mask = streams.random_each(counts) < self.sink_fraction
             sinking = np.zeros_like(gather_mask)
             sinking[gather_mask] = sink_mask
-            gathered[sink_mask] = _integers_each(rngs, _row_counts(sinking), sinks)
+            gathered[sink_mask] = streams.integers_each(sinks, _row_counts(sinking))
         addrs[gather_mask] = gathered
         return addrs % footprint_lines
 
@@ -591,7 +563,7 @@ class AllReducePattern(AccessPattern):
         self.accum_ratio = accum_ratio
 
     def generate_batch(
-        self, ctas, n_ctas, n_accesses, footprint_lines, rngs, kernel_index=0
+        self, ctas, n_ctas, n_accesses, footprint_lines, streams, kernel_index=0
     ):
         own_start, own_len = _chunk_bounds(ctas, n_ctas, footprint_lines)
         peers = (ctas - kernel_index - 1) % n_ctas
@@ -654,10 +626,10 @@ class ZipfianPattern(AccessPattern):
             self._cdf_cache[footprint_lines] = cdf
         return cdf
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
-        rngs = list(rngs)
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
+        streams.reserve(uniforms=2 * n_accesses)
         ranks = np.searchsorted(
-            self._cdf(footprint_lines), _uniforms(rngs, n_accesses), side="left"
+            self._cdf(footprint_lines), streams.random(n_accesses), side="left"
         ).astype(np.int64)
         multiplier = self.SCATTER_MULTIPLIER % footprint_lines
         while multiplier < 1 or math.gcd(multiplier, footprint_lines) != 1:
@@ -665,7 +637,7 @@ class ZipfianPattern(AccessPattern):
         addrs = (ranks * multiplier) % footprint_lines
         if self.stream_fraction:
             # The k-th streamed access of a CTA reads line k of its chunk.
-            stream_mask = _uniforms(rngs, n_accesses) < self.stream_fraction
+            stream_mask = streams.random(n_accesses) < self.stream_fraction
             starts, lengths = _chunk_bounds(ctas, n_ctas, footprint_lines)
             sweep = np.cumsum(stream_mask, axis=1) - 1
             addrs[stream_mask] = (starts[:, None] + sweep % lengths[:, None])[stream_mask]
@@ -705,20 +677,18 @@ class BurstyPattern(AccessPattern):
         self.n_hot = n_hot
         self.hot_region_lines = hot_region_lines
 
-    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, rngs):
-        rngs = list(rngs)
+    def generate_batch(self, ctas, n_ctas, n_accesses, footprint_lines, streams):
         n_bursts = -(-n_accesses // self.burst_lines)
-        bases = np.stack(
-            [rng.integers(0, footprint_lines, size=n_bursts, dtype=np.int64) for rng in rngs]
-        )
-        hot_mask = _uniforms(rngs, n_bursts) < self.hot_fraction
+        streams.reserve(uniforms=n_bursts, integers=3 * n_bursts)
+        bases = streams.integers(footprint_lines, n_bursts)
+        hot_mask = streams.random(n_bursts) < self.hot_fraction
         counts = _row_counts(hot_mask)
         region = min(self.hot_region_lines, max(1, footprint_lines // self.n_hot))
         spacing = max(1, footprint_lines // self.n_hot)
-        starts = (_integers_each(rngs, counts, self.n_hot) * spacing) % footprint_lines
-        bases[hot_mask] = starts + _integers_each(rngs, counts, region)
+        starts = (streams.integers_each(self.n_hot, counts) * spacing) % footprint_lines
+        bases[hot_mask] = starts + streams.integers_each(region, counts)
         runs = bases[:, :, None] + np.arange(self.burst_lines, dtype=np.int64)
-        return runs.reshape(len(rngs), -1)[:, :n_accesses] % footprint_lines
+        return runs.reshape(len(ctas), -1)[:, :n_accesses] % footprint_lines
 
 
 def make_pattern(name: str, **params: object) -> AccessPattern:

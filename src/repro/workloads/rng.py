@@ -7,27 +7,27 @@ convergence-loop reuse (paper Section 5.3 / Figure 12).
 
 :func:`rng_for` is the one definition of a stream: ``default_rng`` seeded
 with the CRC32 of the joined parts.  Workloads draw a kernel's streams
-through :func:`kernel_rngs`, which hands out the very same generators at a
-fraction of the cost.  Most of ``default_rng``'s price is ``SeedSequence``
-mixing its one 32-bit entropy word into PCG64's four state words;
-:func:`seed_state_words` runs that mixing for a whole kernel's seeds at once
-in numpy ``uint32`` arithmetic, and each CTA's generator is then seeded from
-its precomputed row through numpy's own PCG64 seeding.  ``numpy.random`` is
-imported only on the first kernel pass, so a process that imports ``repro``
-but generates no trace (a pooled sweep's parent, the job server's front
-end) never loads it.
+through :func:`kernel_streams`, whose batches reproduce those generators'
+draws word for word at a fraction of the cost.  Seeding a kernel is one
+pass: one running CRC for every CTA's seed, and :func:`seed_state_words`
+for ``SeedSequence``'s mixing of each 32-bit seed into PCG64's four state
+words, in numpy ``uint32`` arithmetic for all seeds at once.  Each CTA's
+PCG64 is then seeded from its precomputed row through numpy's own PCG64
+seeding, and a :class:`~repro.workloads.streams.CTAStreams` batch draws
+from all of them as 2-D numpy over one block of raw words.
+``numpy.random`` is imported only on a batch's first draw, so a process
+that imports ``repro`` but generates no trace (a pooled sweep's parent,
+the job server's front end) never loads it.
 """
 
 from __future__ import annotations
 
-import functools
 import zlib
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from numpy.random import Generator
+from .streams import CTAStreams
 
 
 def stable_seed(*parts: object) -> int:
@@ -116,55 +116,32 @@ def seed_state_words(seeds) -> np.ndarray:
     )
 
 
-@functools.cache
-def _generator_from_words() -> Callable[[np.ndarray], "Generator"]:
-    """``Generator(PCG64(...))`` seeded from one precomputed row of words.
+def kernel_streams(*parts: object, n_ctas: int) -> Callable[[Sequence[int]], CTAStreams]:
+    """Stream batches of one kernel: row ``i`` of ``get(ctas)`` draws as ``rng_for(*parts, ctas[i])``.
 
-    Built on first use, so ``numpy.random`` loads with the first kernel pass.
-    The row goes through a minimal ``ISeedSequence``, so numpy's own PCG64
-    seeding (state and increment from the four words) still runs.
+    Nothing is computed until a batch first draws.  Then the ``n_ctas``
+    seeds come from one running CRC over the shared ``"part|part|...|"``
+    prefix (equal to :func:`stable_seed` of the joined parts) and are mixed
+    by :func:`seed_state_words` in one pass, for every batch of the kernel.
     """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
+    words = None
 
-    class _StateWords(ISeedSequence):
-        """One CTA's precomputed PCG64 seeding words."""
+    def state_words(ctas: np.ndarray) -> np.ndarray:
+        nonlocal words
+        if words is None:
+            prefix = zlib.crc32(("|".join(str(part) for part in parts) + "|").encode("utf-8"))
+            seeds = np.fromiter(
+                (zlib.crc32(str(cta).encode("utf-8"), prefix) for cta in range(n_ctas)),
+                dtype=np.uint32,
+                count=n_ctas,
+            )
+            words = seed_state_words(seeds)
+        return words[ctas]
 
-        __slots__ = ("_words",)
-
-        def __init__(self, words: np.ndarray) -> None:
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL_SIZE or dtype is not np.uint64:
-                raise ValueError("holds only PCG64's four uint64 seeding words")
-            return self._words
-
-    return lambda words: Generator(PCG64(_StateWords(words)))
-
-
-def kernel_rngs(*parts: object, n_ctas: int) -> Callable[[int], "Generator"]:
-    """Per-CTA generators of one kernel: ``get(cta)`` draws as ``rng_for(*parts, cta)``.
-
-    The ``n_ctas`` seeds come from one running CRC over the shared
-    ``"part|part|...|"`` prefix (equal to :func:`stable_seed` of the joined
-    parts) and are mixed by :func:`seed_state_words` in one pass; each call
-    then builds one generator from its CTA's row.  The generators are
-    stream-identical to :func:`rng_for`'s but carry no spawnable
-    ``SeedSequence`` (``Generator.spawn`` is unavailable).
-    """
-    prefix = zlib.crc32(("|".join(str(part) for part in parts) + "|").encode("utf-8"))
-    seeds = np.fromiter(
-        (zlib.crc32(str(cta).encode("utf-8"), prefix) for cta in range(n_ctas)),
-        dtype=np.uint32,
-        count=n_ctas,
-    )
-    words = seed_state_words(seeds)
-    generator = _generator_from_words()
-
-    def get(cta_index: int) -> "Generator":
-        if not 0 <= cta_index < n_ctas:
-            raise IndexError(f"CTA {cta_index} outside a {n_ctas}-CTA kernel")
-        return generator(words[cta_index])
+    def get(ctas: Sequence[int]) -> CTAStreams:
+        ctas = np.asarray(ctas, dtype=np.int64)
+        if ctas.size and not (0 <= ctas.min() and ctas.max() < n_ctas):
+            raise IndexError(f"CTAs {ctas.tolist()} reach outside a {n_ctas}-CTA kernel")
+        return CTAStreams.seeded(len(ctas), lambda: state_words(ctas))
 
     return get

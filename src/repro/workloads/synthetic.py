@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .patterns import AccessPattern, make_pattern
-from .rng import kernel_rngs
+from .rng import kernel_streams
 from .trace import (
     ColumnarCTATrace,
     KernelLaunch,
@@ -97,11 +97,11 @@ class WorkloadSpec:
 
     def total_accesses(self) -> int:
         """Approximate total memory accesses over all kernels (for sizing)."""
-        per_cta = sum(
-            self.records_for_cta(cta) * self.groups_per_cta * self.accesses_per_record
-            for cta in range(self.n_ctas)
-        )
-        return per_cta * self.kernel_iterations
+        if self.imbalance:
+            records = sum(self.records_for_cta(cta) for cta in range(self.n_ctas))
+        else:  # every CTA has CTA 0's record count
+            records = self.n_ctas * self.records_for_cta(0)
+        return records * self.groups_per_cta * self.accesses_per_record * self.kernel_iterations
 
     def digest(self) -> str:
         """Stable identity string for result caching."""
@@ -168,16 +168,9 @@ class SyntheticWorkload(Workload):
             kernel_index if (pattern.kernel_variant or kernel_indexed) else 0
         )
         extra = {"kernel_index": kernel_index} if kernel_indexed else {}
-        rngs_of = None
-
-        def cta_rngs(ctas: np.ndarray):
-            # A generator function: the kernel is seeded in one pass the
-            # first time a pattern iterates ``rngs``, so patterns that draw
-            # nothing seed nothing and build no generator.
-            nonlocal rngs_of
-            if rngs_of is None:
-                rngs_of = kernel_rngs(spec.name, spec.seed, seed_kernel, n_ctas=spec.n_ctas)
-            yield from map(rngs_of, ctas.tolist())
+        # Seeded on a batch's first draw: patterns that draw nothing seed
+        # nothing and build no generator.
+        streams_of = kernel_streams(spec.name, spec.seed, seed_kernel, n_ctas=spec.n_ctas)
 
         def build(ctas: Sequence[int]):
             # One pattern call and one block of traces per access count:
@@ -196,7 +189,7 @@ class SyntheticWorkload(Workload):
                     spec.n_ctas,
                     per_group * spec.groups_per_cta,
                     spec.footprint_lines,
-                    cta_rngs(group),
+                    streams_of(group),
                     **extra,
                 )
                 block = np.asarray(lines, dtype=np.int64).reshape(

@@ -179,6 +179,10 @@ def _flat_layout(per_group: int, write_period: int, accesses_per_record: int) ->
     return _RecordLayout(spans, is_write, order)
 
 
+#: Rows :meth:`ColumnarCTATrace.from_block` converts to ints per slice.
+_INTERN_ROWS = 512
+
+
 class ColumnarCTATrace:
     """One CTA's trace: one row of line ints per warp group.
 
@@ -241,8 +245,9 @@ class ColumnarCTATrace:
         each group.  The layout depends only on the group length,
         ``write_period`` and ``accesses_per_record``, so traces of one
         shape share it (and its read-only ``is_write``).  The layout's
-        column order is applied, the block converted to ints and the rows
-        interned once for all ``n`` traces.
+        column order is applied once for all ``n`` traces; the rows are
+        converted to ints and interned :data:`_INTERN_ROWS` at a time, so
+        only one slice's un-interned ints are alive at once.
         """
         if accesses_per_record <= 0:
             raise ValueError(
@@ -253,7 +258,12 @@ class ColumnarCTATrace:
         table = _line_table()
         intern = table.ints.setdefault
         ordered = block[:, :, layout.order].reshape(n * n_groups, per_group)
-        rows = [tuple(map(intern, row, row)) for row in ordered.tolist()]
+        rows = []
+        for first in range(0, n * n_groups, _INTERN_ROWS):
+            rows += [
+                tuple(map(intern, row, row))
+                for row in ordered[first : first + _INTERN_ROWS].tolist()
+            ]
         traces = []
         for first in range(0, n * n_groups, n_groups):
             trace = cls.__new__(cls)

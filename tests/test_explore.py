@@ -444,12 +444,13 @@ class TestImportFootprint:
     def test_import_leaves_the_serve_client_stack_unloaded(self):
         # Every sweep imports repro.explore, and pool workers fork from it.
         # Neither it nor the server front end generates a trace, so neither
-        # loads numpy.random (trace generation imports it on first use).
+        # loads numpy.random; nor does importing the workload package with
+        # its stream batches (a batch imports it on its first draw).
         script = (
             "import sys, repro.explore\n"
             "print(' '.join(name for name in ('ssl', 'asyncio', 'http.client', "
             "'repro.serve') if name in sys.modules))\n"
-            "import repro.serve\n"
+            "import repro.serve, repro.workloads, repro.workloads.streams\n"
             "print('numpy.random' in sys.modules)"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}

@@ -1,8 +1,9 @@
 """Bit-identity of per-kernel CTA seeding against ``rng_for``.
 
-``SyntheticWorkload`` seeds a kernel's CTA generators in one pass
-(``kernel_rngs``): one running CRC for the seeds, one vectorized
-``SeedSequence`` mix for PCG64's state words.  ``rng_for`` stays the
+``SyntheticWorkload`` seeds a kernel's CTA streams in one pass
+(``kernel_streams``): one running CRC for the seeds, one vectorized
+``SeedSequence`` mix for PCG64's state words, and one ``CTAStreams`` batch
+per CTA set drawing from the CTAs' PCG64s.  ``rng_for`` stays the
 definition of every stream; these tests hold the fast path to it, word for
 word and trace for trace (the traces against the per-CTA pattern oracle in
 ``tests/pattern_oracle.py``).
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.workloads.patterns import PATTERNS, make_pattern
-from repro.workloads.rng import kernel_rngs, rng_for, seed_state_words, stable_seed
+from repro.workloads.rng import kernel_streams, rng_for, seed_state_words, stable_seed
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 from repro.workloads.trace import ColumnarCTATrace, write_period_from_fraction
 
@@ -45,6 +46,12 @@ class TestSeedStateWords:
         assert np.array_equal(seed_state_words(seeds), _reference_words(seeds))
 
 
+def _raw_words(streams, n_words):
+    """Each row's next ``n_words`` raw PCG64 words, rebuilt from 32-bit halves."""
+    halves = streams.integers(2**32, 2 * n_words).astype(np.uint64)
+    return halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
+
+
 class TestKernelRngs:
     @given(
         name=st.text(max_size=12),
@@ -54,24 +61,31 @@ class TestKernelRngs:
         data=st.data(),
     )
     def test_draws_equal_rng_for(self, name, seed, kernel, n_ctas, data):
-        cta = data.draw(st.integers(min_value=0, max_value=n_ctas - 1))
-        fast = kernel_rngs(name, seed, kernel, n_ctas=n_ctas)(cta)
-        reference = rng_for(name, seed, kernel, cta)
-        assert np.array_equal(fast.integers(0, 2**62, size=8), reference.integers(0, 2**62, size=8))
-        assert np.array_equal(fast.random(4), reference.random(4))
+        ctas = data.draw(
+            st.lists(st.integers(min_value=0, max_value=n_ctas - 1), min_size=1, max_size=6)
+        )
+        streams = kernel_streams(name, seed, kernel, n_ctas=n_ctas)(ctas)
+        references = [rng_for(name, seed, kernel, cta) for cta in ctas]
+        expected = np.stack([g.bit_generator.random_raw(8) for g in references])
+        assert np.array_equal(_raw_words(streams, 8), expected)
+        assert np.array_equal(streams.random(4), np.stack([g.random(4) for g in references]))
 
     def test_running_crc_is_stable_seed(self):
-        # The one-pass seeds are stable_seed's, so the PCG64 states agree.
-        get = kernel_rngs("mcm|wl", 7, 2, n_ctas=12)
-        for cta in range(12):
-            reference = np.random.default_rng(stable_seed("mcm|wl", 7, 2, cta))
-            assert get(cta).bit_generator.state == reference.bit_generator.state
+        # The one-pass seeds are stable_seed's, so the PCG64 streams agree.
+        streams = kernel_streams("mcm|wl", 7, 2, n_ctas=12)(range(12))
+        expected = np.stack(
+            [
+                np.random.default_rng(stable_seed("mcm|wl", 7, 2, cta)).bit_generator.random_raw(16)
+                for cta in range(12)
+            ]
+        )
+        assert np.array_equal(_raw_words(streams, 16), expected)
 
     def test_cta_outside_the_kernel_raises(self):
-        get = kernel_rngs("w", 0, 0, n_ctas=4)
-        for cta in (-1, 4):
+        get = kernel_streams("w", 0, 0, n_ctas=4)
+        for ctas in ([-1], [4], [0, 4]):
             with pytest.raises(IndexError):
-                get(cta)
+                get(ctas)
 
 
 def _spec(pattern: str) -> WorkloadSpec:

@@ -1,8 +1,9 @@
 """Batched pattern generation against the per-CTA oracle.
 
 Every pattern generates a batch of CTAs in one call
-(``AccessPattern.generate_batch``); ``tests/pattern_oracle.py`` keeps the
-per-CTA bodies the batches replaced.  For every registered pattern these
+(``AccessPattern.generate_batch``), drawing from one ``CTAStreams`` batch;
+``tests/pattern_oracle.py`` keeps the per-CTA bodies the batches replaced.
+For every registered pattern these
 properties draw parameters within the pattern's validators, tiny and large
 grids (one and two CTAs included: with two, a stencil CTA's left and right
 neighbours coincide), fractions of exactly 0 and near 1 (so per-CTA mask
@@ -21,8 +22,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.workloads.patterns import PATTERNS, make_pattern
+from repro.workloads import rng
 from repro.workloads.rng import rng_for
-from repro.workloads import synthetic
+from repro.workloads.streams import CTAStreams
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 
 from .pattern_oracle import REFERENCE, reference_generate
@@ -131,7 +133,7 @@ def test_batch_rows_equal_the_per_cta_oracle(name, data):
         n_ctas,
         n_accesses,
         footprint,
-        (rng_for(name, seed, cta) for cta in ctas),
+        CTAStreams.wrapping([rng_for(name, seed, cta) for cta in ctas]),
         **extra,
     )
     assert batch.dtype == np.int64
@@ -207,14 +209,15 @@ def test_prefetched_traces_count_as_materializations_when_first_handed_out():
 
 
 def test_only_patterns_that_draw_seed_their_kernels(monkeypatch):
+    seedings = []
+    seed_words = rng.seed_state_words
+
+    def recording(seeds):
+        seedings.append(len(seeds))
+        return seed_words(seeds)
+
+    monkeypatch.setattr(rng, "seed_state_words", recording)
     seeded = []
-    seed_kernel = synthetic.kernel_rngs
-
-    def recording(*parts, n_ctas):
-        seeded.append(parts[0])
-        return seed_kernel(*parts, n_ctas=n_ctas)
-
-    monkeypatch.setattr(synthetic, "kernel_rngs", recording)
     for name in sorted(PATTERNS):
         spec = WorkloadSpec(
             name=name,
@@ -224,7 +227,11 @@ def test_only_patterns_that_draw_seed_their_kernels(monkeypatch):
             kernel_iterations=1,
             footprint_bytes=256 * 1024,
         )
+        before = len(seedings)
         (launch,) = SyntheticWorkload(spec).kernels()
         launch.trace_fn(0)
+        if len(seedings) > before:
+            seeded.append(name)
+            assert seedings[before:] == [spec.n_ctas]
     drawing = set(PATTERNS) - {"streaming", "global_stride", "gemm_tile", "allreduce"}
-    assert sorted(seeded) == sorted(drawing)
+    assert seeded == sorted(drawing)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.workloads.synthetic import Category, SyntheticWorkload, WorkloadSpec
 
@@ -59,6 +61,30 @@ class TestSpecDerived:
         s = spec()
         expected = 16 * 2 * 3 * 4 * 2  # ctas*groups*records*accesses*kernels
         assert s.total_accesses() == expected
+
+    @given(
+        n_ctas=st.integers(1, 300),
+        groups=st.integers(1, 4),
+        records=st.integers(0, 12),
+        accesses=st.integers(1, 6),
+        kernels=st.integers(1, 4),
+        imbalance=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    )
+    def test_total_accesses_equals_the_per_cta_sum(
+        self, n_ctas, groups, records, accesses, kernels, imbalance
+    ):
+        s = spec(
+            n_ctas=n_ctas,
+            groups_per_cta=groups,
+            records_per_group=records,
+            accesses_per_record=accesses,
+            kernel_iterations=kernels,
+            imbalance=imbalance,
+        )
+        per_kernel = sum(
+            s.records_for_cta(cta) * groups * accesses for cta in range(n_ctas)
+        )
+        assert s.total_accesses() == per_kernel * kernels
 
     def test_digest_distinguishes_specs(self):
         assert spec().digest() != spec(n_ctas=17).digest()

@@ -422,6 +422,19 @@ class TestSharedLineTables:
         assert common
         assert all(by_line[line] is line for line in common)
 
+    def test_a_block_past_one_intern_slice_matches_per_cta_builds(self):
+        # 300 CTAs x 3 groups is 900 rows: two slices of interning.
+        block = (np.arange(300 * 3 * 10, dtype=np.int64) * 7 % 2000 + 300).reshape(300, 3, 10)
+        traces = ColumnarCTATrace.from_block(block, 4, 3, 1.0)
+        shared = {}
+        for trace, lines in zip(traces, block):
+            alone = ColumnarCTATrace.from_flat(lines.reshape(-1), 3, 4, 3, 1.0)
+            assert trace._rows == alone._rows
+            assert trace.spans is alone.spans
+            for row in trace._rows:
+                for line in row:
+                    assert shared.setdefault(line, line) is line
+
     def test_issue_rate_does_not_split_a_table(self):
         first, second = (
             ColumnarCTATrace.from_flat(np.arange(48, dtype=np.int64) * 500, 2, 3, 4, 1.0)
